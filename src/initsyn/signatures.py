@@ -99,13 +99,18 @@ class TypedSignature:
 
     ``atoms`` is sugar: each atom name contributes one extra nullary type
     constructor (kept separate from ``types`` so signature files print the
-    way they were written).
+    way they were written).  ``binder_counts`` maps each arity name to the
+    number of binders of each of its arguments, which is all a traversal
+    that only moves variables needs to know.
     """
 
     types: TypeSignature
     terms: tuple[TermArity, ...]
     atoms: tuple[str, ...] = ()
     _arities: dict[str, TermArity] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    binder_counts: dict[str, tuple[int, ...]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
     _all_types: "TypeSignature | None" = field(
@@ -118,6 +123,11 @@ class TypedSignature:
         for atom in self.atoms:
             merged.setdefault(atom, 0)
         object.__setattr__(self, "_arities", index)
+        object.__setattr__(
+            self,
+            "binder_counts",
+            {a.name: tuple(len(spec.binders) for spec in a.args) for a in self.terms},
+        )
         object.__setattr__(
             self, "_all_types", TypeSignature(self.types.name, merged)
         )

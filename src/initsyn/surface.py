@@ -404,6 +404,14 @@ def print_signature(sig: TypedSignature) -> str:
 
 def parse_term(text: str, sig: TypedSignature) -> tuple[Context, Term]:
     """Parse a ``.term`` file and typecheck the term in its context."""
+    ctx, term, _ = _parse_typed_term(text, sig)
+    return ctx, term
+
+
+def _parse_typed_term(
+    text: str, sig: TypedSignature
+) -> tuple[Context, Term, ObjType]:
+    """``parse_term`` that also returns the type found by the check."""
     p = _Parser(text)
     p.expect_keyword("context")
     ctx: list[ObjType] = []
@@ -414,12 +422,12 @@ def parse_term(text: str, sig: TypedSignature) -> tuple[Context, Term]:
     term = _parse_term_node(p, sig, (), positions)
     p.expect_eof()
     try:
-        infer(sig, tuple(ctx), term)
+        ty = infer(sig, tuple(ctx), term)
     except TypeCheckError as exc:
         tok = positions.get(exc.path) or positions.get(())
         assert tok is not None
         raise SourceError(tok.line, tok.column, exc.message) from exc
-    return tuple(ctx), term
+    return tuple(ctx), term, ty
 
 
 def _parse_term_node(

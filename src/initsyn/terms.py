@@ -7,11 +7,16 @@ ground types instantiating the arity's type parameters, and the argument
 terms.  Each argument lives in the context extended by the arity's binder
 list evaluated at the instantiation.
 
-Substitution is simultaneous and capture-avoiding: descending under a
-binder lifts the substitution by prefixing fresh variables and shifting
-every image.  Together with variables-as-terms this is the Kleisli
-presentation of the term monad; flattening is definable from it and is not
-a separate operation here.
+Weakening, renaming and substitution are one traversal: it rebuilds the
+term and hands each variable, together with the number of binders above
+it, to a per-operation function.  Passing under a binder only bumps that
+count, so it costs the same whatever the width of the substitution.
+Substitution is simultaneous and capture-avoiding: a variable bound inside
+the term stays put, and a free one is replaced by its image weakened past
+the binders above it, lazily, once per image and binder count.  Together
+with variables-as-terms this is the Kleisli presentation of the term
+monad; flattening is definable from it and is not a separate operation
+here.
 """
 
 from __future__ import annotations
@@ -144,6 +149,27 @@ def eta(ctx: Context, i: int) -> Term:
     return Var(i)
 
 
+def _map(
+    sig: TypedSignature, term: Term, on_var: Callable[[Var, int], Term]
+) -> Term:
+    """Rebuild ``term`` with each variable ``v`` replaced by ``on_var(v, d)``,
+    where ``d`` is the number of binders above ``v``."""
+    binders = sig.binder_counts
+
+    def go(t: Term, depth: int) -> Term:
+        if type(t) is Var:
+            return on_var(t, depth)
+        if type(t) is not Con:
+            raise TypeCheckError(f"not a term: {t!r}")
+        counts = binders.get(t.name)
+        if counts is None:
+            raise TypeCheckError(f"unknown arity '{t.name}'")
+        args = tuple([go(a, depth + k) for a, k in zip(t.args, counts)])
+        return Con(t.name, t.lit, t.inst, args)
+
+    return go(term, 0)
+
+
 def weaken(sig: TypedSignature, term: Term, cutoff: int, amount: int) -> Term:
     """Shift free indices >= ``cutoff`` up by ``amount``.
 
@@ -152,41 +178,15 @@ def weaken(sig: TypedSignature, term: Term, cutoff: int, amount: int) -> Term:
     """
     if amount == 0:
         return term
-    match term:
-        case Var(index=i):
-            return Var(i + amount) if i >= cutoff else term
-        case Con(name=name, lit=lit, inst=inst, args=args):
-            ar = sig.arity(name)
-            if ar is None:
-                raise TypeCheckError(f"unknown arity '{name}'")
-            new_args = tuple(
-                weaken(sig, arg, cutoff + len(spec.binders), amount)
-                for spec, arg in zip(ar.args, args)
-            )
-            return Con(name, lit, inst, new_args)
-    raise TypeCheckError(f"not a term: {term!r}")
+    return _map(
+        sig, term, lambda v, d: Var(v.index + amount) if v.index >= d + cutoff else v
+    )
 
 
 def rename(sig: TypedSignature, term: Term, f: Callable[[int], int]) -> Term:
     """Relabel free variables; under b binders, index i maps through
     ``i if i < b else f(i - b) + b``."""
-    return _rename(sig, term, f, 0)
-
-
-def _rename(sig, term: Term, f, depth: int) -> Term:
-    match term:
-        case Var(index=i):
-            return Var(i) if i < depth else Var(f(i - depth) + depth)
-        case Con(name=name, lit=lit, inst=inst, args=args):
-            ar = sig.arity(name)
-            if ar is None:
-                raise TypeCheckError(f"unknown arity '{name}'")
-            new_args = tuple(
-                _rename(sig, arg, f, depth + len(spec.binders))
-                for spec, arg in zip(ar.args, args)
-            )
-            return Con(name, lit, inst, new_args)
-    raise TypeCheckError(f"not a term: {term!r}")
+    return _map(sig, term, lambda v, d: v if v.index < d else Var(f(v.index - d) + d))
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,31 +219,23 @@ def substitute(sig: TypedSignature, term: Term, sub: Substitution) -> Term:
     """Capture-avoiding simultaneous substitution.
 
     Preserves the type: a term of type t over the domain maps to a term of
-    type t over the codomain.
+    type t over the codomain.  An image is weakened only when a variable
+    reaches it, and each (image, binder count) pair is weakened once per
+    call, so repeated occurrences share one copy.
     """
-    return _subst(sig, term, sub.images)
+    images = sub.images
+    weakened: dict[tuple[int, int], Term] = {}
 
+    def on_var(v: Var, depth: int) -> Term:
+        i = v.index
+        if i < depth:
+            return v
+        if i - depth >= len(images):
+            raise TypeCheckError(f"unbound index {i} under substitution")
+        key = (i - depth, depth)
+        img = weakened.get(key)
+        if img is None:
+            img = weakened[key] = weaken(sig, images[i - depth], 0, depth)
+        return img
 
-def _lift(sig: TypedSignature, images: tuple[Term, ...], by: int) -> tuple[Term, ...]:
-    if by == 0:
-        return images
-    fresh = tuple(Var(i) for i in range(by))
-    return fresh + tuple(weaken(sig, img, 0, by) for img in images)
-
-
-def _subst(sig, term: Term, images: tuple[Term, ...]) -> Term:
-    match term:
-        case Var(index=i):
-            if i >= len(images):
-                raise TypeCheckError(f"unbound index {i} under substitution")
-            return images[i]
-        case Con(name=name, lit=lit, inst=inst, args=args):
-            ar = sig.arity(name)
-            if ar is None:
-                raise TypeCheckError(f"unknown arity '{name}'")
-            new_args = tuple(
-                _subst(sig, arg, _lift(sig, images, len(spec.binders)))
-                for spec, arg in zip(ar.args, args)
-            )
-            return Con(name, lit, inst, new_args)
-    raise TypeCheckError(f"not a term: {term!r}")
+    return _map(sig, term, on_var)

@@ -527,130 +527,115 @@ def instantiate_template(
 
     ``inst`` is the already translated instantiation; each placeholder
     occurrence is shifted by the number of template binders it sits under
-    beyond the argument's own expected binders.  The result is well typed
-    at the translated result type in ``ctx`` for validated translations.
+    beyond the argument's own expected binders.  For validated translations
+    the result is well typed at the translated result type in any context
+    in which the translated arguments are; ``ctx`` is unused and only kept
+    for existing callers.
     """
-    tpl = x.term_map[ar.name]
     binder_counts = tuple(len(spec.binders) for spec in ar.args)
-    return _build(x, ar, tpl, inst, translated_args, binder_counts, lit, 0, None)
 
+    def build(tpl: Template, depth: int, hole: tuple[Term, int] | None) -> Term:
+        match tpl:
+            case TplVar(index=i):
+                return Var(i)
+            case TplMeta(index=j):
+                if not 1 <= j <= len(binder_counts):
+                    raise TypeCheckError(f"Meta({j}) out of range (validation skipped?)")
+                expected = binder_counts[j - 1]
+                if depth < expected:
+                    raise TypeCheckError(
+                        f"Meta({j}) under too few binders (validation skipped?)"
+                    )
+                arg = translated_args[j - 1]
+                return weaken(x.target, arg, expected, depth - expected)
+            case TplMacro(name=name):
+                return x.macros[name]
+            case TplCon():
+                pass
+            case _:
+                raise TypeCheckError(f"not a template: {tpl!r}")
 
-def _build(
-    x: Translation,
-    ar: TermArity,
-    tpl: Template,
-    inst: tuple[ObjType, ...],
-    args: tuple[Term, ...],
-    binder_counts: tuple[int, ...],
-    lit: int | None,
-    depth: int,
-    hole: tuple[Term, int] | None,
-) -> Term:
-    match tpl:
-        case TplVar(index=i):
-            return Var(i)
-        case TplMeta(index=j):
-            if not 1 <= j <= len(binder_counts):
-                raise TypeCheckError(f"Meta({j}) out of range (validation skipped?)")
-            expected = binder_counts[j - 1]
-            if depth < expected:
-                raise TypeCheckError(
-                    f"Meta({j}) under too few binders (validation skipped?)"
-                )
-            return weaken(x.target, args[j - 1], expected, depth - expected)
-        case TplMacro(name=name):
-            return x.macros[name]
-        case TplCon():
-            pass
-        case _:
-            raise TypeCheckError(f"not a template: {tpl!r}")
+        if tpl.name == HOLE:
+            if hole is None:
+                raise TypeCheckError("__hole outside __iter (validation skipped?)")
+            term, at_depth = hole
+            if depth != at_depth:
+                raise TypeCheckError("__hole under a binder (validation skipped?)")
+            return term
+        if tpl.name == ITER:
+            if lit is None:
+                raise TypeCheckError("__iter without a family literal")
+            step, base = tpl.args
+            acc = build(base, depth, hole)
+            for _ in range(lit):
+                acc = build(step, depth, (acc, depth))
+            return acc
+        if tpl.name == STAB:
+            ty = eval_type_expr(inst, tpl.inst[0])
+            inner = build(tpl.args[0], depth, hole)
+            return build_stability_witness(x.target, ty, inner)
 
-    if tpl.name == HOLE:
-        if hole is None:
-            raise TypeCheckError("__hole outside __iter (validation skipped?)")
-        term, at_depth = hole
-        if depth != at_depth:
-            raise TypeCheckError("__hole under a binder (validation skipped?)")
-        return term
-    if tpl.name == ITER:
-        if lit is None:
-            raise TypeCheckError("__iter without a family literal")
-        step, base = tpl.args
-        acc = _build(x, ar, base, inst, args, binder_counts, lit, depth, hole)
-        for _ in range(lit):
-            acc = _build(
-                x, ar, step, inst, args, binder_counts, lit, depth, (acc, depth)
-            )
-        return acc
-    if tpl.name == STAB:
-        ty = eval_type_expr(inst, tpl.inst[0])
-        inner = _build(x, ar, tpl.args[0], inst, args, binder_counts, lit, depth, hole)
-        return build_stability_witness(x.target, ty, inner)
-
-    tar = x.target.arity(tpl.name)
-    if tar is None:
-        raise TypeCheckError(f"unknown target arity '{tpl.name}'")
-    node_lit = tpl.lit
-    if tar.family_index and node_lit is None:
-        node_lit = lit  # literal passthrough for family-to-family templates
-    node_inst = tuple(eval_type_expr(inst, e) for e in tpl.inst)
-    new_args = tuple(
-        _build(
-            x,
-            ar,
-            sub,
-            inst,
-            args,
-            binder_counts,
-            lit,
-            depth + len(spec.binders),
-            hole,
+        tar = x.target.arity(tpl.name)
+        if tar is None:
+            raise TypeCheckError(f"unknown target arity '{tpl.name}'")
+        node_lit = tpl.lit
+        if tar.family_index and node_lit is None:
+            node_lit = lit  # literal passthrough for family-to-family templates
+        node_inst = tuple(eval_type_expr(inst, e) for e in tpl.inst)
+        new_args = tuple(
+            build(sub, depth + len(spec.binders), hole)
+            for spec, sub in zip(tar.args, tpl.args)
         )
-        for spec, sub in zip(tar.args, tpl.args)
-    )
-    return Con(tpl.name, node_lit, node_inst, new_args)
+        return Con(tpl.name, node_lit, node_inst, new_args)
+
+    return build(x.term_map[ar.name], 0, None)
 
 
 def translate_term(x: Representation, ctx: Context, term: Term) -> Term:
     """The initial morphism on terms: structural recursion over ``term``.
 
-    Variables keep their positions (retyping a list context is pointwise),
-    and each constructor occurrence becomes its template instantiated at
-    the translated type parameters with the translated arguments.
+    Variables keep their positions, and each constructor occurrence becomes
+    its template instantiated at the translated type parameters with the
+    translated arguments.  Templates never read the context, so for a
+    ``Translation`` the context is not consulted and the output depends on
+    the term alone.  An ``OpaqueRepresentation`` callback receives the
+    translated context at its node: ``ctx`` is retyped once at the root and
+    then extended by the translated binder types on the way down.  Each
+    distinct instantiation is translated once per call.
     """
     g = x.type_map
-    match term:
-        case Var(index=i):
-            return Var(i)
-        case Con(name=name, lit=lit, inst=inst, args=args):
-            ar = x.source.arity(name)
-            if ar is None:
-                raise TypeCheckError(f"unknown arity '{name}'")
-            inst_t = retype_inst(g, inst)
-            translated = tuple(
-                translate_term(
-                    x,
-                    tuple(eval_type_expr(inst, b) for b in spec.binders) + tuple(ctx),
-                    arg,
-                )
-                for spec, arg in zip(ar.args, args)
+    opaque = isinstance(x, OpaqueRepresentation)
+    translated_insts: dict[tuple[ObjType, ...], tuple[ObjType, ...]] = {}
+
+    def go(t: Term, ctx_t: Context) -> Term:
+        if type(t) is Var:
+            return t
+        if type(t) is not Con:
+            raise TypeCheckError(f"not a term: {t!r}")
+        ar = x.source.arity(t.name)
+        if ar is None:
+            raise TypeCheckError(f"unknown arity '{t.name}'")
+        inst_t = translated_insts.get(t.inst)
+        if inst_t is None:
+            inst_t = translated_insts[t.inst] = retype_inst(g, t.inst)
+        if not opaque:
+            args = tuple([go(a, ctx_t) for a, _ in zip(t.args, ar.args)])
+            return instantiate_template(x, ar, inst_t, args, ctx_t, t.lit)
+        images = _arity_images(x, ar, inst_t)
+        args = tuple([go(a, b + ctx_t) for a, b in zip(t.args, images.binders)])
+        op = x.ops.get(t.name)
+        if op is None:
+            raise TypeCheckError(f"no operation for arity '{t.name}'")
+        result = op(inst_t, ctx_t, args, t.lit)
+        actual = infer(x.target, ctx_t, result)
+        if actual != images.result:
+            raise TypeCheckError(
+                f"operation for '{t.name}' returned a term of type "
+                f"{actual}, expected {images.result}"
             )
-            ctx_t = retype_context(g, ctx)
-            if isinstance(x, OpaqueRepresentation):
-                op = x.ops.get(name)
-                if op is None:
-                    raise TypeCheckError(f"no operation for arity '{name}'")
-                result = op(inst_t, ctx_t, translated, lit)
-                images = _arity_images(x, ar, inst_t)
-                actual = infer(x.target, ctx_t, result)
-                if actual != images.result:
-                    raise TypeCheckError(
-                        f"operation for '{name}' returned a term of type "
-                        f"{actual}, expected {images.result}"
-                    )
-                return result
-            return instantiate_template(x, ar, inst_t, translated, ctx_t, lit)
-    raise TypeCheckError(f"not a term: {term!r}")
+        return result
+
+    return go(term, retype_context(g, ctx) if opaque else ())
 
 
 def identity_translation(sig: TypedSignature) -> Translation:

@@ -126,3 +126,27 @@ def test_laws_unknown_names():
     assert code == 2
     code, _, err = run(["laws", "--translation", "Nope"])
     assert code == 2
+
+
+def test_translate_typechecks_source_once(tmp_path, monkeypatch):
+    import initsyn.cli
+    import initsyn.surface
+
+    calls = []
+    for module in (initsyn.cli, initsyn.surface):
+        original = module.infer
+
+        def counted(sig, ctx, term, _original=original):
+            calls.append(sig.name)
+            return _original(sig, ctx, term)
+
+        monkeypatch.setattr(module, "infer", counted)
+    path = tmp_path / "neg.term"
+    path.write_text(NEG_TERM)
+    code, out, _ = run(["translate", "--using", "pcf2ulc-turing", str(path)])
+    assert code == 0
+    # one check of the source while parsing, one recheck of the output
+    assert calls == ["PCF", "ULC"]
+    code, out, _ = run(["check", "--lang", "PCF", str(path)])
+    assert code == 0 and out.strip() == ": arr(Bool,Bool)"
+    assert calls == ["PCF", "ULC", "PCF"]

@@ -3,11 +3,11 @@ import random
 import pytest
 
 from initsyn.languages import get_language, get_translation
-from initsyn.laws import GenConfig, gen_term, _case_term
-from initsyn.objtypes import ObjType, translate_type
+from initsyn.laws import GenConfig, GenFailure, gen_term, _case_term
+from initsyn.objtypes import ObjType, ground_types, translate_type
 from initsyn.signatures import TVar
 from initsyn.surface import print_term
-from initsyn.terms import Con, TypeCheckError, Var, infer
+from initsyn.terms import Con, TypeCheckError, Var, context_extend, infer
 from initsyn.translate import (
     OpaqueRepresentation,
     TplCon,
@@ -251,3 +251,90 @@ def test_stability_witness_typechecks_on_random_images():
         ctx = (nn(image),)
         witness = build_stability_witness(ipc, image, Var(0))
         assert infer(ipc, ctx, witness) == image
+
+
+class TestTranslationContext:
+    """Templates never read the context; opaque callbacks see exactly the
+    retyped context of their node."""
+
+    @pytest.mark.parametrize(
+        "name", ["pcf2ulc-turing", "pcf2ulc-curry", "cpc2ipc-godel-gentzen"]
+    )
+    def test_template_output_ignores_context_length(self, name):
+        x = get_translation(name)
+        rng = random.Random(11)
+        pool = ground_types(x.source.all_types, 2)
+        for ctx, term in _cases_with_binders(x.source, rng, 40):
+            long = ctx[:1] + tuple(rng.choice(pool) for _ in range(255))
+            short_out = translate_term(x, ctx[:1], term)
+            long_out = translate_term(x, long, term)
+            assert short_out == long_out
+            assert str(short_out) == str(long_out)
+
+    @pytest.mark.parametrize("name", ["pcf2ulc-turing", "cpc2ipc-godel-gentzen"])
+    def test_opaque_callback_sees_retyped_node_context(self, name):
+        x = get_translation(name)
+        seen = []
+
+        def op(ar):
+            def run(inst, ctx, args, lit):
+                seen.append((ar.name, ctx))
+                return instantiate_template(x, ar, inst, args, ctx, lit)
+
+            return run
+
+        o = OpaqueRepresentation(
+            name="recording",
+            source=x.source,
+            target=x.target,
+            type_map=x.type_map,
+            ops={ar.name: op(ar) for ar in x.source.terms},
+        )
+        for ctx, term in _cases_with_binders(x.source, random.Random(12), 60):
+            seen.clear()
+            out = translate_term(o, ctx, term)
+            expected = [
+                (arity, retype_context(x.type_map, node_ctx))
+                for arity, node_ctx in _node_contexts(x.source, ctx, term)
+            ]
+            assert seen == expected
+            assert out == translate_term(x, ctx, term)
+
+
+def _cases_with_binders(sig, rng, count):
+    """Terms of function type, so that most start with a binder, in
+    contexts whose first entry alone already types them."""
+    arrow = "arr" if sig.arity("abs") is not None else "impl"
+    pool = ground_types(sig.all_types, 2)
+    cfg = GenConfig(seed=1, cases=1)
+    out = []
+    while len(out) < count:
+        a, b = rng.choice(pool), rng.choice(pool)
+        ctx = (b,) + tuple(rng.choice(pool) for _ in range(rng.randint(0, 4)))
+        try:
+            term = gen_term(sig, ctx[:1], ObjType(arrow, (a, b)), cfg, rng=rng)
+        except GenFailure:
+            continue
+        out.append((ctx, term))
+    assert any(_binder_depth(sig, t) >= 2 for _, t in out)
+    return out
+
+
+def _node_contexts(sig, ctx, term):
+    """(arity, source context) of every constructor node, children first."""
+    if isinstance(term, Var):
+        return []
+    ar = sig.arity(term.name)
+    out = []
+    for spec, arg in zip(ar.args, term.args):
+        out += _node_contexts(sig, context_extend(ctx, term.inst, spec.binders), arg)
+    return out + [(term.name, ctx)]
+
+
+def _binder_depth(sig, term, depth=0):
+    if isinstance(term, Var):
+        return depth
+    counts = [len(spec.binders) for spec in sig.arity(term.name).args]
+    return max(
+        [depth] + [_binder_depth(sig, a, depth + k) for a, k in zip(term.args, counts)]
+    )
