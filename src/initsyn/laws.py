@@ -102,7 +102,7 @@ def _match(expr, goal: ObjType, binding: list) -> bool:
         if binding[k] is None:
             binding[k] = goal
             return True
-        return binding[k] == goal
+        return binding[k] is goal
     if expr.name != goal.name or len(expr.args) != len(goal.args):
         return False
     return all(_match(e, g, binding) for e, g in zip(expr.args, goal.args))
@@ -119,7 +119,7 @@ class _Generator:
     def gen(self, goal: ObjType, ctx: Context, depth: int) -> Term:
         """Uniform choice among fitting candidates, falling back to the
         remaining ones when a dive dead-ends (within a global budget)."""
-        candidates: list = [i for i, t in enumerate(ctx) if t == goal]
+        candidates: list = [i for i, t in enumerate(ctx) if t is goal]
         leaves_only = depth <= 1
         for ar in self.by_root.get(goal.name, ()) + self.var_rooted:
             if leaves_only and ar.args:
@@ -196,7 +196,7 @@ def gen_term(
                 break  # a fixed goal will not get easier; fall back now
             continue
     if goal is not None:
-        hits = [i for i, t in enumerate(ctx) if t == goal]
+        hits = [i for i, t in enumerate(ctx) if t is goal]
         if hits:
             # the goal is trivially inhabited by a context variable, so
             # failing would be wrong; search just ran out of budget

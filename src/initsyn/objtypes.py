@@ -5,27 +5,105 @@ translation gives, for every source constructor, a target type expression
 in the constructor's parameters; extending it over whole trees by
 structural recursion is the unique homomorphism between the two freely
 generated type sets.
+
+Ground types are hash-consed: building a type whose constructor name and
+child types equal those of a live type returns that live object, so equal
+types are the same object.  Equality and hashing are identity, which costs
+O(1) whatever the size of the type, and a fold memoized by identity, such
+as ``translate_type``, visits each distinct subtree once.  The intern
+table holds its types weakly, so a type nobody else references is freed
+and leaves the table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from _weakref import _remove_dead_weakref
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Sequence
 
 from .signatures import TApp, TVar, TypeExpr, TypeSignature, min_degree
 
+# (name, args) -> weak reference to the one live ObjType of that structure
+_INTERNED: dict[tuple, weakref.ref] = {}
 
-@dataclass(frozen=True, slots=True)
+
 class ObjType:
-    """A ground type: constructor name plus child types."""
+    """A ground type: constructor name plus child types.
+
+    Hash-consed and immutable: ``ObjType(name, args)`` returns the one live
+    object with that constructor name and those (already interned)
+    children, so ``==`` and ``hash`` are identity.  The rendered string is
+    computed once per object and cached.  The intern table is a dict of
+    weak references whose callbacks remove an entry only while it still
+    holds a dead reference, and entries are inserted with ``setdefault``;
+    both are single atomic dict operations, so types may be built and
+    shared across threads.  Pickling and copying return the interned
+    object.
+    """
+
+    __slots__ = ("name", "args", "_str", "__weakref__")
+    __match_args__ = ("name", "args")
 
     name: str
-    args: tuple["ObjType", ...] = ()
+    args: tuple[ObjType, ...]
+
+    def __new__(cls, name: str, args: tuple[ObjType, ...] = ()) -> ObjType:
+        if type(args) is not tuple:
+            args = tuple(args)
+        key = (name, args)
+        ref = _INTERNED.get(key)
+        if ref is not None:
+            obj = ref()
+            if obj is not None:
+                return obj
+        obj = object.__new__(cls)
+        _set_name(obj, name)
+        _set_args(obj, args)
+        _set_str(obj, None if args else name)
+        ref = weakref.ref(obj, lambda _, key=key: _remove_dead_weakref(_INTERNED, key))
+        while True:
+            held = _INTERNED.setdefault(key, ref)
+            if held is ref:
+                return obj
+            other = held()
+            if other is not None:
+                return other  # another thread interned it first
+            _remove_dead_weakref(_INTERNED, key)  # its callback is still pending
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (ObjType, (self.name, self.args))
+
+    def __repr__(self) -> str:
+        return f"ObjType(name={self.name!r}, args={self.args!r})"
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.name
-        return f"{self.name}({','.join(str(a) for a in self.args)})"
+        if self._str is not None:
+            return self._str
+        # post-order over the children not rendered yet, so that depth
+        # costs no recursion
+        stack = [self]
+        while stack:
+            t = stack[-1]
+            pending = [a for a in t.args if a._str is None]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            if t._str is None:
+                _set_str(t, f"{t.name}({','.join([a._str for a in t.args])})")
+        return self._str
+
+
+_set_name = ObjType.name.__set__
+_set_args = ObjType.args.__set__
+_set_str = ObjType._str.__set__
 
 
 def type_key(t: ObjType) -> tuple:
@@ -43,15 +121,15 @@ def subterms(t: ObjType) -> list[ObjType]:
 
 def eval_type_expr(env: Sequence[ObjType], e: TypeExpr) -> ObjType:
     """Evaluate an open type expression: $k becomes ``env[k-1]``."""
-    match e:
-        case TVar(index=k):
-            if not 1 <= k <= len(env):
-                raise ValueError(
-                    f"type variable ${k} out of range for environment of length {len(env)}"
-                )
-            return env[k - 1]
-        case TApp(name=name, args=args):
-            return ObjType(name, tuple(eval_type_expr(env, a) for a in args))
+    if type(e) is TApp:
+        return ObjType(e.name, tuple([eval_type_expr(env, a) for a in e.args]))
+    if type(e) is TVar:
+        k = e.index
+        if not 1 <= k <= len(env):
+            raise ValueError(
+                f"type variable ${k} out of range for environment of length {len(env)}"
+            )
+        return env[k - 1]
     raise TypeError(f"not a type expression: {e!r}")
 
 
@@ -88,9 +166,23 @@ class TypeTranslation:
 
 
 def translate_type(g: TypeTranslation, t: ObjType) -> ObjType:
-    """Apply the homomorphism determined by ``g`` to a ground type."""
-    translated = tuple(translate_type(g, a) for a in t.args)
-    return eval_type_expr(translated, g.templates[t.name])
+    """Apply the homomorphism determined by ``g`` to a ground type.
+
+    Each distinct subtree of ``t`` is translated once.
+    """
+    return _translate_type(g, t, {})
+
+
+def _translate_type(
+    g: TypeTranslation, t: ObjType, memo: dict[ObjType, ObjType]
+) -> ObjType:
+    """``translate_type`` memoized in ``memo``, which the caller owns and
+    may share across calls with the same ``g``."""
+    out = memo.get(t)
+    if out is None:
+        translated = tuple([_translate_type(g, a, memo) for a in t.args])
+        out = memo[t] = eval_type_expr(translated, g.templates[t.name])
+    return out
 
 
 def subst_type_expr(e: TypeExpr, args: Sequence[TypeExpr]) -> TypeExpr:

@@ -418,34 +418,44 @@ def _parse_typed_term(
     while p.at_ident():
         ctx.append(_parse_groundty(p, sig))
     p.expect_punct(";")
-    positions: dict[tuple[int, ...], _Token] = {}
-    term = _parse_term_node(p, sig, (), positions)
+    # pre-order: the token of each node and the size of its subtree
+    tokens: list[_Token] = []
+    sizes: list[int] = []
+    term = _parse_term_node(p, sig, tokens, sizes)
     p.expect_eof()
     try:
         ty = infer(sig, tuple(ctx), term)
     except TypeCheckError as exc:
-        tok = positions.get(exc.path) or positions.get(())
-        assert tok is not None
+        tok = tokens[_preorder_index(exc.path, sizes)]
         raise SourceError(tok.line, tok.column, exc.message) from exc
     return tuple(ctx), term, ty
 
 
+def _preorder_index(path: tuple[int, ...], sizes: list[int]) -> int:
+    """Pre-order position of the node at argument ``path`` from the root."""
+    k = 0
+    for j in path:
+        k += 1  # first argument
+        for _ in range(j):
+            k += sizes[k]  # skip an earlier sibling's subtree
+    return k
+
+
 def _parse_term_node(
-    p: _Parser,
-    sig: TypedSignature,
-    path: tuple[int, ...],
-    positions: dict[tuple[int, ...], _Token],
+    p: _Parser, sig: TypedSignature, tokens: list[_Token], sizes: list[int]
 ) -> Term:
     p.enter()
     try:
         t = p.peek()
-        positions[path] = t
+        k = len(tokens)
+        tokens.append(t)
+        sizes.append(1)
         if t.kind == "hashnat":
             p.next()
             return Var(int(t.text))
         p.expect_punct("(")
         name = p.expect_ident("an arity name")
-        positions[path] = name
+        tokens[k] = name
         lit: int | None = None
         if p.at_punct("{"):
             p.next()
@@ -461,8 +471,9 @@ def _parse_term_node(
             p.expect_punct("]")
         args: list[Term] = []
         while not p.at_punct(")"):
-            args.append(_parse_term_node(p, sig, path + (len(args),), positions))
+            args.append(_parse_term_node(p, sig, tokens, sizes))
         p.expect_punct(")")
+        sizes[k] = len(tokens) - k
         return Con(name.text, lit, tuple(inst), tuple(args))
     finally:
         p.leave()

@@ -80,46 +80,65 @@ def context_extend(
 
 
 def infer(sig: TypedSignature, ctx: Context, term: Term) -> ObjType:
-    """The unique type of ``term`` in ``ctx``, or a TypeCheckError."""
-    return _infer(sig, ctx, term, ())
+    """The unique type of ``term`` in ``ctx``, or a TypeCheckError.
+
+    Each distinct (arity, instantiation) pair has its binder, argument and
+    result types evaluated once per call, in a table that lives for the
+    call.  The error path is assembled only while an error propagates.
+    """
+    return _infer(sig, tuple(ctx), term, {})
 
 
 def _infer(
-    sig: TypedSignature, ctx: Context, term: Term, path: tuple[int, ...]
+    sig: TypedSignature,
+    ctx: Context,
+    term: Term,
+    shapes: dict[tuple, tuple],
 ) -> ObjType:
-    match term:
-        case Var(index=i):
-            if not 0 <= i < len(ctx):
-                raise TypeCheckError(f"unbound index {i}", path)
-            return ctx[i]
-        case Con(name=name, lit=lit, inst=inst, args=args):
-            ar = sig.arity(name)
-            if ar is None:
-                raise TypeCheckError(f"unknown arity '{name}'", path)
-            if ar.family_index and lit is None:
-                raise TypeCheckError(f"'{name}' needs a family literal", path)
-            if not ar.family_index and lit is not None:
-                raise TypeCheckError(f"'{name}' is not family-indexed", path)
-            if len(inst) != ar.degree:
-                raise TypeCheckError(
-                    f"'{name}' expects {ar.degree} type parameters, got {len(inst)}",
-                    path,
-                )
-            if len(args) != len(ar.args):
-                raise TypeCheckError(
-                    f"'{name}' expects {len(ar.args)} arguments, got {len(args)}",
-                    path,
-                )
-            for j, (spec, arg) in enumerate(zip(ar.args, args)):
-                inner = context_extend(ctx, inst, spec.binders)
-                expected = eval_type_expr(inst, spec.body)
-                actual = _infer(sig, inner, arg, path + (j,))
-                if actual != expected:
-                    raise TypeCheckError(
-                        f"expected {expected}, found {actual}", path + (j,)
-                    )
-            return eval_type_expr(inst, ar.result)
-    raise TypeCheckError(f"not a term: {term!r}", path)
+    if type(term) is Var:
+        i = term.index
+        if not 0 <= i < len(ctx):
+            raise TypeCheckError(f"unbound index {i}")
+        return ctx[i]
+    if type(term) is not Con:
+        raise TypeCheckError(f"not a term: {term!r}")
+    name, inst, args = term.name, term.inst, term.args
+    ar = sig.arity(name)
+    if ar is None:
+        raise TypeCheckError(f"unknown arity '{name}'")
+    if ar.family_index and term.lit is None:
+        raise TypeCheckError(f"'{name}' needs a family literal")
+    if not ar.family_index and term.lit is not None:
+        raise TypeCheckError(f"'{name}' is not family-indexed")
+    if len(inst) != ar.degree:
+        raise TypeCheckError(
+            f"'{name}' expects {ar.degree} type parameters, got {len(inst)}"
+        )
+    if len(args) != len(ar.args):
+        raise TypeCheckError(
+            f"'{name}' expects {len(ar.args)} arguments, got {len(args)}"
+        )
+    key = (name, inst)
+    shape = shapes.get(key)
+    if shape is None:
+        shape = shapes[key] = (
+            tuple(
+                tuple(eval_type_expr(inst, b) for b in spec.binders)
+                for spec in ar.args
+            ),
+            tuple(eval_type_expr(inst, spec.body) for spec in ar.args),
+            eval_type_expr(inst, ar.result),
+        )
+    binders, expected, result = shape
+    for j, arg in enumerate(args):
+        try:
+            actual = _infer(sig, binders[j] + ctx, arg, shapes)
+        except TypeCheckError as exc:
+            exc.path = (j,) + exc.path
+            raise
+        if actual is not expected[j]:
+            raise TypeCheckError(f"expected {expected[j]}, found {actual}", (j,))
+    return result
 
 
 def check(sig: TypedSignature, ctx: Context, term: Term, ty: ObjType) -> None:

@@ -38,11 +38,12 @@ from typing import Callable
 from .objtypes import (
     ObjType,
     TypeTranslation,
+    _translate_type,
     eval_type_expr,
     ground_types,
     identity_type_translation,
     is_unityped,
-    translate_type,
+    translate_type,  # not called here; perfbench/tracing.py counts calls by this name
     translate_type_expr,
 )
 from .signatures import (
@@ -152,11 +153,18 @@ Representation = Translation | OpaqueRepresentation
 
 def retype_context(g: TypeTranslation, ctx: Context) -> Context:
     """Translate a context pointwise; positions are preserved."""
-    return tuple(translate_type(g, t) for t in ctx)
+    return _retype(g, ctx, {})
 
 
 def retype_inst(g: TypeTranslation, inst: tuple[ObjType, ...]) -> tuple[ObjType, ...]:
-    return tuple(translate_type(g, t) for t in inst)
+    return _retype(g, inst, {})
+
+
+def _retype(
+    g: TypeTranslation, types: tuple[ObjType, ...], memo: dict[ObjType, ObjType]
+) -> tuple[ObjType, ...]:
+    """Translate pointwise, sharing ``memo`` (see ``_translate_type``)."""
+    return tuple([_translate_type(g, t, memo) for t in types])
 
 
 # ---------------------------------------------------------------------------
@@ -600,42 +608,51 @@ def translate_term(x: Representation, ctx: Context, term: Term) -> Term:
     ``Translation`` the context is not consulted and the output depends on
     the term alone.  An ``OpaqueRepresentation`` callback receives the
     translated context at its node: ``ctx`` is retyped once at the root and
-    then extended by the translated binder types on the way down.  Each
-    distinct instantiation is translated once per call.
+    then extended by the translated binder types on the way down.
+
+    Two tables live for one call: translated types, shared by the context
+    and every instantiation, so each distinct type is translated once; and,
+    per distinct (arity, instantiation) pair, the arity with its translated
+    instantiation and, for opaque representations, its translated binder
+    and result types.
     """
     g = x.type_map
     opaque = isinstance(x, OpaqueRepresentation)
-    translated_insts: dict[tuple[ObjType, ...], tuple[ObjType, ...]] = {}
+    types: dict[ObjType, ObjType] = {}
+    shapes: dict[tuple, tuple] = {}
 
     def go(t: Term, ctx_t: Context) -> Term:
         if type(t) is Var:
             return t
         if type(t) is not Con:
             raise TypeCheckError(f"not a term: {t!r}")
-        ar = x.source.arity(t.name)
-        if ar is None:
-            raise TypeCheckError(f"unknown arity '{t.name}'")
-        inst_t = translated_insts.get(t.inst)
-        if inst_t is None:
-            inst_t = translated_insts[t.inst] = retype_inst(g, t.inst)
+        key = (t.name, t.inst)
+        shape = shapes.get(key)
+        if shape is None:
+            ar = x.source.arity(t.name)
+            if ar is None:
+                raise TypeCheckError(f"unknown arity '{t.name}'")
+            inst_t = _retype(g, t.inst, types)
+            images = _arity_images(x, ar, inst_t) if opaque else None
+            shape = shapes[key] = (ar, inst_t, images)
+        ar, inst_t, images = shape
         if not opaque:
             args = tuple([go(a, ctx_t) for a, _ in zip(t.args, ar.args)])
             return instantiate_template(x, ar, inst_t, args, ctx_t, t.lit)
-        images = _arity_images(x, ar, inst_t)
         args = tuple([go(a, b + ctx_t) for a, b in zip(t.args, images.binders)])
         op = x.ops.get(t.name)
         if op is None:
             raise TypeCheckError(f"no operation for arity '{t.name}'")
         result = op(inst_t, ctx_t, args, t.lit)
         actual = infer(x.target, ctx_t, result)
-        if actual != images.result:
+        if actual is not images.result:
             raise TypeCheckError(
                 f"operation for '{t.name}' returned a term of type "
                 f"{actual}, expected {images.result}"
             )
         return result
 
-    return go(term, retype_context(g, ctx) if opaque else ())
+    return go(term, _retype(g, ctx, types) if opaque else ())
 
 
 def identity_translation(sig: TypedSignature) -> Translation:

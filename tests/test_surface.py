@@ -16,7 +16,7 @@ from initsyn.surface import (
     print_termfile,
     print_translation,
 )
-from initsyn.terms import Con, Var, infer
+from initsyn.terms import Con, TypeCheckError, Var, infer
 from initsyn.translate import TplCon, TplMacro, TplMeta
 
 
@@ -95,6 +95,61 @@ class TestParseTerm:
         with pytest.raises(SourceError) as err:
             parse_term("context ; (nats)", pcf)
         assert "family literal" in err.value.message
+
+
+def _nested(depth: int, leaf: str) -> str:
+    """``leaf`` as the argument of ``depth`` nested ``Succ`` applications,
+    one per line, so that the leaf sits on line ``depth + 2``."""
+    return "context ;\n" + "(app [Nat, Nat] (Succ)\n" * depth + leaf + ")" * depth
+
+
+_LEAF_ERRORS = [
+    ("(tttt)", Con("tttt", None, (), ()), 2, "expected Nat, found Bool"),
+    ("#7", Var(7), 1, "unbound index 7"),
+    ("(nats)", Con("nats", None, (), ()), 2, "'nats' needs a family literal"),
+]
+
+
+class TestTypeErrorPositions:
+    """Pins the path, message, line and column of type errors, at several
+    depths and in repeated arity occurrences."""
+
+    @pytest.mark.parametrize("depth", [1, 5, 50])
+    @pytest.mark.parametrize("leaf, term, column, message", _LEAF_ERRORS)
+    def test_error_at_depth(self, depth, leaf, term, column, message):
+        pcf = get_language("PCF")
+        with pytest.raises(SourceError) as err:
+            parse_term(_nested(depth, leaf), pcf)
+        got = (err.value.line, err.value.column, err.value.message)
+        assert got == (depth + 2, column, message)
+
+        nat = ObjType("Nat")
+        for _ in range(depth):
+            term = Con("app", None, (nat, nat), (Con("Succ", None, (), ()), term))
+        with pytest.raises(TypeCheckError) as exc:
+            infer(pcf, (), term)
+        assert exc.value.path == (1,) * depth
+        assert str(exc.value) == f"at argument path {'.'.join(['1'] * depth)}: {message}"
+
+    @pytest.mark.parametrize(
+        "first",
+        [
+            "(app [Nat, Nat] (Succ) (nats{1}))",  # same arity and instantiation
+            "(app [Bool, Nat] (abs [Bool, Nat] (nats{1})) (tttt))",  # other inst
+        ],
+    )
+    def test_error_in_second_occurrence(self, first):
+        pcf = get_language("PCF")
+        lines = [
+            "context ;",
+            "(app [Nat, Nat]",
+            f"  (abs [Nat, Nat] (app [Nat, Nat] (Pred) {first}))",
+            "  (app [Nat, Nat] (Succ) (tttt)))",
+        ]
+        with pytest.raises(SourceError) as err:
+            parse_term("\n".join(lines), pcf)
+        got = (err.value.line, err.value.column, err.value.message)
+        assert got == (4, lines[3].index("tttt") + 1, "expected Nat, found Bool")
 
 
 class TestPrintTerm:

@@ -1,7 +1,17 @@
+import contextlib
+import copy
+import dataclasses
+import gc
+import pickle
 import random
+import sys
+import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from initsyn import objtypes
 from initsyn.languages import get_language, get_translation
 from initsyn.objtypes import (
     ObjType,
@@ -11,7 +21,7 @@ from initsyn.objtypes import (
     translate_type_expr,
 )
 from initsyn.signatures import TApp, TVar
-from initsyn.translate import identity_translation
+from initsyn.translate import identity_translation, retype_context
 
 from oracles import gg_prop
 
@@ -150,3 +160,163 @@ def test_identity_translation_is_identity_on_types():
     ident = identity_translation(cpc).type_map
     for t in ground_types(cpc.all_types, 2):
         assert translate_type(ident, t) == t
+
+
+# ---------------------------------------------------------------------------
+# Hash-consing
+
+
+TYPE_SETTINGS = settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+# plain nested tuples (name, children), built into types only by the tests
+_trees = st.recursive(
+    st.sampled_from(["p", "q", "bot"]).map(lambda n: (n, ())),
+    lambda kids: st.tuples(
+        st.sampled_from(["and", "or", "impl"]), st.tuples(kids, kids)
+    ),
+    max_leaves=24,
+)
+
+
+def _build(tree):
+    name, kids = tree
+    return ObjType(name, tuple(_build(k) for k in kids))
+
+
+@TYPE_SETTINGS
+@given(_trees, _trees)
+def test_independent_builds_are_one_object(a, b):
+    assert _build(a) is _build(a)
+    assert (_build(a) is _build(b)) == (a == b)
+    assert (_build(a) == _build(b)) == (a == b)
+
+
+@contextlib.contextmanager
+def _no_cycle_collection():
+    """Collect garbage now and not during the block, so that the intern
+    table changes only by what the block itself builds and drops."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_intern_table_shrinks_when_types_are_dropped():
+    with _no_cycle_collection():
+        before = len(objtypes._INTERNED)
+        held = [ObjType("and", (ObjType(f"fresh{k}"), BOT)) for k in range(500)]
+        assert len(objtypes._INTERNED) == before + 1000
+        del held
+        assert len(objtypes._INTERNED) == before
+
+
+def test_dataclass_behaviour_is_kept():
+    p = ObjType("p")
+    t = ObjType("impl", (p, BOT))
+    assert repr(p) == "ObjType(name='p', args=())"
+    assert repr(t) == (
+        "ObjType(name='impl', args=(ObjType(name='p', args=()), "
+        "ObjType(name='bot', args=())))"
+    )
+    assert ObjType(name="impl", args=(p, BOT)) is t
+    assert ObjType.__match_args__ == ("name", "args")
+    match t:
+        case ObjType("impl", (x, y)):
+            assert (x, y) == (p, BOT)
+        case _:
+            pytest.fail("positional pattern did not match")
+    assert pickle.loads(pickle.dumps(t)) is t
+    assert copy.copy(t) is t
+    assert copy.deepcopy(t) is t
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.name = "and"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.args = (p,)
+    assert str(t) == "impl(p,bot)"
+
+
+def test_threads_building_the_same_types_share_one_object_per_type():
+    n_threads, n_types = 8, 1000
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(3):
+            barrier = threading.Barrier(n_threads, timeout=30)
+            results: list = [None] * n_threads
+
+            def work(slot: int) -> None:
+                barrier.wait()
+                order = range(n_types) if slot % 2 else range(n_types - 1, -1, -1)
+                built = {}
+                for k in order:
+                    leaf = ObjType(f"thread{round_}_{k}")
+                    built[k] = ObjType("impl", (leaf, ObjType("and", (leaf, BOT))))
+                results[slot] = [built[k] for k in range(n_types)]
+
+            threads = [
+                threading.Thread(target=work, args=(i,)) for i in range(n_threads)
+            ]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            assert all(r is not None for r in results)
+            for k in range(n_types):
+                first = results[0][k]
+                assert all(r[k] is first for r in results)
+                assert str(first) == f"impl(thread{round_}_{k},and(thread{round_}_{k},bot))"
+            del results, first
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
+def test_retype_context_over_shared_propositions_matches_oracle():
+    g = get_translation("cpc2ipc-godel-gentzen").type_map
+    rng = random.Random(14)
+    leaves = [ObjType(n) for n in ("p", "q", "r", "top", "bot")]
+    shared = [_random_type(rng, leaves, 3) for _ in range(12)]
+    ctx = tuple(
+        ObjType(rng.choice(["and", "or", "impl"]), (rng.choice(shared), rng.choice(shared)))
+        if rng.random() < 0.5
+        else rng.choice(shared)
+        for _ in range(256)
+    )
+    assert retype_context(g, ctx) == tuple(gg_prop(t) for t in ctx)
+
+
+def test_deep_types_at_the_default_recursion_limit():
+    depth = 10_000
+    p, q = ObjType("deep_p"), ObjType("deep_q")
+
+    def chain(leaf):
+        t = leaf
+        for _ in range(depth):
+            t = ObjType("impl", (t, p))
+        return t
+
+    with _no_cycle_collection():
+        before = len(objtypes._INTERNED)
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # the interpreter's default
+        try:
+            a, b, c = chain(p), chain(p), chain(q)
+            assert a is b and a == b and hash(a) == hash(b)
+            assert a != c and a is not c
+            assert str(a) == "impl(" * depth + "deep_p" + ",deep_p)" * depth
+            assert str(c) == "impl(" * depth + "deep_q" + ",deep_p)" * depth
+            assert len(objtypes._INTERNED) == before + 2 * depth
+            del a, b, c
+            assert len(objtypes._INTERNED) == before
+        finally:
+            sys.setrecursionlimit(old_limit)
