@@ -63,6 +63,7 @@ from .surface import (
     print_term,
     print_termfile,
     print_translation,
+    translation_header,
 )
 from .laws import (
     GenConfig,

@@ -18,6 +18,7 @@ from .surface import (
     parse_translation,
     print_signature,
     print_term,
+    translation_header,
 )
 
 # Bound under the public name so that the parse layer keeps one name
@@ -56,26 +57,12 @@ def _load_translation(args):
         except KeyError:
             raise _Usage(f"unknown translation '{args.using}'")
     text = _read(args.xlat)
-    header = _translation_header(text)
+    _, src, tgt = translation_header(text)
     try:
-        source = get_language(header[1])
-        target = get_language(header[2])
+        source, target = get_language(src), get_language(tgt)
     except KeyError as exc:
         raise _Usage(f"translation file references unknown language: {exc}")
     return parse_translation(text, source, target)
-
-
-def _translation_header(text: str) -> tuple[str, str, str]:
-    from .surface import _Parser
-
-    p = _Parser(text)
-    p.expect_keyword("translation")
-    name = p.expect_ident("translation name")
-    p.expect_keyword("from")
-    src = p.expect_ident("source language")
-    p.expect_keyword("to")
-    tgt = p.expect_ident("target language")
-    return name.text, src.text, tgt.text
 
 
 def cmd_lang(args) -> int:

@@ -7,419 +7,62 @@ either the Turing or the Curry fixed point combinator standing in for the
 recursion operator, and the double-negation translation of classical into
 intuitionistic proofs.
 
-The same signatures and translations are shipped as ``data/*.sig`` and
-``data/*.xlat`` files; the file versions print from and parse back to the
-objects constructed here.
+Each builtin is its file in the package's ``data`` directory: language
+``L`` is ``data/L.sig`` and translation ``t`` is ``data/t.xlat``, whose
+header names its source and target languages.  A builtin is parsed and
+validated on first use and then cached.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from importlib.resources import files
 
-from .objtypes import TypeTranslation
-from .signatures import ArgSpec, TApp, TVar, TermArity, TypeExpr, TypedSignature, TypeSignature
-from .terms import Con, Term, Var
-from .translate import HOLE, ITER, STAB, Template, TplCon, TplMacro, TplMeta, TplVar, Translation
+from .signatures import TypedSignature
+from .surface import parse_signature, parse_translation, translation_header
+from .terms import Term
+from .translate import Translation
 
-_V1, _V2, _V3 = TVar(1), TVar(2), TVar(3)
-
-
-def _arr(a: TypeExpr, b: TypeExpr) -> TypeExpr:
-    return TApp("arr", (a, b))
+_DATA = files(__package__) / "data"
 
 
-def _imp(a: TypeExpr, b: TypeExpr) -> TypeExpr:
-    return TApp("impl", (a, b))
-
-
-def _and(a: TypeExpr, b: TypeExpr) -> TypeExpr:
-    return TApp("and", (a, b))
-
-
-_BOT = TApp("bot")
-_TOP = TApp("top")
-
-
-def _nn(e: TypeExpr) -> TypeExpr:
-    return _imp(_imp(e, _BOT), _BOT)
-
-
-# ---------------------------------------------------------------------------
-# Languages
-
-
-def _ulc() -> TypedSignature:
-    star = TApp("*")
-    return TypedSignature(
-        types=TypeSignature("ULC", {"*": 0}),
-        terms=(
-            TermArity("abs", 0, (ArgSpec((star,), star),), star),
-            TermArity("app", 0, (ArgSpec((), star), ArgSpec((), star)), star),
-        ),
+@lru_cache(maxsize=None)
+def _stems(suffix: str) -> tuple[str, ...]:
+    return tuple(
+        sorted(f.name[: -len(suffix)] for f in _DATA.iterdir() if f.name.endswith(suffix))
     )
 
 
-def _stlc() -> TypedSignature:
-    return TypedSignature(
-        types=TypeSignature("STLC", {"*": 0, "arr": 2}),
-        terms=(
-            TermArity("abs", 2, (ArgSpec((_V1,), _V2),), _arr(_V1, _V2)),
-            TermArity(
-                "app", 2, (ArgSpec((), _arr(_V1, _V2)), ArgSpec((), _V1)), _V2
-            ),
-        ),
-    )
-
-
-def _pcf() -> TypedSignature:
-    nat, bool_ = TApp("Nat"), TApp("Bool")
-    return TypedSignature(
-        types=TypeSignature("PCF", {"Nat": 0, "Bool": 0, "arr": 2}),
-        terms=(
-            TermArity("app", 2, (ArgSpec((), _arr(_V1, _V2)), ArgSpec((), _V1)), _V2),
-            TermArity("abs", 2, (ArgSpec((_V1,), _V2),), _arr(_V1, _V2)),
-            TermArity("rec", 1, (ArgSpec((), _arr(_V1, _V1)),), _V1),
-            TermArity("tttt", 0, (), bool_),
-            TermArity("ffff", 0, (), bool_),
-            TermArity("nats", 0, (), nat, family_index=True),
-            TermArity("Succ", 0, (), _arr(nat, nat)),
-            TermArity("Pred", 0, (), _arr(nat, nat)),
-            TermArity("Zero", 0, (), _arr(nat, bool_)),
-            TermArity("CondN", 0, (), _arr(bool_, _arr(nat, _arr(nat, nat)))),
-            TermArity("CondB", 0, (), _arr(bool_, _arr(bool_, _arr(bool_, bool_)))),
-            TermArity("bottom", 1, (), _V1),
-        ),
-    )
-
-
-def _logic_arities(classical: bool) -> tuple[TermArity, ...]:
-    arities = [
-        TermArity("topI", 0, (), _TOP),
-        TermArity("botI", 1, (ArgSpec((), _BOT),), _V1),
-        TermArity("andI", 2, (ArgSpec((), _V1), ArgSpec((), _V2)), _and(_V1, _V2)),
-        TermArity("andE1", 2, (ArgSpec((), _and(_V1, _V2)),), _V1),
-        TermArity("andE2", 2, (ArgSpec((), _and(_V1, _V2)),), _V2),
-        TermArity("implI", 2, (ArgSpec((_V1,), _V2),), _imp(_V1, _V2)),
-        TermArity("implE", 2, (ArgSpec((), _imp(_V1, _V2)), ArgSpec((), _V1)), _V2),
-        TermArity("orI1", 2, (ArgSpec((), _V1),), TApp("or", (_V1, _V2))),
-        TermArity("orI2", 2, (ArgSpec((), _V2),), TApp("or", (_V1, _V2))),
-        TermArity(
-            "orE",
-            3,
-            (
-                ArgSpec((), TApp("or", (_V1, _V2))),
-                ArgSpec((_V1,), _V3),
-                ArgSpec((_V2,), _V3),
-            ),
-            _V3,
-        ),
-    ]
-    if classical:
-        arities.append(
-            TermArity("EM", 1, (), TApp("or", (_imp(_V1, _BOT), _V1)))
-        )
-    return tuple(arities)
-
-
-def _logic(name: str, classical: bool) -> TypedSignature:
-    return TypedSignature(
-        types=TypeSignature(
-            name, {"top": 0, "bot": 0, "and": 2, "or": 2, "impl": 2}
-        ),
-        terms=_logic_arities(classical),
-        atoms=("p", "q", "r"),
-    )
-
-
-_LANGUAGES = {
-    "ULC": _ulc,
-    "STLC": _stlc,
-    "PCF": _pcf,
-    "CPC": lambda: _logic("CPC", classical=True),
-    "IPC": lambda: _logic("IPC", classical=False),
-}
+def _read(name: str, suffix: str, kind: str) -> str:
+    # a name is looked up among the shipped files, never joined onto a path
+    if name not in _stems(suffix):
+        raise KeyError(f"unknown {kind} '{name}'")
+    return (_DATA / f"{name}{suffix}").read_text(encoding="utf-8")
 
 
 @lru_cache(maxsize=None)
 def get_language(name: str) -> TypedSignature:
-    if name not in _LANGUAGES:
-        raise KeyError(f"unknown language '{name}'")
-    return _LANGUAGES[name]()
-
-
-# ---------------------------------------------------------------------------
-# PCF to ULC
-
-
-def _ulc_abs(body: Term) -> Term:
-    return Con("abs", None, (), (body,))
-
-
-def _ulc_app(f: Term, a: Term) -> Term:
-    return Con("app", None, (), (f, a))
-
-
-def turing_combinator() -> Term:
-    """(lambda x. lambda y. y (x x y)) applied to itself."""
-    half = _ulc_abs(
-        _ulc_abs(_ulc_app(Var(0), _ulc_app(_ulc_app(Var(1), Var(1)), Var(0))))
-    )
-    return _ulc_app(half, half)
-
-
-def curry_combinator() -> Term:
-    """lambda f. (lambda x. f (x x)) (lambda x. f (x x))."""
-    half = _ulc_abs(_ulc_app(Var(1), _ulc_app(Var(0), Var(0))))
-    return _ulc_abs(_ulc_app(half, half))
-
-
-def _t_abs(body: Template) -> Template:
-    return TplCon("abs", None, (), (body,))
-
-
-def _t_app(f: Template, a: Template) -> Template:
-    return TplCon("app", None, (), (f, a))
-
-
-def _pcf_to_ulc(name: str, fix_macro: str, fix_term: Term) -> Translation:
-    pcf, ulc = get_language("PCF"), get_language("ULC")
-    star = TApp("*")
-    type_map = TypeTranslation(
-        source=pcf.all_types,
-        target=ulc.all_types,
-        templates={"Nat": star, "Bool": star, "arr": star},
-    )
-    cond = _t_abs(_t_abs(_t_abs(_t_app(_t_app(TplVar(2), TplVar(1)), TplVar(0)))))
-    omega = _t_app(
-        _t_abs(_t_app(TplVar(0), TplVar(0))), _t_abs(_t_app(TplVar(0), TplVar(0)))
-    )
-    term_map: dict[str, Template] = {
-        "app": _t_app(TplMeta(1), TplMeta(2)),
-        "abs": _t_abs(TplMeta(1)),
-        "rec": _t_app(TplMacro(fix_macro), TplMeta(1)),
-        "tttt": _t_abs(_t_abs(TplVar(1))),
-        "ffff": _t_abs(_t_abs(TplVar(0))),
-        # Church numeral: iterate the successor argument literal-many times.
-        "nats": _t_abs(
-            _t_abs(
-                TplCon(
-                    ITER,
-                    None,
-                    (),
-                    (_t_app(TplVar(1), TplCon(HOLE, None, (), ())), TplVar(0)),
-                )
-            )
-        ),
-        "Succ": _t_abs(
-            _t_abs(
-                _t_abs(
-                    _t_app(
-                        TplVar(1), _t_app(_t_app(TplVar(2), TplVar(1)), TplVar(0))
-                    )
-                )
-            )
-        ),
-        # Kleene predecessor.
-        "Pred": _t_abs(
-            _t_abs(
-                _t_abs(
-                    _t_app(
-                        _t_app(
-                            _t_app(
-                                TplVar(2),
-                                _t_abs(
-                                    _t_abs(
-                                        _t_app(
-                                            TplVar(0),
-                                            _t_app(TplVar(1), TplVar(3)),
-                                        )
-                                    )
-                                ),
-                            ),
-                            _t_abs(TplVar(1)),
-                        ),
-                        _t_abs(TplVar(0)),
-                    )
-                )
-            )
-        ),
-        # Zero test: n (lambda _. false) true.
-        "Zero": _t_abs(
-            _t_app(
-                _t_app(TplVar(0), _t_abs(_t_abs(_t_abs(TplVar(0))))),
-                _t_abs(_t_abs(TplVar(1))),
-            )
-        ),
-        "CondN": cond,
-        "CondB": cond,
-        "bottom": omega,
-    }
-    return Translation(
-        name=name,
-        source=pcf,
-        target=ulc,
-        type_map=type_map,
-        term_map=term_map,
-        macros={fix_macro: fix_term},
-    )
-
-
-# ---------------------------------------------------------------------------
-# CPC to IPC (double negation on propositions, proof terms alongside)
-
-
-def _godel_gentzen() -> Translation:
-    cpc, ipc = get_language("CPC"), get_language("IPC")
-    type_map = TypeTranslation(
-        source=cpc.all_types,
-        target=ipc.all_types,
-        templates={
-            "top": _nn(_TOP),
-            "bot": _nn(_BOT),
-            "and": _and(_V1, _V2),
-            "or": _imp(_and(_imp(_V1, _BOT), _imp(_V2, _BOT)), _BOT),
-            "impl": _imp(_V1, _V2),
-            "p": _nn(TApp("p")),
-            "q": _nn(TApp("q")),
-            "r": _nn(TApp("r")),
-        },
-    )
-
-    def implI(a: TypeExpr, b: TypeExpr, body: Template) -> Template:
-        return TplCon("implI", None, (a, b), (body,))
-
-    def implE(a: TypeExpr, b: TypeExpr, f: Template, x: Template) -> Template:
-        return TplCon("implE", None, (a, b), (f, x))
-
-    neg1, neg2 = _imp(_V1, _BOT), _imp(_V2, _BOT)
-    or_img = _imp(_and(neg1, neg2), _BOT)
-
-    def or_intro(k: int, this: TypeExpr, proj: str) -> Template:
-        # from a proof of one disjunct, refute "neither holds"
-        return implI(
-            _and(neg1, neg2),
-            _BOT,
-            implE(
-                this,
-                _BOT,
-                TplCon(proj, None, (neg1, neg2), (TplVar(0),)),
-                TplMeta(k),
-            ),
-        )
-
-    # orE: the result type is stable, so refute "the scrutinee refutes both
-    # branches" under an assumed refutation of the result.
-    neg3 = _imp(_V3, _BOT)
-    or_elim = TplCon(
-        STAB,
-        None,
-        (_V3,),
-        (
-            implI(
-                neg3,
-                _BOT,
-                implE(
-                    _and(neg1, neg2),
-                    _BOT,
-                    TplMeta(1),
-                    TplCon(
-                        "andI",
-                        None,
-                        (neg1, neg2),
-                        (
-                            implI(_V1, _BOT, implE(_V3, _BOT, TplVar(1), TplMeta(2))),
-                            implI(_V2, _BOT, implE(_V3, _BOT, TplVar(1), TplMeta(3))),
-                        ),
-                    ),
-                ),
-            ),
-        ),
-    )
-
-    # EM: refute "not (not A) and not A" at the strictly computed image
-    # types, where the image of (not A) is A -> not-not-bot.
-    neg_a_img = _imp(_V1, _nn(_BOT))
-    hyp = _and(_imp(neg_a_img, _BOT), _imp(_V1, _BOT))
-    em = implI(
-        hyp,
-        _BOT,
-        implE(
-            neg_a_img,
-            _BOT,
-            TplCon("andE1", None, (_imp(neg_a_img, _BOT), _imp(_V1, _BOT)), (TplVar(0),)),
-            implI(
-                _V1,
-                _nn(_BOT),
-                implI(
-                    _imp(_BOT, _BOT),
-                    _BOT,
-                    implE(
-                        _V1,
-                        _BOT,
-                        TplCon(
-                            "andE2",
-                            None,
-                            (_imp(neg_a_img, _BOT), _imp(_V1, _BOT)),
-                            (TplVar(2),),
-                        ),
-                        TplVar(1),
-                    ),
-                ),
-            ),
-        ),
-    )
-
-    term_map: dict[str, Template] = {
-        "topI": implI(
-            _imp(_TOP, _BOT),
-            _BOT,
-            implE(_TOP, _BOT, TplVar(0), TplCon("topI", None, (), ())),
-        ),
-        "botI": TplCon(
-            "botI",
-            None,
-            (_V1,),
-            (
-                implE(
-                    _imp(_BOT, _BOT),
-                    _BOT,
-                    TplMeta(1),
-                    implI(_BOT, _BOT, TplVar(0)),
-                ),
-            ),
-        ),
-        "andI": TplCon("andI", None, (_V1, _V2), (TplMeta(1), TplMeta(2))),
-        "andE1": TplCon("andE1", None, (_V1, _V2), (TplMeta(1),)),
-        "andE2": TplCon("andE2", None, (_V1, _V2), (TplMeta(1),)),
-        "implI": TplCon("implI", None, (_V1, _V2), (TplMeta(1),)),
-        "implE": TplCon("implE", None, (_V1, _V2), (TplMeta(1), TplMeta(2))),
-        "orI1": or_intro(1, _V1, "andE1"),
-        "orI2": or_intro(1, _V2, "andE2"),
-        "orE": or_elim,
-        "EM": em,
-    }
-    return Translation(
-        name="cpc2ipc-godel-gentzen",
-        source=cpc,
-        target=ipc,
-        type_map=type_map,
-        term_map=term_map,
-    )
-
-
-_TRANSLATIONS = {
-    "pcf2ulc-turing": lambda: _pcf_to_ulc("pcf2ulc-turing", "Theta", turing_combinator()),
-    "pcf2ulc-curry": lambda: _pcf_to_ulc("pcf2ulc-curry", "Y", curry_combinator()),
-    "cpc2ipc-godel-gentzen": _godel_gentzen,
-}
+    return parse_signature(_read(name, ".sig", "language"))
 
 
 @lru_cache(maxsize=None)
 def get_translation(name: str) -> Translation:
-    if name not in _TRANSLATIONS:
-        raise KeyError(f"unknown translation '{name}'")
-    return _TRANSLATIONS[name]()
+    text = _read(name, ".xlat", "translation")
+    _, source, target = translation_header(text)
+    return parse_translation(text, get_language(source), get_language(target))
+
+
+def turing_combinator() -> Term:
+    """(lambda x. lambda y. y (x x y)) applied to itself: the ``Theta``
+    macro of pcf2ulc-turing."""
+    return get_translation("pcf2ulc-turing").macros["Theta"]
+
+
+def curry_combinator() -> Term:
+    """lambda f. (lambda x. f (x x)) (lambda x. f (x x)): the ``Y`` macro
+    of pcf2ulc-curry."""
+    return get_translation("pcf2ulc-curry").macros["Y"]
 
 
 def list_builtins() -> tuple[tuple[str, ...], tuple[str, ...]]:
-    return tuple(sorted(_LANGUAGES)), tuple(sorted(_TRANSLATIONS))
+    return _stems(".sig"), _stems(".xlat")

@@ -22,7 +22,7 @@ from _weakref import _remove_dead_weakref
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Sequence
 
-from .signatures import TApp, TVar, TypeExpr, TypeSignature, min_degree
+from .signatures import TApp, TVar, TypeExpr, TypeSignature, type_expr_errors
 
 # (name, args) -> weak reference to the one live ObjType of that structure
 _INTERNED: dict[tuple, weakref.ref] = {}
@@ -147,18 +147,20 @@ class TypeTranslation:
     templates: dict[str, TypeExpr]
 
     def check(self) -> list[str]:
-        """Structural problems with the template table, if any."""
+        """Problems with the template table, if any: a source constructor
+        without a template, a template for a name the source lacks, and
+        each template that is not a target type expression whose degree
+        is its constructor's argument count."""
         out = []
         for name, count in self.source.constructors.items():
             tpl = self.templates.get(name)
             if tpl is None:
                 out.append(f"no type template for '{name}'")
                 continue
-            if min_degree(tpl) > count:
-                out.append(
-                    f"type template for '{name}' uses ${min_degree(tpl)} "
-                    f"but '{name}' has {count} arguments"
-                )
+            out.extend(
+                f"type template for '{name}': {msg}"
+                for msg in type_expr_errors(self.target.constructors, tpl, count)
+            )
         for name in self.templates:
             if name not in self.source.constructors:
                 out.append(f"type template for unknown constructor '{name}'")

@@ -11,6 +11,7 @@ type; the arity also declares a result type.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator, Mapping
 
 
 # ---------------------------------------------------------------------------
@@ -165,28 +166,33 @@ class ValidationReport:
         return "ok" if self.ok else "\n".join(self.entries)
 
 
-def _check_expr(
-    sig: TypedSignature, e: TypeExpr, degree: int, where: str, out: list[str]
-) -> None:
-    match e:
-        case TVar(index=k):
-            if k < 1:
-                out.append(f"{where}: variable index {k} is not positive")
-            elif k > degree:
-                out.append(f"{where}: variable {k} exceeds degree {degree}")
-        case TApp(name=name, args=args):
-            declared = sig.type_arity(name)
+def type_expr_errors(
+    types: Mapping[str, int], e: TypeExpr, degree: int
+) -> Iterator[str]:
+    """Yield, in pre-order, each way in which ``e`` is not a type expression
+    of degree ``degree`` over the constructors (name to argument count) in
+    ``types``.  Every well-formedness check of a type expression is this
+    one."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if type(e) is TVar:
+            if e.index < 1:
+                yield f"variable index {e.index} is not positive"
+            elif e.index > degree:
+                yield f"variable {e.index} exceeds degree {degree}"
+        elif type(e) is TApp:
+            declared = types.get(e.name)
             if declared is None:
-                out.append(f"{where}: unknown type constructor '{name}'")
-            elif declared != len(args):
-                out.append(
-                    f"{where}: {name} expects {declared} argument"
-                    f"{'s' if declared != 1 else ''}, got {len(args)}"
+                yield f"unknown type constructor '{e.name}'"
+            elif declared != len(e.args):
+                yield (
+                    f"{e.name} expects {declared} argument"
+                    f"{'s' if declared != 1 else ''}, got {len(e.args)}"
                 )
-            for a in args:
-                _check_expr(sig, a, degree, where, out)
-        case _:
-            out.append(f"{where}: not a type expression: {e!r}")
+            stack.extend(reversed(e.args))
+        else:
+            yield f"not a type expression: {e!r}"
 
 
 def validate_signature(sig: TypedSignature) -> ValidationReport:
@@ -197,6 +203,11 @@ def validate_signature(sig: TypedSignature) -> ValidationReport:
     them for engine forms without ambiguity.
     """
     out: list[str] = []
+    types = sig.all_types.constructors
+
+    def check(e: TypeExpr, degree: int, where: str) -> None:
+        out.extend(f"{where}: {msg}" for msg in type_expr_errors(types, e, degree))
+
     for name, count in sig.types.constructors.items():
         if name.startswith("__"):
             out.append(f"type constructor '{name}': name is reserved")
@@ -222,7 +233,7 @@ def validate_signature(sig: TypedSignature) -> ValidationReport:
             continue
         for j, spec in enumerate(ar.args, start=1):
             for b in spec.binders:
-                _check_expr(sig, b, ar.degree, f"{where}, argument {j} binder", out)
-            _check_expr(sig, spec.body, ar.degree, f"{where}, argument {j}", out)
-        _check_expr(sig, ar.result, ar.degree, f"{where}, result", out)
+                check(b, ar.degree, f"{where}, argument {j} binder")
+            check(spec.body, ar.degree, f"{where}, argument {j}")
+        check(ar.result, ar.degree, f"{where}, result")
     return ValidationReport(tuple(out))

@@ -13,7 +13,8 @@ Context files list types outermost last: ``context Nat Bool ; t`` binds
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import Iterator, NamedTuple
 
 from .objtypes import ObjType, TypeTranslation, eval_type_expr
 from .signatures import (
@@ -24,6 +25,7 @@ from .signatures import (
     TypeExpr,
     TypedSignature,
     TypeSignature,
+    type_expr_errors,
     validate_signature,
 )
 from .terms import Con, Context, Term, TypeCheckError, Var, infer
@@ -56,95 +58,67 @@ class SourceError(Exception):
         return f"line {self.line}, column {self.column}: {self.message}{tail}"
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # ident nat hashnat dollarnat qnat punct eof
     text: str
     line: int
     column: int
 
 
-_PUNCT = set("()[]{},;:=<>")
+# Identifiers start with a letter, '_' or '*' (``_tokenize`` checks the
+# letter) and continue with letters, digits, '_', '*', "'" and inner '-', so
+# that 'a ->' lexes as an identifier and an arrow.  Numbers are ASCII.
+_TOKEN = re.compile(
+    r"""(?P<space>[ \t\r\n]+)
+    | (?P<comment>\#(?![0-9])[^\n]*)
+    | \#(?P<hashnat>[0-9]+) | \$(?P<dollarnat>[0-9]+) | \?(?P<qnat>[0-9]+)
+    | (?P<nat>[0-9]+)
+    | (?P<ident>[\w*](?:[\w*'-]*[\w*'])?)
+    | (?P<punct>->|[()\[\]{},;:=<>])""",
+    re.VERBOSE,
+)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    toks: list[_Token] = []
-    line, col, i, n = 1, 1, 0, len(text)
-
-    def advance(k: int) -> None:
-        nonlocal line, col, i
-        for c in text[i : i + k]:
-            if c == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-        i += k
-
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            advance(1)
-            continue
-        if c == "#" and not (i + 1 < n and text[i + 1].isdigit()):
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        start_line, start_col = line, col
-        if c in "#$?" and i + 1 < n and text[i + 1].isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            kind = {"#": "hashnat", "$": "dollarnat", "?": "qnat"}[c]
-            toks.append(_Token(kind, text[i + 1 : j], start_line, start_col))
-            advance(j - i)
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Token("nat", text[i:j], start_line, start_col))
-            advance(j - i)
-            continue
-        if c.isalpha() or c in "_*":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_*-'"):
-                j += 1
-            word = text[i:j]
-            # '-' is only an identifier character inside a word, never at
-            # the end (so 'a ->' lexes as ident then arrow)
-            while word.endswith("-"):
-                word = word[:-1]
-                j -= 1
-            toks.append(_Token("ident", word, start_line, start_col))
-            advance(j - i)
-            continue
-        if c == "-" and i + 1 < n and text[i + 1] == ">":
-            toks.append(_Token("punct", "->", start_line, start_col))
-            advance(2)
-            continue
-        if c in _PUNCT:
-            toks.append(_Token("punct", c, start_line, start_col))
-            advance(1)
-            continue
-        raise SourceError(line, col, f"unexpected character {c!r}")
-    toks.append(_Token("eof", "", line, col))
-    return toks
+def _tokenize(text: str) -> Iterator[_Token]:
+    """Tokens in order, then one ``eof`` token."""
+    line, line_start, pos = 1, 0, 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        kind = m.lastgroup if m else None
+        if kind == "comment" and text[pos + 1 : pos + 2].isdigit():
+            kind, pos = None, pos + 1  # '#' then a digit other than 0-9
+        if kind is None or (
+            kind == "ident" and not (text[pos].isalpha() or text[pos] in "_*")
+        ):
+            raise SourceError(
+                line, pos - line_start + 1, f"unexpected character {text[pos]!r}"
+            )
+        if kind == "space":
+            space = m.group()
+            if "\n" in space:
+                line += space.count("\n")
+                line_start = pos + space.rindex("\n") + 1
+        elif kind != "comment":
+            yield _Token(kind, m.group(kind), line, pos - line_start + 1)
+        pos = m.end()
+    yield _Token("eof", "", line, pos - line_start + 1)
 
 
 class _Parser:
+    """Recursive descent over the tokens, one token of lookahead."""
+
     def __init__(self, text: str):
         self.toks = _tokenize(text)
-        self.pos = 0
+        self.tok = next(self.toks)
         self.depth = 0
 
     def peek(self) -> _Token:
-        return self.toks[self.pos]
+        return self.tok
 
     def next(self) -> _Token:
-        t = self.toks[self.pos]
+        t = self.tok
         if t.kind != "eof":
-            self.pos += 1
+            self.tok = next(self.toks)
         return t
 
     def error(self, message: str, expected: str = "", tok: _Token | None = None):
@@ -208,10 +182,7 @@ def _parse_tyexpr(p: _Parser) -> tuple[TypeExpr, _Token]:
         t = p.peek()
         if t.kind == "dollarnat":
             p.next()
-            k = int(t.text)
-            if k < 1:
-                p.error("type variable index must be positive", tok=t)
-            return TVar(k), t
+            return TVar(int(t.text)), t
         name = p.expect_ident("a type expression")
         args: list[TypeExpr] = []
         if p.at_punct("("):
@@ -251,26 +222,6 @@ def _parse_groundty(p: _Parser, sig: TypedSignature) -> ObjType:
         p.leave()
 
 
-def _check_tyexpr(
-    p: _Parser, sig_types: dict[str, int], e: TypeExpr, degree: int, tok: _Token
-) -> None:
-    match e:
-        case TVar(index=k):
-            if k > degree:
-                p.error(f"variable {k} exceeds degree {degree}", tok=tok)
-        case TApp(name=name, args=args):
-            declared = sig_types.get(name)
-            if declared is None:
-                p.error(f"unknown type constructor '{name}'", tok=tok)
-            if declared != len(args):
-                p.error(
-                    f"{name} expects {declared} argument{'s' if declared != 1 else ''}, got {len(args)}",
-                    tok=tok,
-                )
-            for a in args:
-                _check_tyexpr(p, sig_types, a, degree, tok)
-
-
 # ---------------------------------------------------------------------------
 # Signature files
 
@@ -281,6 +232,7 @@ def parse_signature(text: str) -> TypedSignature:
     p.expect_keyword("language")
     name = p.expect_ident("language name")
 
+    # the token of each declared name, for the validator's entries
     atoms: list[str] = []
     atom_toks: dict[str, _Token] = {}
     if p.at_ident("atoms"):
@@ -288,10 +240,6 @@ def parse_signature(text: str) -> TypedSignature:
         p.expect_punct("{")
         while p.at_ident():
             tok = p.next()
-            if tok.text in atoms:
-                p.error(f"duplicate atom '{tok.text}'", tok=tok)
-            if tok.text.startswith("__"):
-                p.error(f"atom '{tok.text}': name is reserved", tok=tok)
             atoms.append(tok.text)
             atom_toks[tok.text] = tok
         p.expect_punct("}")
@@ -299,38 +247,30 @@ def parse_signature(text: str) -> TypedSignature:
     p.expect_keyword("types")
     p.expect_punct("{")
     constructors: dict[str, int] = {}
+    type_toks: dict[str, _Token] = {}
     while p.at_ident():
         tok = p.next()
         p.expect_punct(":")
         count = p.expect_nat()
+        # a dict cannot show the validator a duplicate key
         if tok.text in constructors:
             p.error(f"duplicate type constructor '{tok.text}'", tok=tok)
-        if tok.text.startswith("__"):
-            p.error(f"type constructor '{tok.text}': name is reserved", tok=tok)
         constructors[tok.text] = count
+        type_toks[tok.text] = tok
     p.expect_punct("}")
-
-    all_types = dict(constructors)
-    for a in atoms:
-        if a in all_types:
-            p.error(f"atom '{a}' duplicates a type constructor", tok=atom_toks[a])
-        all_types[a] = 0
+    all_types = {**dict.fromkeys(atoms, 0), **constructors}
 
     p.expect_keyword("terms")
     p.expect_punct("{")
     arities: list[TermArity] = []
-    seen: set[str] = set()
+    arity_toks: dict[str, _Token] = {}
     while p.at_ident():
         first = p.next()
         family = False
         if first.text == "family" and p.at_ident():
             family = True
             first = p.next()
-        if first.text in seen:
-            p.error(f"duplicate arity name '{first.text}'", tok=first)
-        if first.text.startswith("__"):
-            p.error(f"arity '{first.text}': name is reserved", tok=first)
-        seen.add(first.text)
+        arity_toks[first.text] = first
         p.expect_punct("[")
         degree = p.expect_nat()
         p.expect_punct("]")
@@ -344,8 +284,7 @@ def parse_signature(text: str) -> TypedSignature:
                 specs.append(_parse_argspec(p, all_types, degree))
         p.expect_punct(")")
         p.expect_punct("->")
-        result, rtok = _parse_tyexpr(p)
-        _check_tyexpr(p, all_types, result, degree, rtok)
+        result = _parse_checked_tyexpr(p, all_types, degree)
         arities.append(
             TermArity(first.text, degree, tuple(specs), result, family_index=family)
         )
@@ -359,7 +298,12 @@ def parse_signature(text: str) -> TypedSignature:
     )
     report = validate_signature(sig)
     if not report.ok:
-        raise SourceError(1, 1, f"invalid signature: {report.entries[0]}")
+        tables = (
+            ("type constructor ", type_toks),
+            ("atom ", atom_toks),
+            ("arity ", arity_toks),
+        )
+        raise _invalid("signature", report.entries[0], tables, name)
     return sig
 
 
@@ -367,13 +311,34 @@ def _parse_argspec(p: _Parser, types: dict[str, int], degree: int) -> ArgSpec:
     p.expect_punct("[")
     binders: list[TypeExpr] = []
     while not p.at_punct("]"):
-        e, tok = _parse_tyexpr(p)
-        _check_tyexpr(p, types, e, degree, tok)
-        binders.append(e)
+        binders.append(_parse_checked_tyexpr(p, types, degree))
     p.expect_punct("]")
-    body, tok = _parse_tyexpr(p)
-    _check_tyexpr(p, types, body, degree, tok)
-    return ArgSpec(tuple(binders), body)
+    return ArgSpec(tuple(binders), _parse_checked_tyexpr(p, types, degree))
+
+
+def _parse_checked_tyexpr(p: _Parser, types: dict[str, int], degree: int) -> TypeExpr:
+    """A type expression, with its first error raised at its head token."""
+    e, tok = _parse_tyexpr(p)
+    error = next(type_expr_errors(types, e, degree), None)
+    if error is not None:
+        p.error(error, tok=tok)
+    return e
+
+
+def _invalid(
+    kind: str,
+    entry: str,
+    tables: tuple[tuple[str, dict[str, _Token]], ...],
+    default: _Token,
+) -> SourceError:
+    """A validator's ``entry`` as an error at the token of the name it
+    cites: its first quoted name, looked up in the table for the words the
+    entry opens with (``default`` when none applies)."""
+    tok = default
+    for prefix, table in tables:
+        if entry.startswith(prefix):
+            tok = table.get(entry.split("'", 2)[1], default)
+    return SourceError(tok.line, tok.column, f"invalid {kind}: {entry}")
 
 
 def print_signature(sig: TypedSignature) -> str:
@@ -518,19 +483,31 @@ def print_termfile(sig: TypedSignature, ctx: Context, term: Term) -> str:
 # Translation files
 
 
-def parse_translation(
-    text: str, source: TypedSignature, target: TypedSignature
-) -> Translation:
-    """Parse a ``.xlat`` file against its source and target signatures."""
-    p = _Parser(text)
+def translation_header(text: str) -> tuple[str, str, str]:
+    """The translation name and the source and target language names that
+    a ``.xlat`` file declares in its header; the rest is not read."""
+    name, src, tgt = _parse_header(_Parser(text))
+    return name.text, src.text, tgt.text
+
+
+def _parse_header(p: _Parser) -> tuple[_Token, _Token, _Token]:
     p.expect_keyword("translation")
     name = p.expect_ident("translation name")
     p.expect_keyword("from")
     src = p.expect_ident("source language name")
+    p.expect_keyword("to")
+    return name, src, p.expect_ident("target language name")
+
+
+def parse_translation(
+    text: str, source: TypedSignature, target: TypedSignature
+) -> Translation:
+    """Parse a ``.xlat`` file against the source and target signatures
+    that its header names (see ``translation_header``)."""
+    p = _Parser(text)
+    name, src, tgt = _parse_header(p)
     if src.text != source.name:
         p.error(f"file is from '{src.text}' but the source signature is '{source.name}'", tok=src)
-    p.expect_keyword("to")
-    tgt = p.expect_ident("target language name")
     if tgt.text != target.name:
         p.error(f"file is to '{tgt.text}' but the target signature is '{target.name}'", tok=tgt)
 
@@ -587,16 +564,12 @@ def parse_translation(
     )
     report = validate_translation(x)
     if not report.ok:
-        entry = report.entries[0]
-        tok = name
-        for prefix, table in (
-            ("arity '", term_positions),
-            ("macro '", macro_positions),
-        ):
-            if entry.startswith(prefix):
-                key = entry[len(prefix) :].split("'", 1)[0]
-                tok = table.get(key, name)
-        raise SourceError(tok.line, tok.column, f"invalid translation: {entry}")
+        tables = (
+            ("types: ", type_positions),
+            ("arity ", term_positions),
+            ("macro ", macro_positions),
+        )
+        raise _invalid("translation", report.entries[0], tables, name)
     return x
 
 

@@ -53,7 +53,7 @@ from .signatures import (
     TypedSignature,
     TermArity,
     ValidationReport,
-    min_degree,
+    type_expr_errors,
 )
 from .terms import Con, Context, Term, TypeCheckError, Var, infer, weaken
 
@@ -171,32 +171,18 @@ def _retype(
 # The double-negation kit used by __stab
 
 
-_KIT_TYPES = {"impl": 2, "and": 2, "bot": 0, "top": 0}
-
-
-def _kit_arities() -> dict[str, TermArity]:
-    from .signatures import ArgSpec
-
-    v1, v2 = TVar(1), TVar(2)
-    return {
-        "implI": TermArity("implI", 2, (ArgSpec((v1,), v2),), TApp("impl", (v1, v2))),
-        "implE": TermArity(
-            "implE", 2, (ArgSpec((), TApp("impl", (v1, v2))), ArgSpec((), v1)), v2
-        ),
-        "andI": TermArity(
-            "andI", 2, (ArgSpec((), v1), ArgSpec((), v2)), TApp("and", (v1, v2))
-        ),
-        "andE1": TermArity("andE1", 2, (ArgSpec((), TApp("and", (v1, v2))),), v1),
-        "andE2": TermArity("andE2", 2, (ArgSpec((), TApp("and", (v1, v2))),), v2),
-        "topI": TermArity("topI", 0, (), TApp("top")),
-    }
-
-
 def _has_negation_kit(sig: TypedSignature) -> bool:
-    for name, count in _KIT_TYPES.items():
-        if sig.type_arity(name) != count:
-            return False
-    return all(sig.arity(n) == a for n, a in _kit_arities().items())
+    """True when ``sig`` declares the types and arities that stability
+    witnesses are built from exactly as the shipped IPC does."""
+    from .languages import get_language  # languages imports this module
+
+    ipc = get_language("IPC")
+    return all(
+        sig.type_arity(n) == ipc.type_arity(n) for n in ("impl", "and", "bot", "top")
+    ) and all(
+        sig.arity(n) == ipc.arity(n)
+        for n in ("implI", "implE", "andI", "andE1", "andE2", "topI")
+    )
 
 
 def _stable_expr(e: TypeExpr) -> bool:
@@ -355,11 +341,10 @@ class _TemplateChecker:
         return self._walk(tpl, (), None)
 
     def _eval(self, e: TypeExpr) -> ObjType:
-        if min_degree(e) > self.ar.degree:
-            raise _TplError(
-                f"type expression {e} uses ${min_degree(e)} but the arity "
-                f"has degree {self.ar.degree}"
-            )
+        types = self.x.target.all_types.constructors
+        error = next(type_expr_errors(types, e, self.ar.degree), None)
+        if error is not None:
+            raise _TplError(f"type expression {e}: {error}")
         return eval_type_expr(self.inst, e)
 
     def _walk(
@@ -445,8 +430,6 @@ class _TemplateChecker:
             raise _TplError(
                 f"'{tpl.name}' expects {tar.degree} type parameters, got {len(tpl.inst)}"
             )
-        for e in tpl.inst:
-            _check_target_expr(target, e, self.ar.degree)
         node_inst = tuple(self._eval(e) for e in tpl.inst)
         if len(tpl.args) != len(tar.args):
             raise _TplError(
@@ -459,21 +442,6 @@ class _TemplateChecker:
             if actual != expected:
                 raise _TplError(f"expected {expected}, found {actual}")
         return eval_type_expr(node_inst, tar.result)
-
-
-def _check_target_expr(target: TypedSignature, e: TypeExpr, degree: int) -> None:
-    match e:
-        case TVar(index=k):
-            if not 1 <= k <= degree:
-                raise _TplError(f"type variable ${k} exceeds degree {degree}")
-        case TApp(name=name, args=args):
-            declared = target.type_arity(name)
-            if declared is None:
-                raise _TplError(f"unknown target type constructor '{name}'")
-            if declared != len(args):
-                raise _TplError(f"{name} expects {declared} arguments, got {len(args)}")
-            for a in args:
-                _check_target_expr(target, a, degree)
 
 
 def validate_translation(x: Translation) -> ValidationReport:

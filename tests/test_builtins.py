@@ -1,5 +1,6 @@
 import importlib.resources
 import random
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,7 @@ from initsyn.surface import (
     print_signature,
     print_term,
     print_translation,
+    translation_header,
 )
 from initsyn.terms import Con, Var, infer
 from initsyn.translate import retype_context, translate_term, validate_translation
@@ -95,10 +97,13 @@ def test_list_builtins_contents_and_determinism():
 
 
 def test_unknown_names_raise():
-    with pytest.raises(KeyError):
-        get_language("XYZ")
-    with pytest.raises(KeyError):
-        get_translation("XYZ")
+    # a name is looked up among the data files, never joined onto a path
+    for name in ("XYZ", "../data/PCF", "data/PCF", "PCF.sig", "./PCF", "pcf"):
+        with pytest.raises(KeyError, match="unknown language"):
+            get_language(name)
+    for name in ("XYZ", "../data/pcf2ulc-turing"):
+        with pytest.raises(KeyError, match="unknown translation"):
+            get_translation(name)
 
 
 def _pcf_without_rec() -> TypedSignature:
@@ -129,16 +134,33 @@ def test_turing_and_curry_differ_on_rec():
     assert translate_term(turing, (), term) != translate_term(curry, (), term)
 
 
-def test_shipped_files_match_programmatic_builtins():
-    data = importlib.resources.files("initsyn") / "data"
+DATA = importlib.resources.files("initsyn") / "data"
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_data_files_print_as_they_parse():
+    """The builtins are the data files, so printing a parsed file gives the
+    file back, and ``lang show`` prints each signature file as it is."""
     languages, translations = list_builtins()
     for name in languages:
-        text = (data / f"{name}.sig").read_text(encoding="utf-8")
-        sig = get_language(name)
-        assert text == print_signature(sig)
-        assert parse_signature(text) == sig
+        text = (DATA / f"{name}.sig").read_text(encoding="utf-8")
+        assert print_signature(parse_signature(text)) == text
+        assert print_signature(get_language(name)) == text
     for name in translations:
-        text = (data / f"{name}.xlat").read_text(encoding="utf-8")
-        x = get_translation(name)
-        assert text == print_translation(x)
-        assert parse_translation(text, x.source, x.target) == x
+        text = (DATA / f"{name}.xlat").read_text(encoding="utf-8")
+        _, source, target = translation_header(text)
+        x = parse_translation(text, get_language(source), get_language(target))
+        assert print_translation(x) == text
+        assert get_translation(name) == x
+
+
+def test_package_data_ships_every_data_file():
+    """The builtins load from package data at run time, so an installed
+    package must carry every data file."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        patterns = tomllib.load(handle)["tool"]["setuptools"]["package-data"]["initsyn"]
+    package = ROOT / "src" / "initsyn"
+    matched = [{p.relative_to(package) for p in package.glob(pat)} for pat in patterns]
+    assert all(matched)
+    assert set().union(*matched) == {p.relative_to(package) for p in (package / "data").iterdir()}

@@ -2,7 +2,7 @@ import io
 from contextlib import redirect_stderr, redirect_stdout
 
 from initsyn.cli import main
-from initsyn.languages import get_language
+from initsyn.languages import get_language, get_translation
 from initsyn.surface import parse_signature, print_translation
 from initsyn.translate import identity_translation
 
@@ -98,6 +98,30 @@ def test_translate_with_identity_xlat_file(tmp_path):
     term.write_text("context * ; #0")
     code, out, _ = run(["translate", "--xlat", str(xlat), str(term)])
     assert code == 0 and out.strip() == "#0"
+
+
+def test_translate_rejects_type_template_outside_target(tmp_path):
+    gg = get_translation("cpc2ipc-godel-gentzen")
+    xlat = tmp_path / "bad.xlat"
+    xlat.write_text(
+        print_translation(gg).replace(
+            "p -> impl(impl(p,bot),bot)", "p -> impl(impl(Foo(bot,bot,bot),bot),bot)"
+        )
+    )
+    term = tmp_path / "p.term"
+    term.write_text("context p ; #0")
+    code, out, err = run(["translate", "--xlat", str(xlat), str(term)])
+    assert (code, out) == (1, "")
+    assert "unknown type constructor 'Foo'" in err
+
+
+def test_builtin_names_are_not_paths(tmp_path):
+    path = tmp_path / "f.term"
+    path.write_text("context ; (tttt)")
+    code, _, err = run(["check", "--lang", "../x", str(path)])
+    assert code == 2 and "unknown language '../x'" in err
+    code, _, err = run(["check", "--lang", "../data/PCF", str(path)])
+    assert code == 2 and "unknown language" in err
 
 
 def test_translate_unknown_translation(tmp_path):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from initsyn.languages import get_language, get_translation, list_builtins
 from initsyn.laws import GenConfig, _case_term
@@ -8,6 +10,7 @@ from initsyn.objtypes import ObjType
 from initsyn.signatures import ArgSpec, TApp, TVar
 from initsyn.surface import (
     SourceError,
+    _tokenize,
     parse_signature,
     parse_term,
     parse_translation,
@@ -61,6 +64,62 @@ class TestParseSignature:
     def test_trailing_garbage(self):
         with pytest.raises(SourceError):
             parse_signature("language L types { } terms { } extra")
+
+
+    @pytest.mark.parametrize(
+        "text, line, column, message",
+        [
+            (
+                "language L\natoms { p q p }\ntypes { }\nterms { }",
+                2, 13, "atom 'p': duplicate type constructor name",
+            ),
+            (
+                "language L\ntypes { A : 0 }\nterms {\n  c [0] : () -> A\n  __c [0] : () -> A }",
+                5, 3, "arity '__c': name is reserved",
+            ),
+        ],
+    )
+    def test_name_errors_point_at_the_name(self, text, line, column, message):
+        with pytest.raises(SourceError) as err:
+            parse_signature(text)
+        got = (err.value.line, err.value.column, err.value.message)
+        assert got == (line, column, f"invalid signature: {message}")
+
+
+class TestTokenizer:
+    @pytest.mark.parametrize(
+        "parse, text, column, char",
+        [
+            (parse_signature, "language L types { A : ² } terms { }", 24, "²"),
+            (lambda t: parse_term(t, get_language("PCF")), "context ; #²", 12, "²"),
+            (lambda t: parse_term(t, get_language("PCF")), "context ; (nats{¹})", 17, "¹"),
+        ],
+    )
+    def test_non_ascii_digits_are_unexpected(self, parse, text, column, char):
+        with pytest.raises(SourceError) as err:
+            parse(text)
+        got = (err.value.line, err.value.column, err.value.message)
+        assert got == (1, column, f"unexpected character {char!r}")
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.text(alphabet="ab_*'-#$?09²¹٣é \t\r\n()[]{},;:=<>!", max_size=40))
+    def test_positions_point_at_their_text(self, text):
+        """Every token's (line, column) points at its own text, numbers are
+        ASCII, and a rejected character is the one at the error's position."""
+        lines = text.split("\n")
+        sigil = {"hashnat": "#", "dollarnat": "$", "qnat": "?"}
+        try:
+            for tok in _tokenize(text):
+                at = lines[tok.line - 1][tok.column - 1 :]
+                if tok.kind == "eof":
+                    assert (tok.line, at) == (len(lines), "")
+                    continue
+                assert at.startswith(sigil.get(tok.kind, "") + tok.text)
+                if tok.kind.endswith("nat"):
+                    assert set(tok.text) <= set("0123456789")
+        except SourceError as err:
+            char = lines[err.line - 1][err.column - 1]
+            assert err.message == f"unexpected character {char!r}"
 
 
 class TestParseTerm:
@@ -205,6 +264,25 @@ class TestParseTranslation:
         text = print_translation(gg)
         with pytest.raises(SourceError):
             parse_translation(text, gg.target, gg.target)
+
+    @pytest.mark.parametrize(
+        "image, error",
+        [
+            ("impl(impl(Foo(bot,bot,bot),bot),bot)", "unknown type constructor 'Foo'"),
+            ("impl(impl(p),bot)", "impl expects 2 arguments, got 1"),
+            ("impl($1,bot)", "variable 1 exceeds degree 0"),
+        ],
+    )
+    def test_type_templates_are_checked_against_the_target(self, image, error):
+        gg = get_translation("cpc2ipc-godel-gentzen")
+        good = "  p -> impl(impl(p,bot),bot)"
+        lines = print_translation(gg).splitlines()
+        line = lines.index(good) + 1
+        lines[line - 1] = f"  p -> {image}"
+        with pytest.raises(SourceError) as err:
+            parse_translation("\n".join(lines), gg.source, gg.target)
+        got = (err.value.line, err.value.column, err.value.message)
+        assert got == (line, 3, f"invalid translation: types: type template for 'p': {error}")
 
     def test_macro_forward_reference_rejected(self):
         pcf, ulc = get_language("PCF"), get_language("ULC")
