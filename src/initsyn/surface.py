@@ -14,7 +14,8 @@ Context files list types outermost last: ``context Nat Bool ; t`` binds
 from __future__ import annotations
 
 import re
-from typing import Iterator, NamedTuple
+from itertools import islice
+from typing import Iterator, NamedTuple, NoReturn
 
 from .objtypes import ObjType, TypeTranslation, eval_type_expr
 from .signatures import (
@@ -58,115 +59,173 @@ class SourceError(Exception):
         return f"line {self.line}, column {self.column}: {self.message}{tail}"
 
 
+# One pattern scans every format.  A match is either skipped text, for
+# which group 1 is empty -- whitespace, or a comment: '#' not followed by
+# an ASCII digit, to the end of the line -- or one token in group 1: '#',
+# '$' or '?' followed by ASCII digits, a number, an identifier, '->', a
+# punctuation character, or else any one character, which is a bad token.
+# Identifiers start with a letter, '_' or '*' (``_tokenize`` checks the
+# letter) and continue with letters, digits, '_', '*', "'" and inner '-', so
+# that 'a ->' lexes as an identifier and an arrow.
+_TOKEN = re.compile(
+    r"""[ \t\r\n]+ | \#(?![0-9])[^\n]*
+    | ( [\#$?][0-9]+ | [0-9]+ | [\w*](?:[\w*'-]*[\w*'])? | -> | [()\[\]{},;:=<>] | . )""",
+    re.VERBOSE,
+)
+
+_DIGITS = frozenset("0123456789")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_*")
+_SIGILS = {"#": "hashnat", "$": "dollarnat", "?": "qnat"}
+_PUNCT = frozenset(["->", *"()[]{},;:=<>"])
+
+
 class _Token(NamedTuple):
-    kind: str  # ident nat hashnat dollarnat qnat punct eof
+    kind: str  # ident nat hashnat dollarnat qnat punct bad eof
     text: str
     line: int
     column: int
 
 
-# Identifiers start with a letter, '_' or '*' (``_tokenize`` checks the
-# letter) and continue with letters, digits, '_', '*', "'" and inner '-', so
-# that 'a ->' lexes as an identifier and an arrow.  Numbers are ASCII.
-_TOKEN = re.compile(
-    r"""(?P<space>[ \t\r\n]+)
-    | (?P<comment>\#(?![0-9])[^\n]*)
-    | \#(?P<hashnat>[0-9]+) | \$(?P<dollarnat>[0-9]+) | \?(?P<qnat>[0-9]+)
-    | (?P<nat>[0-9]+)
-    | (?P<ident>[\w*](?:[\w*'-]*[\w*'])?)
-    | (?P<punct>->|[()\[\]{},;:=<>])""",
-    re.VERBOSE,
-)
+def _is_ident(t: str) -> bool:
+    c = t[:1]
+    return c in _IDENT_START or (c > "\x7f" and c.isalpha())
+
+
+def _kind(t: str) -> str:
+    c = t[0]
+    if c in _SIGILS:
+        return _SIGILS[c] if len(t) > 1 else "bad"
+    if c in _DIGITS:
+        return "nat"
+    if t in _PUNCT:
+        return "punct"
+    return "ident" if _is_ident(t) else "bad"
+
+
+def _scan(text: str) -> list[str]:
+    """The token strings of ``text`` in order, then ``""`` for its end.
+
+    ASCII text is scanned by ``findall`` alone.  Other text goes through
+    ``_tokenize``, since which characters are letters and digits there takes
+    ``str`` methods that the pattern cannot express.
+    """
+    if not text.isascii():
+        return [t.text for t in _tokenize(text)]
+    toks = list(filter(None, _TOKEN.findall(text)))
+    toks.append("")
+    return toks
 
 
 def _tokenize(text: str) -> Iterator[_Token]:
-    """Tokens in order, then one ``eof`` token."""
-    line, line_start, pos = 1, 0, 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        kind = m.lastgroup if m else None
-        if kind == "comment" and text[pos + 1 : pos + 2].isdigit():
-            kind, pos = None, pos + 1  # '#' then a digit other than 0-9
-        if kind is None or (
-            kind == "ident" and not (text[pos].isalpha() or text[pos] in "_*")
-        ):
-            raise SourceError(
-                line, pos - line_start + 1, f"unexpected character {text[pos]!r}"
-            )
-        if kind == "space":
-            space = m.group()
-            if "\n" in space:
-                line += space.count("\n")
-                line_start = pos + space.rindex("\n") + 1
-        elif kind != "comment":
-            yield _Token(kind, m.group(kind), line, pos - line_start + 1)
-        pos = m.end()
-    yield _Token("eof", "", line, pos - line_start + 1)
+    """The tokens of ``_scan(text)`` with their kinds and positions, then
+    one ``eof`` token.  A bad token is one whose first character the parser
+    reports as unexpected when it reaches it: a character no token starts
+    with, an identifier that does not start with a letter, '_' or '*', or a
+    comment's first character when it is a non-ASCII digit."""
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        tok, pos = m.group(1), m.start()
+        if tok is None:
+            skipped = m.group()
+            if skipped[0] == "#":
+                if skipped[1:2].isdigit():  # '#' then a digit other than 0-9
+                    yield _Token("bad", skipped[1:], line, pos - line_start + 2)
+            elif "\n" in skipped:
+                line += skipped.count("\n")
+                line_start = pos + skipped.rindex("\n") + 1
+            continue
+        yield _Token(_kind(tok), tok, line, pos - line_start + 1)
+    yield _Token("eof", "", line, len(text) - line_start + 1)
+
+
+def _token_at(text: str, k: int) -> _Token:
+    return next(islice(_tokenize(text), k, None))
+
+
+def _shown(t: str) -> str:
+    """A token as error messages quote it: numbers without their sigil."""
+    return t[1:] if len(t) > 1 and t[0] in _SIGILS else t
 
 
 class _Parser:
-    """Recursive descent over the tokens, one token of lookahead."""
+    """Recursive descent over the token strings of one text, one token of
+    lookahead (``toks[i]``).
+
+    No position is kept on the way: an error looks its token up by index in
+    ``_tokenize`` of the text.  A bad token never passes a check, so a
+    parser stops at it at the latest, and an error raised while it is the
+    lookahead reports it as an unexpected character instead: the first
+    error of a scan that raised as soon as a bad token became the lookahead.
+    """
 
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.tok = next(self.toks)
+        self.text = text
+        self.toks = _scan(text)
+        self.i = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tok
+    def fail(self, message: str, expected: str = "", at: int | None = None) -> NoReturn:
+        """Raise at token ``at``, by default the lookahead."""
+        look = _token_at(self.text, self.i)
+        if look.kind == "bad":
+            message, expected = f"unexpected character {look.text[0]!r}", ""
+        else:
+            look = look if at is None else _token_at(self.text, at)
+        raise SourceError(look.line, look.column, message, expected)
 
-    def next(self) -> _Token:
-        t = self.tok
-        if t.kind != "eof":
-            self.tok = next(self.toks)
+    def found(self, expected: str) -> NoReturn:
+        """Raise: the lookahead is not what ``expected`` names."""
+        t = self.toks[self.i]
+        self.fail(f"found {_shown(t)!r}" if t else "unexpected end of input", expected)
+
+    def peek(self) -> str:
+        return self.toks[self.i]
+
+    def next(self) -> str:
+        t = self.toks[self.i]
+        if t:
+            self.i += 1
         return t
 
-    def error(self, message: str, expected: str = "", tok: _Token | None = None):
-        t = tok or self.peek()
-        raise SourceError(t.line, t.column, message, expected)
+    def expect_punct(self, s: str) -> None:
+        if self.toks[self.i] != s:
+            self.found(f"'{s}'")
+        self.i += 1
 
-    def expect_punct(self, s: str) -> _Token:
-        t = self.peek()
-        if t.kind != "punct" or t.text != s:
-            self.error(f"found {t.text!r}" if t.kind != "eof" else "unexpected end of input", f"'{s}'")
-        return self.next()
-
-    def expect_ident(self, expected: str = "identifier") -> _Token:
-        t = self.peek()
-        if t.kind != "ident":
-            self.error(f"found {t.text!r}" if t.kind != "eof" else "unexpected end of input", expected)
-        return self.next()
-
-    def expect_keyword(self, word: str) -> _Token:
-        t = self.expect_ident(f"'{word}'")
-        if t.text != word:
-            self.error(f"found {t.text!r}", f"'{word}'", tok=t)
+    def expect_ident(self, expected: str = "identifier") -> str:
+        t = self.toks[self.i]
+        if not _is_ident(t):
+            self.found(expected)
+        self.i += 1
         return t
+
+    def expect_keyword(self, word: str) -> None:
+        if self.expect_ident(f"'{word}'") != word:
+            self.fail(f"found {self.toks[self.i - 1]!r}", f"'{word}'", at=self.i - 1)
 
     def expect_nat(self) -> int:
-        t = self.peek()
-        if t.kind != "nat":
-            self.error(f"found {t.text!r}" if t.kind != "eof" else "unexpected end of input", "a number")
-        self.next()
-        return int(t.text)
+        t = self.toks[self.i]
+        if t[:1] not in _DIGITS:
+            self.found("a number")
+        self.i += 1
+        return int(t)
 
     def at_punct(self, s: str) -> bool:
-        t = self.peek()
-        return t.kind == "punct" and t.text == s
+        return self.toks[self.i] == s
 
     def at_ident(self, s: str | None = None) -> bool:
-        t = self.peek()
-        return t.kind == "ident" and (s is None or t.text == s)
+        t = self.toks[self.i]
+        return _is_ident(t) and (s is None or t == s)
 
     def expect_eof(self) -> None:
-        t = self.peek()
-        if t.kind != "eof":
-            self.error(f"trailing input {t.text!r}", "end of input")
+        t = self.toks[self.i]
+        if t:
+            self.fail(f"trailing input {_shown(t)!r}", "end of input")
 
     def enter(self) -> None:
         self.depth += 1
         if self.depth > _MAX_NESTING:
-            self.error("nesting too deep")
+            self.fail("nesting too deep")
 
     def leave(self) -> None:
         self.depth -= 1
@@ -176,13 +235,15 @@ class _Parser:
 # Type expressions and ground types
 
 
-def _parse_tyexpr(p: _Parser) -> tuple[TypeExpr, _Token]:
+def _parse_tyexpr(p: _Parser) -> tuple[TypeExpr, int]:
+    """A type expression and the index of its head token."""
     p.enter()
     try:
+        at = p.i
         t = p.peek()
-        if t.kind == "dollarnat":
+        if t[:1] == "$" and len(t) > 1:
             p.next()
-            return TVar(int(t.text)), t
+            return TVar(int(t[1:])), at
         name = p.expect_ident("a type expression")
         args: list[TypeExpr] = []
         if p.at_punct("("):
@@ -192,34 +253,66 @@ def _parse_tyexpr(p: _Parser) -> tuple[TypeExpr, _Token]:
                 p.next()
                 args.append(_parse_tyexpr(p)[0])
             p.expect_punct(")")
-        return TApp(name.text, tuple(args)), name
+        return TApp(name, tuple(args)), at
     finally:
         p.leave()
 
 
 def _parse_groundty(p: _Parser, sig: TypedSignature) -> ObjType:
-    p.enter()
-    try:
-        name = p.expect_ident("a ground type")
-        args: list[ObjType] = []
-        if p.at_punct("("):
-            p.next()
-            args.append(_parse_groundty(p, sig))
-            while p.at_punct(","):
-                p.next()
-                args.append(_parse_groundty(p, sig))
-            p.expect_punct(")")
-        declared = sig.type_arity(name.text)
-        if declared is None:
-            p.error(f"unknown type constructor '{name.text}'", tok=name)
-        if declared != len(args):
-            p.error(
-                f"{name.text} expects {declared} argument{'s' if declared != 1 else ''}, got {len(args)}",
-                tok=name,
-            )
-        return ObjType(name.text, tuple(args))
-    finally:
-        p.leave()
+    """A ground type from the lookahead on, without recursion: ``stack``
+    holds the constructors whose arguments are being read, each with the
+    index of its name and the arguments read so far."""
+    toks, i = p.toks, p.i
+    room = _MAX_NESTING - p.depth
+    declared = sig.all_types.constructors
+    stack: list[tuple[str, int, list[ObjType]]] = []
+    while True:
+        if len(stack) >= room:
+            p.i = i
+            p.fail("nesting too deep")
+        name = toks[i]
+        if not _is_ident(name):
+            p.i = i
+            p.found("a ground type")
+        i += 1
+        if toks[i] == "(":
+            stack.append((name, i - 1, []))
+            i += 1
+            continue
+        if declared.get(name) != 0:
+            p.i = i
+            _ground_error(p, sig, name, i - 1, 0)
+        ty = ObjType(name)
+        while True:
+            if not stack:
+                p.i = i
+                return ty
+            name, at, args = stack[-1]
+            args.append(ty)
+            if toks[i] == ",":
+                i += 1
+                break
+            if toks[i] != ")":
+                p.i = i
+                p.found("')'")
+            i += 1
+            stack.pop()
+            if declared.get(name) != len(args):
+                p.i = i
+                _ground_error(p, sig, name, at, len(args))
+            ty = ObjType(name, tuple(args))
+
+
+def _ground_error(p: _Parser, sig: TypedSignature, name: str, at: int, count: int) -> NoReturn:
+    """Raise: ``sig`` has no type constructor ``name`` of ``count``
+    arguments.  The error points at the name, the token at index ``at``."""
+    declared = sig.type_arity(name)
+    if declared is None:
+        p.fail(f"unknown type constructor '{name}'", at=at)
+    p.fail(
+        f"{name} expects {declared} argument{'s' if declared != 1 else ''}, got {count}",
+        at=at,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -230,47 +323,50 @@ def parse_signature(text: str) -> TypedSignature:
     """Parse and validate a ``.sig`` file."""
     p = _Parser(text)
     p.expect_keyword("language")
+    name_at = p.i
     name = p.expect_ident("language name")
 
-    # the token of each declared name, for the validator's entries
+    # the token index of each declared name, for the validator's entries
     atoms: list[str] = []
-    atom_toks: dict[str, _Token] = {}
+    atom_at: dict[str, int] = {}
     if p.at_ident("atoms"):
         p.next()
         p.expect_punct("{")
         while p.at_ident():
-            tok = p.next()
-            atoms.append(tok.text)
-            atom_toks[tok.text] = tok
+            atom_at[p.peek()] = p.i
+            atoms.append(p.next())
         p.expect_punct("}")
 
     p.expect_keyword("types")
     p.expect_punct("{")
     constructors: dict[str, int] = {}
-    type_toks: dict[str, _Token] = {}
+    type_at: dict[str, int] = {}
     while p.at_ident():
-        tok = p.next()
+        at = p.i
+        cname = p.next()
         p.expect_punct(":")
         count = p.expect_nat()
         # a dict cannot show the validator a duplicate key
-        if tok.text in constructors:
-            p.error(f"duplicate type constructor '{tok.text}'", tok=tok)
-        constructors[tok.text] = count
-        type_toks[tok.text] = tok
+        if cname in constructors:
+            p.fail(f"duplicate type constructor '{cname}'", at=at)
+        constructors[cname] = count
+        type_at[cname] = at
     p.expect_punct("}")
     all_types = {**dict.fromkeys(atoms, 0), **constructors}
 
     p.expect_keyword("terms")
     p.expect_punct("{")
     arities: list[TermArity] = []
-    arity_toks: dict[str, _Token] = {}
+    arity_at: dict[str, int] = {}
     while p.at_ident():
+        at = p.i
         first = p.next()
         family = False
-        if first.text == "family" and p.at_ident():
+        if first == "family" and p.at_ident():
             family = True
+            at = p.i
             first = p.next()
-        arity_toks[first.text] = first
+        arity_at[first] = at
         p.expect_punct("[")
         degree = p.expect_nat()
         p.expect_punct("]")
@@ -285,25 +381,23 @@ def parse_signature(text: str) -> TypedSignature:
         p.expect_punct(")")
         p.expect_punct("->")
         result = _parse_checked_tyexpr(p, all_types, degree)
-        arities.append(
-            TermArity(first.text, degree, tuple(specs), result, family_index=family)
-        )
+        arities.append(TermArity(first, degree, tuple(specs), result, family_index=family))
     p.expect_punct("}")
     p.expect_eof()
 
     sig = TypedSignature(
-        types=TypeSignature(name.text, constructors),
+        types=TypeSignature(name, constructors),
         terms=tuple(arities),
         atoms=tuple(atoms),
     )
     report = validate_signature(sig)
     if not report.ok:
         tables = (
-            ("type constructor ", type_toks),
-            ("atom ", atom_toks),
-            ("arity ", arity_toks),
+            ("type constructor ", type_at),
+            ("atom ", atom_at),
+            ("arity ", arity_at),
         )
-        raise _invalid("signature", report.entries[0], tables, name)
+        _invalid(p, "signature", report.entries[0], tables, name_at)
     return sig
 
 
@@ -318,27 +412,28 @@ def _parse_argspec(p: _Parser, types: dict[str, int], degree: int) -> ArgSpec:
 
 def _parse_checked_tyexpr(p: _Parser, types: dict[str, int], degree: int) -> TypeExpr:
     """A type expression, with its first error raised at its head token."""
-    e, tok = _parse_tyexpr(p)
+    e, at = _parse_tyexpr(p)
     error = next(type_expr_errors(types, e, degree), None)
     if error is not None:
-        p.error(error, tok=tok)
+        p.fail(error, at=at)
     return e
 
 
 def _invalid(
+    p: _Parser,
     kind: str,
     entry: str,
-    tables: tuple[tuple[str, dict[str, _Token]], ...],
-    default: _Token,
-) -> SourceError:
-    """A validator's ``entry`` as an error at the token of the name it
-    cites: its first quoted name, looked up in the table for the words the
-    entry opens with (``default`` when none applies)."""
-    tok = default
+    tables: tuple[tuple[str, dict[str, int]], ...],
+    default: int,
+) -> NoReturn:
+    """Raise a validator's ``entry`` at the token of the name it cites: its
+    first quoted name, looked up in the table for the words the entry opens
+    with (token ``default`` when none applies)."""
+    at = default
     for prefix, table in tables:
         if entry.startswith(prefix):
-            tok = table.get(entry.split("'", 2)[1], default)
-    return SourceError(tok.line, tok.column, f"invalid {kind}: {entry}")
+            at = table.get(entry.split("'", 2)[1], default)
+    p.fail(f"invalid {kind}: {entry}", at=at)
 
 
 def print_signature(sig: TypedSignature) -> str:
@@ -383,65 +478,112 @@ def _parse_typed_term(
     while p.at_ident():
         ctx.append(_parse_groundty(p, sig))
     p.expect_punct(";")
-    # pre-order: the token of each node and the size of its subtree
-    tokens: list[_Token] = []
-    sizes: list[int] = []
-    term = _parse_term_node(p, sig, tokens, sizes)
+    start = p.i
+    term = _parse_term_node(p, sig)
     p.expect_eof()
+    del p  # the token list is not needed for the check
     try:
         ty = infer(sig, tuple(ctx), term)
     except TypeCheckError as exc:
-        tok = tokens[_preorder_index(exc.path, sizes)]
+        tok = _token_at(text, _node_token(_scan(text), start, exc.path))
         raise SourceError(tok.line, tok.column, exc.message) from exc
     return tuple(ctx), term, ty
 
 
-def _preorder_index(path: tuple[int, ...], sizes: list[int]) -> int:
-    """Pre-order position of the node at argument ``path`` from the root."""
-    k = 0
+def _node_token(toks: list[str], k: int, path: tuple[int, ...]) -> int:
+    """Index of the token that names the node at argument ``path`` from the
+    node starting at token ``k``: its arity name, or its variable."""
     for j in path:
-        k += 1  # first argument
-        for _ in range(j):
-            k += sizes[k]  # skip an earlier sibling's subtree
-    return k
+        k += 2  # '(' and the arity name
+        if toks[k] == "{":
+            k += 3
+        if toks[k] == "[":
+            k = toks.index("]", k) + 1
+        for _ in range(j):  # skip an earlier sibling
+            depth = 0
+            while True:
+                depth += {"(": 1, ")": -1}.get(toks[k], 0)
+                k += 1
+                if depth == 0:
+                    break
+    return k + 1 if toks[k] == "(" else k
 
 
-def _parse_term_node(
-    p: _Parser, sig: TypedSignature, tokens: list[_Token], sizes: list[int]
-) -> Term:
-    p.enter()
-    try:
-        t = p.peek()
-        k = len(tokens)
-        tokens.append(t)
-        sizes.append(1)
-        if t.kind == "hashnat":
-            p.next()
-            return Var(int(t.text))
-        p.expect_punct("(")
-        name = p.expect_ident("an arity name")
-        tokens[k] = name
-        lit: int | None = None
-        if p.at_punct("{"):
-            p.next()
-            lit = p.expect_nat()
-            p.expect_punct("}")
-        inst: list[ObjType] = []
-        if p.at_punct("["):
-            p.next()
-            inst.append(_parse_groundty(p, sig))
-            while p.at_punct(","):
-                p.next()
-                inst.append(_parse_groundty(p, sig))
-            p.expect_punct("]")
-        args: list[Term] = []
-        while not p.at_punct(")"):
-            args.append(_parse_term_node(p, sig, tokens, sizes))
-        p.expect_punct(")")
-        sizes[k] = len(tokens) - k
-        return Con(name.text, lit, tuple(inst), tuple(args))
-    finally:
-        p.leave()
+def _parse_term_node(p: _Parser, sig: TypedSignature) -> Term:
+    """A term from the lookahead on, without recursion: ``stack`` holds the
+    constructor nodes whose arguments are being read, each with its name,
+    literal, instantiation and the arguments read so far.  Variables and
+    instantiations are read once per distinct token text and then shared."""
+    toks, i = p.toks, p.i
+    room = _MAX_NESTING - p.depth
+    variables: dict[str, Var] = {}
+    instantiations: dict[tuple[str, ...], tuple[ObjType, ...]] = {}
+    stack: list[tuple[str, int | None, tuple[ObjType, ...], list[Term]]] = []
+    while True:
+        if len(stack) >= room:
+            p.i = i
+            p.fail("nesting too deep")
+        t = toks[i]
+        if t[:1] == "#":
+            node = variables.get(t)
+            if node is None:
+                node = variables[t] = Var(int(t[1:]))
+            i += 1
+        else:
+            if t != "(":
+                p.i = i
+                p.found("'('")
+            i += 1
+            name = toks[i]
+            if not _is_ident(name):
+                p.i = i
+                p.found("an arity name")
+            i += 1
+            lit: int | None = None
+            if toks[i] == "{":
+                p.i = i + 1
+                lit = p.expect_nat()
+                p.expect_punct("}")
+                i = p.i
+            inst: tuple[ObjType, ...] = ()
+            if toks[i] == "[":
+                # an instantiation whose tokens were read before in this file
+                # is that one again, unless it may nest too deep here
+                try:
+                    end = toks.index("]", i)
+                    span = tuple(toks[i + 1 : end])
+                except ValueError:
+                    end = span = None
+                known = instantiations.get(span)
+                if known is not None and len(stack) + 1 + span.count("(") < room:
+                    i, inst = end + 1, known
+                else:
+                    p.i, p.depth = i + 1, p.depth + len(stack) + 1
+                    types = [_parse_groundty(p, sig)]
+                    while p.at_punct(","):
+                        p.i += 1
+                        types.append(_parse_groundty(p, sig))
+                    p.expect_punct("]")
+                    p.depth -= len(stack) + 1
+                    i, inst = p.i, tuple(types)
+                    if i - 1 == end:
+                        instantiations[span] = inst
+            stack.append((name, lit, inst, []))
+            if toks[i] != ")":
+                continue
+            node = None
+        # close every node whose last argument has been read
+        while True:
+            if node is not None:
+                if not stack:
+                    p.i = i
+                    return node
+                stack[-1][3].append(node)
+                if toks[i] != ")":
+                    break
+            i += 1
+            name, lit, inst, args = stack.pop()
+            node = Con(name, lit, inst, tuple(args))
 
 
 def print_term(
@@ -456,21 +598,36 @@ def print_term(
 
 
 def _paper(term: Term) -> str:
-    match term:
-        case Var(index=i):
-            return str(i + 1)
-        case Con(name="abs", lit=None, inst=(), args=(body,)):
-            inner = _paper(body)
-            if isinstance(body, Var):
-                return f"Abs {inner}"
-            return f"Abs ({inner})"
-        case Con(name="app", lit=None, inst=(), args=(fun, arg)):
-            left = _paper(fun)
-            right = _paper(arg)
-            if isinstance(arg, Con) and arg.name == "app":
-                right = f"({right})"
-            return f"{left} @ {right}"
-    raise ValueError("paper style renders untyped lambda terms only")
+    """The paper style, with an explicit stack of terms still to render
+    and of the text that closes them, so that depth costs no recursion."""
+    out: list[str] = []
+    stack: list[Term | str] = [term]
+    while stack:
+        t = stack.pop()
+        if type(t) is str:
+            out.append(t)
+            continue
+        match t:
+            case Var(index=i):
+                out.append(str(i + 1))
+                continue
+            case Con(name="abs", lit=None, inst=(), args=(body,)):
+                if isinstance(body, Var):
+                    out.append("Abs ")
+                else:
+                    out.append("Abs (")
+                    stack.append(")")
+                stack.append(body)
+                continue
+            case Con(name="app", lit=None, inst=(), args=(fun, arg)):
+                if isinstance(arg, Con) and arg.name == "app":
+                    stack.extend((")", arg, " @ ("))
+                else:
+                    stack.extend((arg, " @ "))
+                stack.append(fun)
+                continue
+        raise ValueError("paper style renders untyped lambda terms only")
+    return "".join(out)
 
 
 def print_termfile(sig: TypedSignature, ctx: Context, term: Term) -> str:
@@ -485,18 +642,29 @@ def print_termfile(sig: TypedSignature, ctx: Context, term: Term) -> str:
 
 def translation_header(text: str) -> tuple[str, str, str]:
     """The translation name and the source and target language names that
-    a ``.xlat`` file declares in its header; the rest is not read."""
-    name, src, tgt = _parse_header(_Parser(text))
-    return name.text, src.text, tgt.text
+    a ``.xlat`` file declares in its header.  Of the rest only the first
+    token is read: a bad character there is an error, as in
+    ``parse_translation``."""
+    p = _Parser(text)
+    name, src, tgt = _parse_header(p)
+    if p.peek() and _kind(p.peek()) == "bad":
+        p.fail("")  # reports the bad character
+    return p.toks[name], p.toks[src], p.toks[tgt]
 
 
-def _parse_header(p: _Parser) -> tuple[_Token, _Token, _Token]:
-    p.expect_keyword("translation")
-    name = p.expect_ident("translation name")
-    p.expect_keyword("from")
-    src = p.expect_ident("source language name")
-    p.expect_keyword("to")
-    return name, src, p.expect_ident("target language name")
+def _parse_header(p: _Parser) -> tuple[int, ...]:
+    """The token indices of the translation name and the source and target
+    language names."""
+    at = []
+    for keyword, what in (
+        ("translation", "translation name"),
+        ("from", "source language name"),
+        ("to", "target language name"),
+    ):
+        p.expect_keyword(keyword)
+        at.append(p.i)
+        p.expect_ident(what)
+    return tuple(at)
 
 
 def parse_translation(
@@ -505,57 +673,61 @@ def parse_translation(
     """Parse a ``.xlat`` file against the source and target signatures
     that its header names (see ``translation_header``)."""
     p = _Parser(text)
-    name, src, tgt = _parse_header(p)
-    if src.text != source.name:
-        p.error(f"file is from '{src.text}' but the source signature is '{source.name}'", tok=src)
-    if tgt.text != target.name:
-        p.error(f"file is to '{tgt.text}' but the target signature is '{target.name}'", tok=tgt)
+    name_at, src_at, tgt_at = _parse_header(p)
+    name, src, tgt = p.toks[name_at], p.toks[src_at], p.toks[tgt_at]
+    if src != source.name:
+        p.fail(f"file is from '{src}' but the source signature is '{source.name}'", at=src_at)
+    if tgt != target.name:
+        p.fail(f"file is to '{tgt}' but the target signature is '{target.name}'", at=tgt_at)
 
     macros: dict[str, Term] = {}
-    macro_positions: dict[str, _Token] = {}
+    macro_at: dict[str, int] = {}
     if p.at_ident("macros"):
         p.next()
         p.expect_punct("{")
         while p.at_ident():
+            at = p.i
             mname = p.next()
-            if mname.text in macros:
-                p.error(f"duplicate macro '{mname.text}'", tok=mname)
+            if mname in macros:
+                p.fail(f"duplicate macro '{mname}'", at=at)
             p.expect_punct("=")
             tpl = _parse_template(p)
-            macros[mname.text] = _template_to_term(p, tpl, macros, mname)
-            macro_positions[mname.text] = mname
+            macros[mname] = _template_to_term(p, tpl, macros, at)
+            macro_at[mname] = at
         p.expect_punct("}")
 
     p.expect_keyword("types")
     p.expect_punct("{")
     type_templates: dict[str, TypeExpr] = {}
-    type_positions: dict[str, _Token] = {}
+    type_at: dict[str, int] = {}
     while p.at_ident():
+        at = p.i
         cname = p.next()
-        if cname.text in type_templates:
-            p.error(f"duplicate type template for '{cname.text}'", tok=cname)
+        if cname in type_templates:
+            p.fail(f"duplicate type template for '{cname}'", at=at)
         p.expect_punct("->")
         e, _ = _parse_tyexpr(p)
-        type_templates[cname.text] = e
-        type_positions[cname.text] = cname
+        type_templates[cname] = e
+        type_at[cname] = at
     p.expect_punct("}")
 
     p.expect_keyword("terms")
     p.expect_punct("{")
     term_map: dict[str, Template] = {}
-    term_positions: dict[str, _Token] = {}
+    term_at: dict[str, int] = {}
     while p.at_ident():
+        at = p.i
         aname = p.next()
-        if aname.text in term_map:
-            p.error(f"duplicate template for '{aname.text}'", tok=aname)
+        if aname in term_map:
+            p.fail(f"duplicate template for '{aname}'", at=at)
         p.expect_punct("->")
-        term_map[aname.text] = _parse_template(p)
-        term_positions[aname.text] = aname
+        term_map[aname] = _parse_template(p)
+        term_at[aname] = at
     p.expect_punct("}")
     p.expect_eof()
 
     x = Translation(
-        name=name.text,
+        name=name,
         source=source,
         target=target,
         type_map=TypeTranslation(source.all_types, target.all_types, type_templates),
@@ -565,32 +737,33 @@ def parse_translation(
     report = validate_translation(x)
     if not report.ok:
         tables = (
-            ("types: ", type_positions),
-            ("arity ", term_positions),
-            ("macro ", macro_positions),
+            ("types: ", type_at),
+            ("arity ", term_at),
+            ("macro ", macro_at),
         )
-        raise _invalid("translation", report.entries[0], tables, name)
+        _invalid(p, "translation", report.entries[0], tables, name_at)
     return x
 
 
 def _parse_template(p: _Parser) -> Template:
     p.enter()
     try:
+        at = p.i
         t = p.peek()
-        if t.kind == "qnat":
+        if t[:1] == "?" and len(t) > 1:
             p.next()
-            j = int(t.text)
+            j = int(t[1:])
             if j < 1:
-                p.error("placeholder index must be positive", tok=t)
+                p.fail("placeholder index must be positive", at=at)
             return TplMeta(j)
-        if t.kind == "hashnat":
+        if t[:1] == "#" and len(t) > 1:
             p.next()
-            return TplVar(int(t.text))
+            return TplVar(int(t[1:]))
         if p.at_punct("<"):
             p.next()
             mname = p.expect_ident("a macro name")
             p.expect_punct(">")
-            return TplMacro(mname.text)
+            return TplMacro(mname)
         p.expect_punct("(")
         name = p.expect_ident("an arity name")
         lit: int | None = None
@@ -610,39 +783,39 @@ def _parse_template(p: _Parser) -> Template:
         while not p.at_punct(")"):
             args.append(_parse_template(p))
         p.expect_punct(")")
-        return TplCon(name.text, lit, tuple(inst), tuple(args))
+        return TplCon(name, lit, tuple(inst), tuple(args))
     finally:
         p.leave()
 
 
 def _template_to_term(
-    p: _Parser, tpl: Template, macros: dict[str, Term], tok: _Token
+    p: _Parser, tpl: Template, macros: dict[str, Term], at: int
 ) -> Term:
     """Macros are ground terms; earlier macros may be referenced and are
-    inlined."""
+    inlined.  Errors point at the macro's name, the token at index ``at``."""
     match tpl:
         case TplVar(index=i):
             return Var(i)
         case TplMeta():
-            p.error("macros cannot contain argument placeholders", tok=tok)
+            p.fail("macros cannot contain argument placeholders", at=at)
         case TplMacro(name=mname):
             if mname not in macros:
-                p.error(f"macro '{mname}' is not defined yet", tok=tok)
+                p.fail(f"macro '{mname}' is not defined yet", at=at)
             return macros[mname]
         case TplCon(name=cname, lit=lit, inst=inst, args=args):
             if cname.startswith("__"):
-                p.error(f"'{cname}' is not allowed in a macro", tok=tok)
+                p.fail(f"'{cname}' is not allowed in a macro", at=at)
             ground = []
             for e in inst:
                 try:
                     ground.append(eval_type_expr((), e))
                 except ValueError:
-                    p.error("macro type parameters must be closed", tok=tok)
+                    p.fail("macro type parameters must be closed", at=at)
             return Con(
                 cname,
                 lit,
                 tuple(ground),
-                tuple(_template_to_term(p, a, macros, tok) for a in args),
+                tuple(_template_to_term(p, a, macros, at) for a in args),
             )
     raise AssertionError(f"not a template: {tpl!r}")
 

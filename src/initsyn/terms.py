@@ -61,12 +61,31 @@ class Con:
     args: tuple["Term", ...]
 
     def __str__(self) -> str:
-        head = self.name if self.lit is None else f"{self.name}{{{self.lit}}}"
-        parts = [head]
-        if self.inst:
-            parts[0] += " [" + ", ".join(str(t) for t in self.inst) + "]"
-        parts.extend(str(a) for a in self.args)
-        return "(" + " ".join(parts) + ")"
+        """The canonical text, which the term parser reads back.  Built with
+        an explicit stack of the terms still to render and the text between
+        them, so that depth costs no recursion; the pieces are joined a few
+        thousand at a time, so that few are held at once."""
+        done: list[str] = []
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            t = stack.pop()
+            if not isinstance(t, Con):
+                out.append(t if type(t) is str else str(t))
+                continue
+            if len(out) > 4096:
+                done.append("".join(out))
+                out.clear()
+            out.append("(")
+            out.append(t.name if t.lit is None else f"{t.name}{{{t.lit}}}")
+            if t.inst:
+                out.append(" [" + ", ".join([str(ty) for ty in t.inst]) + "]")
+            stack.append(")")
+            for a in reversed(t.args):
+                stack.append(a)
+                stack.append(" ")
+        done.append("".join(out))
+        return "".join(done)
 
 
 Term = Var | Con

@@ -125,6 +125,10 @@ class Translation:
     type_map: TypeTranslation
     term_map: dict[str, Template]
     macros: dict[str, Term] = field(default_factory=dict)
+    # arity name -> (template, arity, compiled template); see instantiate_template
+    _compiled: dict[str, tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True)
@@ -378,6 +382,8 @@ class _TemplateChecker:
         if tpl.name == HOLE:
             if hole is None:
                 raise _TplError("__hole outside __iter")
+            if tpl.inst or tpl.lit is not None or tpl.args:
+                raise _TplError("__hole takes no literal, type parameters or sub-templates")
             ty, depth = hole
             if len(ctx) != depth:
                 raise _TplError("__hole under a binder introduced by the step")
@@ -507,64 +513,180 @@ def instantiate_template(
     the result is well typed at the translated result type in any context
     in which the translated arguments are; ``ctx`` is unused and only kept
     for existing callers.
+
+    The template is compiled once per ``Translation`` object, on first use,
+    into a function that plugs in the arguments (see ``_compile``): every
+    closed subtemplate is built then, and all outputs share that one term.
+    The compiled form is kept with the template and ``ar`` it was made
+    from, and is made again when either is another object.
+    """
+    tpl = x.term_map[ar.name]
+    entry = x._compiled.get(ar.name)
+    if entry is None or entry[0] is not tpl or entry[1] is not ar:
+        entry = x._compiled[ar.name] = (tpl, ar, _compile(x, ar, tpl))
+    return entry[2](inst, translated_args, lit, None)
+
+
+# A compiled subtemplate or type expression: ``(fixed, None)`` when its
+# value is the same at every instantiation, else ``(None, fn)``.  For a
+# subtemplate ``fn`` takes (inst, args, lit, hole), ``hole`` being the term
+# that a ``__hole`` there stands for; for a type expression it takes inst.
+_Compiled = tuple
+
+
+def _compile(x: Translation, ar: TermArity, tpl: Template) -> Callable:
+    """The template of ``ar`` as a function of (inst, args, lit, hole).
+
+    A closed type expression is evaluated here and ``$k`` becomes
+    ``inst[k-1]``; each placeholder carries its weakening amount; a node
+    whose type parameters, literal and arguments are all fixed is built
+    here.  A node that cannot be instantiated (an unvalidated template)
+    becomes a function that raises the error that walking the template
+    node by node raises there, so errors come in the same order.
     """
     binder_counts = tuple(len(spec.binders) for spec in ar.args)
+    target = x.target
 
-    def build(tpl: Template, depth: int, hole: tuple[Term, int] | None) -> Term:
-        match tpl:
-            case TplVar(index=i):
-                return Var(i)
-            case TplMeta(index=j):
-                if not 1 <= j <= len(binder_counts):
-                    raise TypeCheckError(f"Meta({j}) out of range (validation skipped?)")
-                expected = binder_counts[j - 1]
-                if depth < expected:
-                    raise TypeCheckError(
-                        f"Meta({j}) under too few binders (validation skipped?)"
-                    )
-                arg = translated_args[j - 1]
-                return weaken(x.target, arg, expected, depth - expected)
-            case TplMacro(name=name):
-                return x.macros[name]
-            case TplCon():
-                pass
-            case _:
-                raise TypeCheckError(f"not a template: {tpl!r}")
-
+    def comp(tpl: Template, depth: int, hole_depth: int | None) -> _Compiled:
+        if isinstance(tpl, TplVar):
+            return Var(tpl.index), None
+        if isinstance(tpl, TplMeta):
+            j = tpl.index
+            if not 1 <= j <= len(binder_counts):
+                return _raiser(TypeCheckError, f"Meta({j}) out of range (validation skipped?)")
+            expected = binder_counts[j - 1]
+            if depth < expected:
+                return _raiser(
+                    TypeCheckError, f"Meta({j}) under too few binders (validation skipped?)"
+                )
+            amount = depth - expected
+            if amount == 0:
+                return None, lambda inst, args, lit, hole: args[j - 1]
+            return None, lambda inst, args, lit, hole: weaken(
+                target, args[j - 1], expected, amount
+            )
+        if isinstance(tpl, TplMacro):
+            if tpl.name not in x.macros:
+                return _raiser(KeyError, tpl.name)
+            return x.macros[tpl.name], None
+        if not isinstance(tpl, TplCon):
+            return _raiser(TypeCheckError, f"not a template: {tpl!r}")
         if tpl.name == HOLE:
-            if hole is None:
-                raise TypeCheckError("__hole outside __iter (validation skipped?)")
-            term, at_depth = hole
-            if depth != at_depth:
-                raise TypeCheckError("__hole under a binder (validation skipped?)")
-            return term
+            if hole_depth is None:
+                return _raiser(TypeCheckError, "__hole outside __iter (validation skipped?)")
+            if depth != hole_depth:
+                return _raiser(TypeCheckError, "__hole under a binder (validation skipped?)")
+            return None, lambda inst, args, lit, hole: hole
         if tpl.name == ITER:
+            return None, comp_iter(tpl, depth, hole_depth)
+        if tpl.name == STAB:
+            return comp_stab(tpl, depth, hole_depth)
+
+        tar = target.arity(tpl.name)
+        if tar is None:
+            return _raiser(TypeCheckError, f"unknown target arity '{tpl.name}'")
+        name, node_lit = tpl.name, tpl.lit
+        passthrough = tar.family_index and node_lit is None
+        types = [_compile_type(e, ar.degree) for e in tpl.inst]
+        subs = [
+            comp(sub, depth + len(spec.binders), hole_depth)
+            for spec, sub in zip(tar.args, tpl.args)
+        ]
+        if not passthrough and all(fixed is not None for fixed, _ in types + subs):
+            return Con(name, node_lit, _fixed(types), _fixed(subs)), None
+        fixed_inst = _fixed(types) if all(t is not None for t, _ in types) else None
+        inst_fns = [_type_function(t) for t in types]
+        arg_fns = [_function(s) for s in subs]
+
+        def node(inst, args, lit, hole):
+            return Con(
+                name,
+                lit if passthrough else node_lit,
+                fixed_inst if fixed_inst is not None else tuple([f(inst) for f in inst_fns]),
+                tuple([f(inst, args, lit, hole) for f in arg_fns]),
+            )
+
+        return None, node
+
+    def comp_iter(tpl: TplCon, depth: int, hole_depth: int | None) -> Callable:
+        if len(tpl.args) != 2:
+
+            def bad_shape(inst, args, lit, hole):
+                if lit is None:
+                    raise TypeCheckError("__iter without a family literal")
+                step, base = tpl.args  # raises the ValueError of a wrong count
+
+            return bad_shape
+        step = _function(comp(tpl.args[0], depth, depth))
+        base = _function(comp(tpl.args[1], depth, hole_depth))
+
+        def iterate(inst, args, lit, hole):
             if lit is None:
                 raise TypeCheckError("__iter without a family literal")
-            step, base = tpl.args
-            acc = build(base, depth, hole)
+            acc = base(inst, args, lit, hole)
             for _ in range(lit):
-                acc = build(step, depth, (acc, depth))
+                acc = step(inst, args, lit, acc)
             return acc
-        if tpl.name == STAB:
-            ty = eval_type_expr(inst, tpl.inst[0])
-            inner = build(tpl.args[0], depth, hole)
-            return build_stability_witness(x.target, ty, inner)
 
-        tar = x.target.arity(tpl.name)
-        if tar is None:
-            raise TypeCheckError(f"unknown target arity '{tpl.name}'")
-        node_lit = tpl.lit
-        if tar.family_index and node_lit is None:
-            node_lit = lit  # literal passthrough for family-to-family templates
-        node_inst = tuple(eval_type_expr(inst, e) for e in tpl.inst)
-        new_args = tuple(
-            build(sub, depth + len(spec.binders), hole)
-            for spec, sub in zip(tar.args, tpl.args)
-        )
-        return Con(tpl.name, node_lit, node_inst, new_args)
+        return iterate
 
-    return build(x.term_map[ar.name], 0, None)
+    def comp_stab(tpl: TplCon, depth: int, hole_depth: int | None) -> _Compiled:
+        if not tpl.inst:
+            return _raiser(IndexError, "tuple index out of range")
+        ty = _compile_type(tpl.inst[0], ar.degree)
+        if tpl.args:
+            inner = comp(tpl.args[0], depth, hole_depth)
+        else:
+            inner = _raiser(IndexError, "tuple index out of range")
+        if ty[0] is not None and inner[0] is not None:
+            try:
+                return build_stability_witness(target, ty[0], inner[0]), None
+            except TypeCheckError:
+                pass  # raised again on every call
+        ty_of, inner_of = _type_function(ty), _function(inner)
+
+        def stab(inst, args, lit, hole):
+            ty = ty_of(inst)
+            return build_stability_witness(target, ty, inner_of(inst, args, lit, hole))
+
+        return None, stab
+
+    return _function(comp(tpl, 0, None))
+
+
+def _compile_type(e: TypeExpr, degree: int) -> _Compiled:
+    """A type expression of a template for an arity of degree ``degree``."""
+    if isinstance(e, TVar) and 1 <= e.index <= degree:
+        k = e.index - 1
+        return None, lambda inst: inst[k]
+    if isinstance(e, TApp):
+        parts = [_compile_type(a, degree) for a in e.args]
+        if all(fixed is not None for fixed, _ in parts):
+            return ObjType(e.name, _fixed(parts)), None
+        name, fns = e.name, [_type_function(part) for part in parts]
+        return None, lambda inst: ObjType(name, tuple([f(inst) for f in fns]))
+    return None, lambda inst: eval_type_expr(inst, e)  # raises its error
+
+
+def _raiser(exc_type: type, message: str) -> _Compiled:
+    def raise_error(*_):
+        raise exc_type(message)
+
+    return None, raise_error
+
+
+def _fixed(parts: list[_Compiled]) -> tuple:
+    return tuple(fixed for fixed, _ in parts)
+
+
+def _function(compiled: _Compiled) -> Callable:
+    fixed, fn = compiled
+    return fn if fn is not None else lambda inst, args, lit, hole: fixed
+
+
+def _type_function(compiled: _Compiled) -> Callable:
+    fixed, fn = compiled
+    return fn if fn is not None else lambda inst: fixed
 
 
 def translate_term(x: Representation, ctx: Context, term: Term) -> Term:

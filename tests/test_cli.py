@@ -4,7 +4,10 @@ from contextlib import redirect_stderr, redirect_stdout
 from initsyn.cli import main
 from initsyn.languages import get_language, get_translation
 from initsyn.surface import parse_signature, print_translation
+from initsyn.terms import Con
 from initsyn.translate import identity_translation
+
+from oracles import pcf_to_ulc, theta_term
 
 NEG_TERM = """context ; (abs [Bool, Bool]
   (app [Bool, Bool]
@@ -174,3 +177,31 @@ def test_translate_typechecks_source_once(tmp_path, monkeypatch):
     code, out, _ = run(["check", "--lang", "PCF", str(path)])
     assert code == 0 and out.strip() == ": arr(Bool,Bool)"
     assert calls == ["PCF", "ULC", "PCF"]
+
+
+def test_translate_nats_250(tmp_path):
+    """A 20-byte file whose output nests 250 applications deep prints at the
+    default recursion limit."""
+    path = tmp_path / "nats250.term"
+    path.write_text("context ; (nats{250})")
+    code, out, err = run(["translate", "--using", "pcf2ulc-turing", str(path)])
+    assert (code, err) == (0, "")
+    expected = pcf_to_ulc(theta_term())((), Con("nats", 250, (), ()))
+    assert out == f"{expected}\n"
+
+
+def test_translate_rejects_a_hole_with_a_payload(tmp_path):
+    """``(__hole)`` takes nothing; a payload used to be accepted and then
+    ignored."""
+    text = print_translation(get_translation("pcf2ulc-turing"))
+    line = next(i for i, l in enumerate(text.splitlines(), 1) if l.strip().startswith("nats ->"))
+    xlat = tmp_path / "hole.xlat"
+    xlat.write_text(text.replace("(__hole)", "(__hole{7} [Foo] (abs #0) #3)"))
+    term = tmp_path / "nats2.term"
+    term.write_text("context ; (nats{2})")
+    code, out, err = run(["translate", "--xlat", str(xlat), str(term)])
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: line {line}, column 3: invalid translation: arity 'nats': "
+        "__hole takes no literal, type parameters or sub-templates\n"
+    )

@@ -1,0 +1,165 @@
+"""Pins on scanning: the token strings every parser reads, the errors the
+parsers raise, and the nesting limit.
+
+``data/parser_outcomes.txt`` records, for each text of ``corpus()``, a
+digest of what the four parsers did with it before scanning produced token
+strings (when a tokenizer built one tuple per token and raised on a bad
+character as soon as it was read); the parsers must still do exactly that.
+"""
+
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from initsyn.languages import get_language
+from initsyn.surface import (
+    SourceError,
+    _scan,
+    _tokenize,
+    parse_signature,
+    parse_term,
+    parse_translation,
+    translation_header,
+)
+
+# the alphabet of the positions test in test_surface.py
+ALPHABET = "ab_*'-#$?09²¹٣é \t\r\n()[]{},;:=<>!"
+
+SEEDS = [
+    "language L\natoms { p q }\ntypes { arr : 2 }\nterms {\n"
+    "  family nats [0] : () -> p\n  abs [2] : ([$1] $2) -> arr($1,$2)\n}\n",
+    "translation t from PCF to ULC\nmacros { I = (abs #0) }\n"
+    "types { Nat -> * Bool -> * arr -> * }\nterms { app -> (app ?1 ?2) "
+    "abs -> (abs ?1) rec -> (app <I> ?1) nats -> (abs (abs (__iter (app #1 (__hole)) #0))) }\n",
+    "context ; (abs [Bool, Bool]\n  (app [Bool, Bool] (app [Bool, arr(Bool,Bool)] (CondB) #0) (ffff)))\n",
+    "context Nat arr(Nat,Bool) ; (app [Nat, Bool] #1 (nats{3}))\n",
+    "context ;\n(app [Nat, Nat] (Succ)\n(app [Nat, Nat] (Succ) (nats{2})))",
+    "# c\ncontext arr(arr(Nat,Nat),Bool) ; (rec [Nat] (abs [Nat, Nat] #0)) # end\n",
+]
+PIECES = [
+    "#²", "#٣", "²", "!", "$", "?", "-", "'", "é", "#", "# x\n", "\n", "(", ")", "[", "]",
+    "{", "}", ",", "#0", "$1", "?1", "?0", "9", "->", "Nat", "(nats{1})", "arr(", "\x0b",
+]
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(text) + 1)
+        r = rng.random()
+        if r < 0.45:
+            text = text[:k] + rng.choice(PIECES) + text[k:]
+        elif r < 0.65:
+            text = text[:k] + text[k + rng.randint(1, 8) :]
+        elif r < 0.8:
+            text = text[:k]
+        else:
+            j = rng.randrange(len(text) + 1)
+            text = text[:k] + text[min(k, j) : max(k, j)] + text[k:]
+    return text
+
+
+def corpus(n: int = 2000) -> list[str]:
+    """Random strings over ``ALPHABET`` and mutated snippets of every format."""
+    rng = random.Random(2024)
+    out = []
+    for i in range(n):
+        if i % 4 == 0:
+            out.append("".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 40))))
+        else:
+            out.append(_mutate(rng, rng.choice(SEEDS)))
+    return out
+
+
+def outcomes(text: str) -> list:
+    """What each parser does with ``text``: None or (line, column, message,
+    expected) of its SourceError."""
+    pcf, ulc = get_language("PCF"), get_language("ULC")
+    out = []
+    for run in (
+        lambda: parse_signature(text),
+        lambda: parse_term(text, pcf),
+        lambda: parse_translation(text, pcf, ulc),
+        lambda: translation_header(text),
+    ):
+        try:
+            run()
+            out.append(None)
+        except SourceError as err:
+            out.append([err.line, err.column, err.message, err.expected])
+    return out
+
+
+def digest(results: list) -> str:
+    text = json.dumps(results, ensure_ascii=False)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+
+
+def test_parsers_fail_as_recorded():
+    recorded = (Path(__file__).parent / "data" / "parser_outcomes.txt").read_text().split()
+    texts = corpus()
+    assert len(recorded) == len(texts)
+    for text, expected in zip(texts, recorded):
+        results = outcomes(text)
+        assert digest(results) == expected, (text, results)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.text(alphabet=ALPHABET, max_size=40))
+def test_scan_is_the_positional_scan(text):
+    """The token strings the parsers read are those of ``_tokenize``, on
+    the text and on its ASCII characters (scanned by ``findall`` alone), and
+    an unexpected character is reported at a bad token that starts with it."""
+    for t in (text, "".join(c for c in text if c.isascii())):
+        toks = list(_tokenize(t))
+        assert _scan(t) == [tok.text for tok in toks]
+        bad = {(tok.line, tok.column): tok.text[0] for tok in toks if tok.kind == "bad"}
+        for result in outcomes(t):
+            if result is not None and result[2].startswith("unexpected character"):
+                assert result[2] == f"unexpected character {bad[result[0], result[1]]!r}"
+
+
+def _nested_apps(depth: int) -> str:
+    return "context ;\n" + "(app [Nat, Nat] (Succ)\n" * depth + "(nats{1})" + ")" * depth
+
+
+def _arrows(depth: int) -> str:
+    """A context type ``depth`` constructors deep."""
+    return "context " + "arr(Nat," * (depth - 1) + "Nat" + ")" * (depth - 1) + " ; #0"
+
+
+class TestNestingLimit:
+    """The limit as measured before the parsers read token strings; every
+    case runs at the default recursion limit."""
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        yield
+        sys.setrecursionlimit(saved)
+
+    def test_499_nested_terms_parse(self):
+        _, term = parse_term(_nested_apps(499), get_language("PCF"))
+        assert term.name == "app"
+
+    def test_500_nested_terms_are_too_deep(self):
+        with pytest.raises(SourceError) as err:
+            parse_term(_nested_apps(500), get_language("PCF"))
+        got = (err.value.line, err.value.column, err.value.message)
+        assert got == (501, 7, "nesting too deep")
+
+    def test_500_deep_context_type_parses(self):
+        ctx, _ = parse_term(_arrows(500), get_language("PCF"))
+        assert ctx[0].name == "arr"
+
+    def test_501_deep_context_type_is_too_deep(self):
+        with pytest.raises(SourceError) as err:
+            parse_term(_arrows(501), get_language("PCF"))
+        got = (err.value.line, err.value.column, err.value.message)
+        assert got == (1, 4005, "nesting too deep")

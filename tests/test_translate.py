@@ -5,13 +5,14 @@ import pytest
 from initsyn.languages import get_language, get_translation
 from initsyn.laws import GenConfig, GenFailure, gen_term, _case_term
 from initsyn.objtypes import ObjType, ground_types, translate_type
-from initsyn.signatures import TVar
+from initsyn.signatures import TApp, TVar
 from initsyn.surface import print_term
 from initsyn.terms import Con, TypeCheckError, Var, context_extend, infer
 from initsyn.translate import (
     OpaqueRepresentation,
     TplCon,
     TplMeta,
+    TplVar,
     Translation,
     build_stability_witness,
     identity_translation,
@@ -88,6 +89,22 @@ class TestValidation:
         bad = Translation(x.name, x.source, x.target, x.type_map, broken, x.macros)
         report = validate_translation(bad)
         assert any("Meta(1) out of range" in e for e in report.entries)
+
+    @pytest.mark.parametrize(
+        "lit, inst, args",
+        [(7, (), ()), (None, (TApp("Foo"),), ()), (None, (), (TplVar(0),))],
+    )
+    def test_hole_with_a_payload_rejected(self, lit, inst, args):
+        x = get_translation("pcf2ulc-turing")
+        hole = TplCon("__hole", lit, inst, args)
+        step = TplCon("app", None, (), (TplVar(1), hole))
+        body = TplCon("__iter", None, (), (step, TplVar(0)))
+        nats = TplCon("abs", None, (), (TplCon("abs", None, (), (body,)),))
+        broken = dict(x.term_map, nats=nats)
+        bad = Translation(x.name, x.source, x.target, x.type_map, broken, x.macros)
+        assert validate_translation(bad).entries == (
+            "arity 'nats': __hole takes no literal, type parameters or sub-templates",
+        )
 
     def test_iter_outside_family_rejected(self):
         x = get_translation("pcf2ulc-turing")
