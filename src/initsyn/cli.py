@@ -1,12 +1,14 @@
 """Command line entry point.
 
 Exit codes: 0 success, 1 domain failure (type error, law counterexample),
-2 usage or I/O problems (unknown names, missing files, bad flags).
+2 usage or I/O problems (unknown names, missing files, bad flags) and
+input nested too deeply or too large to process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .languages import get_language, get_translation, list_builtins
@@ -130,7 +132,10 @@ def cmd_laws(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: parsing
+    keeps its state in the namespace it returns."""
     top = argparse.ArgumentParser(prog="initsyn")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -183,6 +188,11 @@ def main(argv: list[str] | None = None) -> int:
     except (SourceError, TypeCheckError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (RecursionError, MemoryError) as exc:
+        # the last line of defence for input nested deeper than the
+        # recursive parts of the kernel can follow
+        print(f"error: input too deep or too large ({type(exc).__name__})", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,7 +6,18 @@ matches the goal under some instantiation; type parameters not fixed by
 matching are drawn from a finite pool (ground types of bounded height plus
 subterms of the context and goal).  Runs are pure functions of the inputs
 and the seed: each case derives its own generator state by mixing the seed
-with the case index, so reports are reproducible bit for bit.
+with the case index, so reports are reproducible bit for bit.  Which values
+are drawn from that state, and in which order, is part of this contract
+(see ``gen_term``): a change to it changes every report's cases.
+
+Everything about a signature that does not depend on the goal is compiled
+once per signature, on first use, into tables that live as long as the
+signature: for every arity, a matcher of its result against a goal and its
+argument goal and binder types as functions of the instantiation
+(``objtypes.compile_type_expr``), and for every type constructor the
+arities that can produce a goal with that root, with the constants split
+out for the last level of depth.  Nothing is cached by goal or by
+instantiation.
 
 A case that fails to generate (an unreachable goal within the depth and
 retry budget) counts as skipped, never as a silent pass; a report with
@@ -16,17 +27,25 @@ more than half of its cases skipped does not pass.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
+from typing import Callable
 
-from .objtypes import ObjType, eval_type_expr, ground_types, subterms, translate_type
-from .signatures import TVar, TypedSignature
+from .objtypes import (
+    ObjType,
+    compile_type_expr,
+    ground_types,
+    subterms,
+    translate_type,
+    type_function,
+)
+from .signatures import TermArity, TVar, TypedSignature, TypeExpr
 from .terms import (
     Con,
     Context,
     Substitution,
     Term,
     Var,
-    context_extend,
     identity_substitution,
     infer,
     substitute,
@@ -64,10 +83,6 @@ class GenFailure(Exception):
     """The goal was not reached within the depth and retry budget."""
 
 
-class _DeadEnd(Exception):
-    pass
-
-
 class _Exhausted(Exception):
     pass
 
@@ -75,24 +90,123 @@ class _Exhausted(Exception):
 _DEADEND_BUDGET = 40
 
 
-_sig_cache: dict[int, tuple] = {}
+class _Candidate:
+    """An arity compiled for generation.
+
+    ``bind(goal)`` is ``None`` when the result does not match ``goal``, and
+    otherwise the instantiation that matching fixes: a tuple when it fixes
+    every parameter, else a list with ``None`` for each free one (which
+    callers must not change).
+    ``args`` holds, per argument, its goal type and its binder types as
+    functions of the instantiation.
+    """
+
+    # a plain slotted class: a dataclass would cost a millisecond at import
+    __slots__ = ("name", "family", "bind", "args")
+
+    def __init__(self, name: str, family: bool, bind: Callable, args: tuple):
+        self.name, self.family, self.bind, self.args = name, family, bind, args
 
 
-def _sig_data(sig: TypedSignature):
-    """Per-signature generation tables: the ground-type pool (closed under
-    subterms) and arities indexed by the root of their result type."""
+# Candidates for goals with one root, for any depth and for depth at most 1
+# (constants alone): the arities whose result has that root, which must be
+# matched, then those whose result is a type variable, which match any
+# goal; each in signature order.
+_Split = tuple[tuple[tuple[_Candidate, ...], tuple[_Candidate, ...]], ...]
+
+
+class _SigTables:
+    """What generation needs of one signature, compiled once: the
+    ground-type pool (closed under subterms), and the candidates by goal
+    root, ``var_rooted`` being those of a root no arity has."""
+
+    __slots__ = ("pool", "by_root", "var_rooted")
+
+    def __init__(self, pool: list[ObjType], by_root: dict[str, _Split], var_rooted: _Split):
+        self.pool, self.by_root, self.var_rooted = pool, by_root, var_rooted
+
+
+# id(signature) -> its tables; an entry leaves with its signature
+_sig_cache: dict[int, _SigTables] = {}
+
+
+def _sig_data(sig: TypedSignature) -> _SigTables:
+    """The generation tables of ``sig``, compiled on first use.
+
+    The entry holds no reference to ``sig``, and a finalizer removes it
+    when ``sig`` is freed, so the cache keeps no signature alive and no id
+    is reused while its entry is still there.
+    """
     data = _sig_cache.get(id(sig))
-    if data is not None and data[0] is sig:
+    if data is not None:
         return data
-    pool = ground_types(sig.all_types, 2)
-    by_root: dict[str, tuple] = {}
-    var_rooted = tuple(ar for ar in sig.terms if isinstance(ar.result, TVar))
+    var_rooted = [_compile_arity(ar) for ar in sig.terms if type(ar.result) is TVar]
+    roots: dict[str, list[_Candidate]] = {}
     for ar in sig.terms:
-        if not isinstance(ar.result, TVar):
-            by_root[ar.result.name] = by_root.get(ar.result.name, ()) + (ar,)
-    data = (sig, pool, by_root, var_rooted)
+        if type(ar.result) is not TVar:
+            roots.setdefault(ar.result.name, []).append(_compile_arity(ar))
+    data = _SigTables(
+        ground_types(sig.all_types, 2),
+        {root: _split(cands, var_rooted) for root, cands in roots.items()},
+        _split([], var_rooted),
+    )
     _sig_cache[id(sig)] = data
+    weakref.finalize(sig, _sig_cache.pop, id(sig), None)
     return data
+
+
+def _split(matched: list[_Candidate], var_rooted: list[_Candidate]) -> _Split:
+    def leaves(cands):
+        return tuple(c for c in cands if not c.args)
+
+    return (
+        (tuple(matched), tuple(var_rooted)),
+        (leaves(matched), leaves(var_rooted)),
+    )
+
+
+def _compile_arity(ar: TermArity) -> _Candidate:
+    args = tuple(
+        (
+            type_function(compile_type_expr(spec.body, ar.degree)),
+            tuple(type_function(compile_type_expr(b, ar.degree)) for b in spec.binders),
+        )
+        for spec in ar.args
+    )
+    return _Candidate(ar.name, ar.family_index, _compile_bind(ar.result, ar.degree), args)
+
+
+def _compile_bind(result: TypeExpr, degree: int) -> Callable:
+    """``_Candidate.bind`` for a result expression: the common shapes get
+    their own matcher, any other goes through ``_match``."""
+    if type(result) is TVar:
+        if degree == 1:
+            return lambda goal: (goal,)
+        k = result.index - 1
+
+        def bind_var(goal):
+            binding = [None] * degree
+            binding[k] = goal
+            return binding
+
+        return bind_var
+    if list(result.args) == [TVar(i + 1) for i in range(degree)]:
+        # C($1,...,$n): the goal's children are the instantiation
+        name, n = result.name, degree
+        return lambda goal: goal.args if goal.name == name and len(goal.args) == n else None
+    fixed, _ = compile_type_expr(result, degree)
+    if fixed is not None:
+        # closed: interned, so equal ground types are the same object
+        unbound = [None] * degree if degree else ()
+        return lambda goal: unbound if goal is fixed else None
+
+    def bind(goal):
+        binding = [None] * degree
+        if not _match(result, goal, binding):
+            return None
+        return binding if None in binding else tuple(binding)
+
+    return bind
 
 
 def _match(expr, goal: ObjType, binding: list) -> bool:
@@ -109,54 +223,70 @@ def _match(expr, goal: ObjType, binding: list) -> bool:
 
 
 class _Generator:
+    """The search of one ``gen_term`` call.  Every table it reads is
+    compiled per signature, so a node costs its candidate matches, its
+    draws and its argument types."""
+
     def __init__(self, sig: TypedSignature, rng: random.Random, pool: list[ObjType]):
-        self.sig = sig
-        self.rng = rng
+        tables = _sig_data(sig)
+        self.by_root = tables.by_root
+        self.var_rooted = tables.var_rooted
+        # what random.sample and randint(0, k) draw an index with
+        self.randbelow = rng._randbelow
+        self.choice = rng.choice
         self.pool = pool
         self.budget = _DEADEND_BUDGET
-        _, _, self.by_root, self.var_rooted = _sig_data(sig)
 
-    def gen(self, goal: ObjType, ctx: Context, depth: int) -> Term:
+    def gen(self, goal: ObjType, ctx: Context, depth: int) -> Term | None:
         """Uniform choice among fitting candidates, falling back to the
-        remaining ones when a dive dead-ends (within a global budget)."""
-        candidates: list = [i for i, t in enumerate(ctx) if t is goal]
-        leaves_only = depth <= 1
-        for ar in self.by_root.get(goal.name, ()) + self.var_rooted:
-            if leaves_only and ar.args:
-                continue
-            binding = [None] * ar.degree
-            if _match(ar.result, goal, binding):
-                candidates.append((ar, binding))
-        if not candidates:
-            raise _DeadEnd()
-        order = self.rng.sample(range(len(candidates)), len(candidates))
+        remaining ones when a dive dead-ends (within a global budget);
+        ``None`` when every candidate dead-ends."""
+        candidates: list = [i for i, t in enumerate(ctx) if t is goal] if goal in ctx else []
+        matched, var_rooted = self.by_root.get(goal.name, self.var_rooted)[depth <= 1]
+        for cand in matched:
+            if cand.bind(goal) is not None:
+                candidates.append(cand)
+        candidates += var_rooted
+        n = len(candidates)
+        if not n:
+            return None
+        # the permutation random.sample(range(n), n) returns, by its draws
+        randbelow = self.randbelow
+        rest = list(range(n))
+        order = []
+        for i in range(n, 0, -1):
+            j = randbelow(i)
+            order.append(rest[j])
+            rest[j] = rest[i - 1]
         for which in order:
-            pick = candidates[which]
-            try:
-                return self._expand(pick, ctx, depth)
-            except _DeadEnd:
-                self.budget -= 1
-                if self.budget <= 0:
-                    raise _Exhausted()
-        raise _DeadEnd()
+            cand = candidates[which]
+            if type(cand) is int:
+                return Var(cand)
+            term = self._expand(cand, goal, ctx, depth)
+            if term is not None:
+                return term
+            self.budget -= 1
+            if self.budget <= 0:
+                raise _Exhausted()
+        return None
 
-    def _expand(self, pick, ctx: Context, depth: int) -> Term:
-        if isinstance(pick, int):
-            return Var(pick)
-        ar, binding = pick
-        inst = tuple(
-            b if b is not None else self.rng.choice(self.pool) for b in binding
-        )
-        lit = self.rng.randint(0, 3) if ar.family_index else None
-        args = tuple(
-            self.gen(
-                eval_type_expr(inst, spec.body),
-                context_extend(ctx, inst, spec.binders),
+    def _expand(self, cand: _Candidate, goal: ObjType, ctx: Context, depth: int) -> Term | None:
+        inst = cand.bind(goal)
+        if type(inst) is list:
+            choice, pool = self.choice, self.pool
+            inst = tuple([b if b is not None else choice(pool) for b in inst])
+        lit = self.randbelow(4) if cand.family else None  # randint(0, 3)
+        args = []
+        for body, binders in cand.args:
+            arg = self.gen(
+                body(inst),
+                tuple([b(inst) for b in binders]) + ctx if binders else ctx,
                 depth - 1,
             )
-            for spec in ar.args
-        )
-        return Con(ar.name, lit, inst, args)
+            if arg is None:
+                return None
+            args.append(arg)
+        return Con(cand.name, lit, inst, tuple(args))
 
 
 def gen_term(
@@ -171,12 +301,20 @@ def gen_term(
 
     Deterministic in (signature, context, goal, config, generator state);
     raises GenFailure after the configured number of dead ends.
+
+    The draws from ``rng`` and their order are part of the reproducibility
+    contract: at each node the generator draws a permutation of its
+    candidates exactly as ``random.sample`` does, then, for the candidate
+    it expands, each free type parameter as ``random.choice`` of the pool
+    and a family literal as ``random.randint(0, 3)``.  Only what depends on
+    the node is computed there; result matchers, argument and binder types
+    and the candidates of each goal root are compiled once per signature.
     """
     if rng is None:
         rng = random.Random(cfg.seed)
     if pool is None:
         pool = sorted(
-            set(_sig_data(sig)[1])
+            set(_sig_data(sig).pool)
             | {s for t in ctx for s in subterms(t)}
             | ({s for s in subterms(goal)} if goal is not None else set()),
             key=str,
@@ -184,17 +322,18 @@ def gen_term(
     if not pool and goal is None:
         raise GenFailure("signature has no ground types")
     g = _Generator(sig, rng, pool)
+    ctx = tuple(ctx)
     for _ in range(cfg.retries + 1):
         target = goal if goal is not None else rng.choice(pool)
         g.budget = _DEADEND_BUDGET
         try:
-            return g.gen(target, ctx, cfg.max_depth)
-        except _DeadEnd:
-            continue
+            term = g.gen(target, ctx, cfg.max_depth)
         except _Exhausted:
             if goal is not None:
                 break  # a fixed goal will not get easier; fall back now
             continue
+        if term is not None:
+            return term
     if goal is not None:
         hits = [i for i, t in enumerate(ctx) if t is goal]
         if hits:
@@ -210,7 +349,7 @@ def gen_context(
     rng: random.Random,
     max_len: int = 2,
 ) -> Context:
-    pool = _sig_data(sig)[1]
+    pool = _sig_data(sig).pool
     if not pool:
         return ()
     return tuple(rng.choice(pool) for _ in range(rng.randint(0, max_len)))
@@ -230,7 +369,7 @@ def gen_substitution(
     sparse languages such as the logics.
     """
     codomain = gen_context(sig, cfg, rng, max_len=extension) + tuple(domain)
-    pool = _sig_data(sig)[1]
+    pool = _sig_data(sig).pool
     images = tuple(
         gen_term(sig, codomain, ty, cfg, rng=rng, pool=pool) for ty in domain
     )
@@ -247,7 +386,7 @@ def _case_term(
     sparse languages (random logic goals are mostly unprovable otherwise),
     while uniform candidate choice keeps the terms themselves varied.
     """
-    pool = _sig_data(sig)[1]
+    pool = _sig_data(sig).pool
     if not pool:
         raise GenFailure("signature has no ground types")
     goal = rng.choice(pool)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .signatures import TApp, TVar, TypeExpr, TypeSignature, type_expr_errors
 
@@ -131,6 +131,39 @@ def eval_type_expr(env: Sequence[ObjType], e: TypeExpr) -> ObjType:
             )
         return env[k - 1]
     raise TypeError(f"not a type expression: {e!r}")
+
+
+def compile_type_expr(
+    e: TypeExpr, degree: int
+) -> tuple[ObjType | None, Callable[[Sequence[ObjType]], ObjType] | None]:
+    """``e`` compiled for environments of length ``degree``.
+
+    Returns ``(fixed, None)`` when ``e`` is closed, ``fixed`` being its
+    value, and otherwise ``(None, fn)`` with ``fn(env) ==
+    eval_type_expr(env, e)``; closed subexpressions are evaluated here, once.
+    A variable outside ``1..degree`` compiles to a function raising the
+    error ``eval_type_expr`` raises.
+    """
+    if type(e) is TVar and 1 <= e.index <= degree:
+        k = e.index - 1
+        return None, lambda env: env[k]
+    if type(e) is TApp:
+        parts = [compile_type_expr(a, degree) for a in e.args]
+        if all(fixed is not None for fixed, _ in parts):
+            return ObjType(e.name, tuple([fixed for fixed, _ in parts])), None
+        name = e.name
+        fns = [type_function(part) for part in parts]
+        return None, lambda env: ObjType(name, tuple([f(env) for f in fns]))
+    return None, lambda env: eval_type_expr(env, e)  # raises its error
+
+
+def type_function(
+    compiled: tuple[ObjType | None, Callable[[Sequence[ObjType]], ObjType] | None]
+) -> Callable[[Sequence[ObjType]], ObjType]:
+    """The function of environments that a ``compile_type_expr`` result
+    stands for, constant for a closed expression."""
+    fixed, fn = compiled
+    return fn if fn is not None else lambda env: fixed
 
 
 @dataclass(frozen=True)

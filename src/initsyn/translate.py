@@ -39,12 +39,14 @@ from .objtypes import (
     ObjType,
     TypeTranslation,
     _translate_type,
+    compile_type_expr,
     eval_type_expr,
     ground_types,
     identity_type_translation,
     is_unityped,
     translate_type,  # not called here; perfbench/tracing.py counts calls by this name
     translate_type_expr,
+    type_function,
 )
 from .signatures import (
     TApp,
@@ -527,10 +529,11 @@ def instantiate_template(
     return entry[2](inst, translated_args, lit, None)
 
 
-# A compiled subtemplate or type expression: ``(fixed, None)`` when its
-# value is the same at every instantiation, else ``(None, fn)``.  For a
-# subtemplate ``fn`` takes (inst, args, lit, hole), ``hole`` being the term
-# that a ``__hole`` there stands for; for a type expression it takes inst.
+# A compiled subtemplate: ``(fixed, None)`` when its value is the same at
+# every instantiation, else ``(None, fn)``, ``fn`` taking (inst, args, lit,
+# hole), ``hole`` being the term that a ``__hole`` there stands for.  Type
+# expressions compile to the same form (``objtypes.compile_type_expr``),
+# with ``fn`` taking inst.
 _Compiled = tuple
 
 
@@ -587,7 +590,7 @@ def _compile(x: Translation, ar: TermArity, tpl: Template) -> Callable:
             return _raiser(TypeCheckError, f"unknown target arity '{tpl.name}'")
         name, node_lit = tpl.name, tpl.lit
         passthrough = tar.family_index and node_lit is None
-        types = [_compile_type(e, ar.degree) for e in tpl.inst]
+        types = [compile_type_expr(e, ar.degree) for e in tpl.inst]
         subs = [
             comp(sub, depth + len(spec.binders), hole_depth)
             for spec, sub in zip(tar.args, tpl.args)
@@ -595,7 +598,7 @@ def _compile(x: Translation, ar: TermArity, tpl: Template) -> Callable:
         if not passthrough and all(fixed is not None for fixed, _ in types + subs):
             return Con(name, node_lit, _fixed(types), _fixed(subs)), None
         fixed_inst = _fixed(types) if all(t is not None for t, _ in types) else None
-        inst_fns = [_type_function(t) for t in types]
+        inst_fns = [type_function(t) for t in types]
         arg_fns = [_function(s) for s in subs]
 
         def node(inst, args, lit, hole):
@@ -633,7 +636,7 @@ def _compile(x: Translation, ar: TermArity, tpl: Template) -> Callable:
     def comp_stab(tpl: TplCon, depth: int, hole_depth: int | None) -> _Compiled:
         if not tpl.inst:
             return _raiser(IndexError, "tuple index out of range")
-        ty = _compile_type(tpl.inst[0], ar.degree)
+        ty = compile_type_expr(tpl.inst[0], ar.degree)
         if tpl.args:
             inner = comp(tpl.args[0], depth, hole_depth)
         else:
@@ -643,7 +646,7 @@ def _compile(x: Translation, ar: TermArity, tpl: Template) -> Callable:
                 return build_stability_witness(target, ty[0], inner[0]), None
             except TypeCheckError:
                 pass  # raised again on every call
-        ty_of, inner_of = _type_function(ty), _function(inner)
+        ty_of, inner_of = type_function(ty), _function(inner)
 
         def stab(inst, args, lit, hole):
             ty = ty_of(inst)
@@ -652,20 +655,6 @@ def _compile(x: Translation, ar: TermArity, tpl: Template) -> Callable:
         return None, stab
 
     return _function(comp(tpl, 0, None))
-
-
-def _compile_type(e: TypeExpr, degree: int) -> _Compiled:
-    """A type expression of a template for an arity of degree ``degree``."""
-    if isinstance(e, TVar) and 1 <= e.index <= degree:
-        k = e.index - 1
-        return None, lambda inst: inst[k]
-    if isinstance(e, TApp):
-        parts = [_compile_type(a, degree) for a in e.args]
-        if all(fixed is not None for fixed, _ in parts):
-            return ObjType(e.name, _fixed(parts)), None
-        name, fns = e.name, [_type_function(part) for part in parts]
-        return None, lambda inst: ObjType(name, tuple([f(inst) for f in fns]))
-    return None, lambda inst: eval_type_expr(inst, e)  # raises its error
 
 
 def _raiser(exc_type: type, message: str) -> _Compiled:
@@ -682,11 +671,6 @@ def _fixed(parts: list[_Compiled]) -> tuple:
 def _function(compiled: _Compiled) -> Callable:
     fixed, fn = compiled
     return fn if fn is not None else lambda inst, args, lit, hole: fixed
-
-
-def _type_function(compiled: _Compiled) -> Callable:
-    fixed, fn = compiled
-    return fn if fn is not None else lambda inst: fixed
 
 
 def translate_term(x: Representation, ctx: Context, term: Term) -> Term:

@@ -1,5 +1,9 @@
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from initsyn.cli import main
 from initsyn.languages import get_language, get_translation
@@ -205,3 +209,63 @@ def test_translate_rejects_a_hole_with_a_payload(tmp_path):
         f"error: line {line}, column 3: invalid translation: arity 'nats': "
         "__hole takes no literal, type parameters or sub-templates\n"
     )
+
+
+def _fresh_run(argv):
+    """``main`` in a new interpreter, as a user runs it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-m", "initsyn.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_consecutive_calls_print_what_fresh_runs_print(tmp_path):
+    """The argument parser is built once per process; no flag of one call
+    leaks into the next."""
+    path = tmp_path / "neg.term"
+    path.write_text(NEG_TERM)
+    calls = [
+        ["translate", "--using", "pcf2ulc-turing", "--style", "paper", str(path)],
+        ["translate", "--using", "pcf2ulc-turing", str(path)],
+        ["laws", "--lang", "PCF", "--seed", "3", "--cases", "50"],
+        ["translate", "--using", "pcf2ulc-turing", str(path)],
+    ]
+    in_process = [run(argv) for argv in calls]
+    assert in_process[0][1] == GOLDEN + "\n"
+    assert in_process[1][1] != in_process[0][1]
+    assert in_process == [_fresh_run(argv) for argv in calls]
+
+
+def test_too_deep_input_exits_2_without_traceback(tmp_path):
+    """``nats{1000}`` parses, but its translation nests deeper than the
+    recursive kernel follows at the default recursion limit; the CLI
+    reports that instead of crashing."""
+    path = tmp_path / "nats1000.term"
+    path.write_text("context ; (nats{1000})")
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        code, out, err = run(["translate", "--using", "pcf2ulc-turing", str(path)])
+    finally:
+        sys.setrecursionlimit(saved)
+    assert (code, out) == (2, "")
+    assert err == "error: input too deep or too large (RecursionError)\n"
+    assert _fresh_run(["translate", "--using", "pcf2ulc-turing", str(path)]) == (2, out, err)
+
+
+def test_memory_error_exits_2(tmp_path, monkeypatch):
+    import initsyn.cli
+
+    def exhausted(*_):
+        raise MemoryError()
+
+    monkeypatch.setattr(initsyn.cli, "translate_term", exhausted)
+    path = tmp_path / "neg.term"
+    path.write_text(NEG_TERM)
+    code, out, err = run(["translate", "--using", "pcf2ulc-turing", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: input too deep or too large (MemoryError)\n"

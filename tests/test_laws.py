@@ -14,6 +14,7 @@ from initsyn.laws import (
     gen_term,
 )
 from initsyn.objtypes import ObjType
+from initsyn.signatures import TVar
 from initsyn.terms import Con, Term, Var, check, infer, substitute, weaken
 from initsyn.translate import identity_translation, translate_term
 
@@ -158,3 +159,71 @@ def test_skip_gate():
     assert not LawReport("x", 4, 6, None, 1).passed
     assert LawReport("x", 6, 4, None, 1).passed
     assert not LawReport("x", 10, 0, "boom", 1).passed
+
+
+def test_generation_tables_do_not_keep_a_signature_alive():
+    import gc
+    import weakref
+
+    from initsyn.laws import _case_term, _sig_cache
+    from initsyn.surface import parse_signature, print_signature
+
+    sig = parse_signature(print_signature(get_language("PCF")))
+    _case_term(sig, GenConfig(seed=5, cases=1), random.Random(5))
+    key = id(sig)
+    assert key in _sig_cache
+    alive = weakref.ref(sig)
+    del sig
+    gc.collect()
+    assert alive() is None
+    assert key not in _sig_cache
+
+
+def _reference_match(expr, goal, binding) -> bool:
+    """First-order matching as the generator did it node by node."""
+    if isinstance(expr, TVar):
+        k = expr.index - 1
+        if binding[k] is None:
+            binding[k] = goal
+            return True
+        return binding[k] is goal
+    if expr.name != goal.name or len(expr.args) != len(goal.args):
+        return False
+    return all(_reference_match(e, g, binding) for e, g in zip(expr.args, goal.args))
+
+
+MATCH_SHAPES = """language M
+atoms { p q }
+types { f : 2  g : 1 }
+terms {
+  swap [2] : () -> f($2,$1)
+  diag [1] : () -> f($1,$1)
+  deep [3] : () -> f(g($1),f($3,p))
+  extra [3] : () -> g($2)
+  closed [0] : () -> f(p,g(q))
+  any [2] : () -> $2
+}
+"""
+
+
+def test_compiled_matchers_agree_with_matching():
+    """Each arity's compiled matcher fixes exactly the parameters, and
+    rejects exactly the goals, that matching its result does; it leaves a
+    parameter free, in a list, only where matching does."""
+    from initsyn.laws import _compile_arity
+    from initsyn.objtypes import ground_types
+    from initsyn.surface import parse_signature
+
+    sigs = [get_language(n) for n in ("ULC", "PCF", "STLC", "IPC", "CPC")]
+    sigs.append(parse_signature(MATCH_SHAPES))
+    for sig in sigs:
+        goals = ground_types(sig.all_types, 3)
+        for ar in sig.terms:
+            cand = _compile_arity(ar)
+            for goal in goals:
+                binding = [None] * ar.degree
+                expected = binding if _reference_match(ar.result, goal, binding) else None
+                got = cand.bind(goal)
+                assert (None if got is None else list(got)) == expected, (ar.name, str(goal))
+                if got is not None:
+                    assert isinstance(got, tuple) == (None not in expected)

@@ -27,3 +27,22 @@ def test_traced_translate_large_run():
     metrics = result["metrics"]
     assert metrics["surface.parse_term.calls"]["value"] > 0
     assert metrics["translate.instantiate_template.calls"]["value"] > 0
+
+
+def test_traced_laws_acceptance_run():
+    """The law checks reach ``gen_term`` through the module-level name that
+    the tracer wraps, so a generator that bypassed it would read 0 here."""
+    argv = [
+        sys.executable,
+        "perfbench/run.py",
+        "--workload", "laws-acceptance",
+        "--seed", "0",
+        "--seconds", "1",
+        "--trace", "1",
+    ]
+    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["metrics"]["laws.gen_term.calls"]["value"] > 0

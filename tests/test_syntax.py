@@ -229,7 +229,7 @@ def test_substitution_validate():
 def test_infer_never_hangs_on_garbage():
     pcf = get_language("PCF")
     rng = random.Random(23)
-    pool = _sig_data(pcf)[1]
+    pool = _sig_data(pcf).pool
     names = [ar.name for ar in pcf.terms] + ["nonsense"]
     for _ in range(500):
         depth = rng.randint(0, 3)
