@@ -11,6 +11,10 @@ Weakening, renaming and substitution are one traversal: it rebuilds the
 term and hands each variable, together with the number of binders above
 it, to a per-operation function.  Passing under a binder only bumps that
 count, so it costs the same whatever the width of the substitution.
+Results share every subterm an operation leaves unchanged: a variable
+that keeps its index, an argument-free constant and a node whose
+arguments all come back as the same objects are returned as they are, so
+only the path from each changed variable to the root is rebuilt.
 Substitution is simultaneous and capture-avoiding: a variable bound inside
 the term stays put, and a free one is replaced by its image weakened past
 the binders above it, lazily, once per image and binder count.  Together
@@ -21,7 +25,7 @@ here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, Sequence
 
 from .objtypes import ObjType, eval_type_expr
@@ -45,20 +49,109 @@ class TypeCheckError(Exception):
         return self.message
 
 
-@dataclass(frozen=True, slots=True)
 class Var:
+    """The variable at context position ``index``.
+
+    Immutable and compared by value, as a frozen dataclass is: ``==`` and
+    ``hash`` see the index, assignment and deletion raise
+    ``FrozenInstanceError``, and pickling and copying rebuild an equal
+    variable.
+    """
+
+    __slots__ = ("index",)
+    __match_args__ = ("index",)
+
     index: int
+
+    def __new__(cls, index: int) -> Var:
+        obj = _new(cls)
+        _set_index(obj, index)
+        return obj
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (Var, (self.index,))
+
+    def __eq__(self, other):
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self.index == other.index
+
+    def __hash__(self) -> int:
+        return hash((self.index,))
+
+    def __repr__(self) -> str:
+        return f"Var(index={self.index!r})"
 
     def __str__(self) -> str:
         return f"#{self.index}"
 
 
-@dataclass(frozen=True, slots=True)
 class Con:
+    """An occurrence of arity ``name`` with its family literal (or None),
+    the ground types instantiating its type parameters and its arguments.
+
+    Immutable and compared by value, like ``Var``: ``==`` compares the four
+    fields, ``hash`` is that of their tuple, and the ``repr`` is the
+    dataclass one.  ``__new__`` sets the slots through their descriptors,
+    which costs about half of a frozen dataclass ``__init__``; every
+    rebuilt node pays it.
+    """
+
+    __slots__ = ("name", "lit", "inst", "args")
+    __match_args__ = ("name", "lit", "inst", "args")
+
     name: str
     lit: int | None
     inst: tuple[ObjType, ...]
-    args: tuple["Term", ...]
+    args: tuple[Term, ...]
+
+    def __new__(
+        cls,
+        name: str,
+        lit: int | None,
+        inst: tuple[ObjType, ...],
+        args: tuple[Term, ...],
+    ) -> Con:
+        obj = _new(cls)
+        _set_name(obj, name)
+        _set_lit(obj, lit)
+        _set_inst(obj, inst)
+        _set_args(obj, args)
+        return obj
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (Con, (self.name, self.lit, self.inst, self.args))
+
+    def __eq__(self, other):
+        if other.__class__ is not Con:
+            return NotImplemented
+        return (self.name, self.lit, self.inst, self.args) == (
+            other.name,
+            other.lit,
+            other.inst,
+            other.args,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.lit, self.inst, self.args))
+
+    def __repr__(self) -> str:
+        return (
+            f"Con(name={self.name!r}, lit={self.lit!r}, "
+            f"inst={self.inst!r}, args={self.args!r})"
+        )
 
     def __str__(self) -> str:
         """The canonical text, which the term parser reads back.  Built with
@@ -88,6 +181,13 @@ class Con:
         return "".join(done)
 
 
+_new = object.__new__
+_set_index = Var.index.__set__
+_set_name = Con.name.__set__
+_set_lit = Con.lit.__set__
+_set_inst = Con.inst.__set__
+_set_args = Con.args.__set__
+
 Term = Var | Con
 
 
@@ -101,9 +201,11 @@ def context_extend(
 def infer(sig: TypedSignature, ctx: Context, term: Term) -> ObjType:
     """The unique type of ``term`` in ``ctx``, or a TypeCheckError.
 
-    Each distinct (arity, instantiation) pair has its binder, argument and
-    result types evaluated once per call, in a table that lives for the
-    call.  The error path is assembled only while an error propagates.
+    Each distinct (arity, instantiation) pair is checked against its arity
+    once per call, and its binder, argument and result types evaluated
+    then, in a table that lives for the call; a later node of the same
+    pair checks only its family literal and its argument count.  The error
+    path is assembled only while an error propagates.
     """
     return _infer(sig, tuple(ctx), term, {})
 
@@ -121,6 +223,35 @@ def _infer(
         return ctx[i]
     if type(term) is not Con:
         raise TypeCheckError(f"not a term: {term!r}")
+    args = term.args
+    shape = shapes.get((term.name, term.inst))
+    if shape is None or (term.lit is None) is shape[0] or len(args) != shape[1]:
+        shape = _shape(sig, term, shapes)
+    binders, expected = shape[2], shape[3]
+    for j, arg in enumerate(args):
+        inner = binders[j] + ctx  # () + ctx is ctx itself
+        if type(arg) is Var:
+            i = arg.index
+            if not 0 <= i < len(inner):
+                raise TypeCheckError(f"unbound index {i}", (j,))
+            actual = inner[i]
+        else:
+            try:
+                actual = _infer(sig, inner, arg, shapes)
+            except TypeCheckError as exc:
+                exc.path = (j,) + exc.path
+                raise
+        if actual is not expected[j]:
+            raise TypeCheckError(f"expected {expected[j]}, found {actual}", (j,))
+    return shape[4]
+
+
+def _shape(sig: TypedSignature, term: Con, shapes: dict[tuple, tuple]) -> tuple:
+    """Check ``term``'s node against its arity, then enter and return its
+    shape in ``shapes``: whether the arity takes a family literal, its
+    argument count, and the binder types, argument types and result type
+    at the node's instantiation.  A node whose (name, instantiation) is in
+    the table already reaches here only to raise."""
     name, inst, args = term.name, term.inst, term.args
     ar = sig.arity(name)
     if ar is None:
@@ -137,27 +268,17 @@ def _infer(
         raise TypeCheckError(
             f"'{name}' expects {len(ar.args)} arguments, got {len(args)}"
         )
-    key = (name, inst)
-    shape = shapes.get(key)
-    if shape is None:
-        shape = shapes[key] = (
-            tuple(
-                tuple(eval_type_expr(inst, b) for b in spec.binders)
-                for spec in ar.args
-            ),
-            tuple(eval_type_expr(inst, spec.body) for spec in ar.args),
-            eval_type_expr(inst, ar.result),
-        )
-    binders, expected, result = shape
-    for j, arg in enumerate(args):
-        try:
-            actual = _infer(sig, binders[j] + ctx, arg, shapes)
-        except TypeCheckError as exc:
-            exc.path = (j,) + exc.path
-            raise
-        if actual is not expected[j]:
-            raise TypeCheckError(f"expected {expected[j]}, found {actual}", (j,))
-    return result
+    shape = shapes[name, inst] = (
+        bool(ar.family_index),
+        len(ar.args),
+        tuple(
+            tuple(eval_type_expr(inst, b) for b in spec.binders)
+            for spec in ar.args
+        ),
+        tuple(eval_type_expr(inst, spec.body) for spec in ar.args),
+        eval_type_expr(inst, ar.result),
+    )
+    return shape
 
 
 def check(sig: TypedSignature, ctx: Context, term: Term, ty: ObjType) -> None:
@@ -191,21 +312,47 @@ def _map(
     sig: TypedSignature, term: Term, on_var: Callable[[Var, int], Term]
 ) -> Term:
     """Rebuild ``term`` with each variable ``v`` replaced by ``on_var(v, d)``,
-    where ``d`` is the number of binders above ``v``."""
+    where ``d`` is the number of binders above ``v``.  A node whose
+    arguments all come back as the same objects is returned itself, so the
+    result shares every subterm that ``on_var`` leaves unchanged.  Each
+    level costs one Python frame, and a variable argument none."""
     binders = sig.binder_counts
 
-    def go(t: Term, depth: int) -> Term:
-        if type(t) is Var:
-            return on_var(t, depth)
+    def go(t: Con, depth: int) -> Term:
         if type(t) is not Con:
             raise TypeCheckError(f"not a term: {t!r}")
         counts = binders.get(t.name)
         if counts is None:
             raise TypeCheckError(f"unknown arity '{t.name}'")
-        args = tuple([go(a, depth + k) for a, k in zip(t.args, counts)])
-        return Con(t.name, t.lit, t.inst, args)
+        args = t.args
+        n = len(args)
+        if n != len(counts):
+            raise TypeCheckError(
+                f"'{t.name}' expects {len(counts)} arguments, got {n}"
+            )
+        if n == 0:
+            return t
+        if n == 1:
+            a, d = args[0], depth + counts[0]
+            b = on_var(a, d) if type(a) is Var else go(a, d)
+            return t if b is a else Con(t.name, t.lit, t.inst, (b,))
+        if n == 2:
+            a0, a1 = args
+            d0, d1 = depth + counts[0], depth + counts[1]
+            b0 = on_var(a0, d0) if type(a0) is Var else go(a0, d0)
+            b1 = on_var(a1, d1) if type(a1) is Var else go(a1, d1)
+            if b0 is a0 and b1 is a1:
+                return t
+            return Con(t.name, t.lit, t.inst, (b0, b1))
+        new = []
+        for a, k in zip(args, counts):
+            d = depth + k
+            new.append(on_var(a, d) if type(a) is Var else go(a, d))
+        if all(b is a for a, b in zip(args, new)):
+            return t
+        return Con(t.name, t.lit, t.inst, tuple(new))
 
-    return go(term, 0)
+    return on_var(term, 0) if type(term) is Var else go(term, 0)
 
 
 def weaken(sig: TypedSignature, term: Term, cutoff: int, amount: int) -> Term:
@@ -224,7 +371,14 @@ def weaken(sig: TypedSignature, term: Term, cutoff: int, amount: int) -> Term:
 def rename(sig: TypedSignature, term: Term, f: Callable[[int], int]) -> Term:
     """Relabel free variables; under b binders, index i maps through
     ``i if i < b else f(i - b) + b``."""
-    return _map(sig, term, lambda v, d: v if v.index < d else Var(f(v.index - d) + d))
+
+    def on_var(v: Var, d: int) -> Var:
+        if v.index < d:
+            return v
+        i = f(v.index - d) + d
+        return v if i == v.index else Var(i)
+
+    return _map(sig, term, on_var)
 
 
 @dataclass(frozen=True, slots=True)

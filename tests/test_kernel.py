@@ -9,6 +9,8 @@ the root (up to 30 deep) over random bodies with binders of their own, and
 substitutions are up to 64 wide.
 """
 
+import sys
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from initsyn.terms import (
     Substitution,
     TypeCheckError,
     Var,
+    infer,
     rename,
     substitute,
     weaken,
@@ -195,6 +198,43 @@ def test_rename_matches_eager_reference(data, lang):
     assert rename(sig, term, f) == ref_rename(sig, term, f)
 
 
+def _nodes(t):
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        if type(t) is Con:
+            stack.extend(t.args)
+
+
+def _constants(t):
+    return [c for c in _nodes(t) if type(c) is Con and not c.args]
+
+
+@KERNEL_SETTINGS
+@given(st.data(), LANGS, st.integers(0, 5))
+def test_results_share_what_the_operation_leaves_unchanged(data, lang, above):
+    """A weakening above every free index and the identity renaming return
+    their input itself, and every argument-free constant of a result is an
+    object of the input, never a copy."""
+    sig, term, images = data.draw(substitution_cases(lang))
+    width = len(images)
+    assert weaken(sig, term, width + above, 3) is term
+    assert rename(sig, term, lambda i: i) is term
+    cutoff = data.draw(st.integers(0, width))
+    f = data.draw(st.permutations(range(width))).__getitem__
+    sub = Substitution((), (), images)
+    results = [
+        (substitute(sig, term, sub), ref_substitute(sig, term, images)),
+        (weaken(sig, term, cutoff, 2), ref_weaken(sig, term, cutoff, 2)),
+        (rename(sig, term, f), ref_rename(sig, term, f)),
+    ]
+    inputs = {id(c) for src in (term, *images) for c in _constants(src)}
+    for got, want in results:
+        assert got == want
+        assert all(id(c) in inputs for c in _constants(got))
+
+
 # ---------------------------------------------------------------------------
 # Pinned cases
 
@@ -234,3 +274,55 @@ def test_unknown_arity_message(run):
     with pytest.raises(TypeCheckError) as err:
         run(ulc, term)
     assert str(err.value) == "unknown arity 'nope'"
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda sig, t: weaken(sig, t, 0, 1),
+        lambda sig, t: rename(sig, t, lambda i: i + 1),
+        lambda sig, t: substitute(
+            sig, t, Substitution((STAR,) * 3, (STAR,), (Var(0),) * 3)
+        ),
+    ],
+    ids=["weaken", "rename", "substitute"],
+)
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_arity_mismatch_message(run, count):
+    """A node with the wrong number of arguments is rejected with the
+    message ``infer`` gives, not truncated to the arity's length."""
+    ulc = get_language("ULC")
+    term = Con("app", None, (), tuple(Var(i) for i in range(count)))
+    with pytest.raises(TypeCheckError) as err:
+        run(ulc, term)
+    with pytest.raises(TypeCheckError) as by_infer:
+        infer(ulc, (STAR,) * 3, term)
+    assert str(err.value) == str(by_infer.value)
+    assert str(err.value) == f"'app' expects 2 arguments, got {count}"
+
+
+def test_kernel_operations_at_depth_800_under_the_default_recursion_limit():
+    """One Python frame per level: an 800-deep PCF chain
+    ``(app [Nat, Nat] (Succ) (app ... #0))`` goes through at limit 1 000."""
+    pcf = get_language("PCF")
+    depth = 800
+
+    def chain(leaf):
+        t = leaf
+        for _ in range(depth):
+            t = Con("app", None, (NAT, NAT), (Con("Succ", None, (), ()), t))
+        return t
+
+    image = Con("nats", 4, (), ())
+    term = chain(Var(0))
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        weakened = weaken(pcf, term, 0, 2)
+        renamed = rename(pcf, term, lambda i: i + 5)
+        substituted = substitute(pcf, term, Substitution((NAT,), (), (image,)))
+    finally:
+        sys.setrecursionlimit(saved)
+    assert str(weakened) == str(chain(Var(2)))
+    assert str(renamed) == str(chain(Var(5)))
+    assert str(substituted) == str(chain(image))

@@ -46,3 +46,24 @@ def test_traced_laws_acceptance_run():
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["metrics"]["laws.gen_term.calls"]["value"] > 0
+
+
+def test_traced_subst_wide_run():
+    """Each kernel operation is reached through the name the tracer wraps,
+    ``substitute``'s image weakening included."""
+    argv = [
+        sys.executable,
+        "perfbench/run.py",
+        "--workload", "subst-wide",
+        "--seed", "0",
+        "--seconds", "1",
+        "--trace", "1",
+    ]
+    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    metrics = result["metrics"]
+    for layer in ("substitute", "weaken", "rename", "infer"):
+        assert metrics[f"terms.{layer}.calls"]["value"] > 0, layer
