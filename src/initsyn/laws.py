@@ -8,7 +8,10 @@ subterms of the context and goal).  Runs are pure functions of the inputs
 and the seed: each case derives its own generator state by mixing the seed
 with the case index, so reports are reproducible bit for bit.  Which values
 are drawn from that state, and in which order, is part of this contract
-(see ``gen_term``): a change to it changes every report's cases.
+(see ``gen_term``): a change to it changes every report's cases.  Each draw
+is made with ``getrandbits`` calls identical to those of CPython's
+``Random._randbelow``, which ``random.sample``, ``choice`` and ``randint``
+use, so the values are the library's.
 
 Everything about a signature that does not depend on the goal is compiled
 once per signature, on first use, into tables that live as long as the
@@ -18,6 +21,14 @@ argument goal and binder types as functions of the instantiation
 arities that can produce a goal with that root, with the constants split
 out for the last level of depth.  Nothing is cached by goal or by
 instantiation.
+
+At the last level of depth only constants and context variables fit, so an
+argument goal whose root no constant produces can only be a context
+variable of exactly that type.  Types are hash-consed, and a type that is
+not live is in no context: such an argument is decided by looking its type
+up in the intern table (``objtypes.interned``), after building its binder
+types, which may hold it.  A dead end found this way ends the node just
+where, and after just the draws, that generating the argument would.
 
 A case that fails to generate (an unreachable goal within the depth and
 retry budget) counts as skipped, never as a silent pass; a report with
@@ -29,12 +40,14 @@ from __future__ import annotations
 import random
 import weakref
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable
 
 from .objtypes import (
     ObjType,
     compile_type_expr,
     ground_types,
+    interned,
     subterms,
     translate_type,
     type_function,
@@ -98,7 +111,10 @@ class _Candidate:
     every parameter, else a list with ``None`` for each free one (which
     callers must not change).
     ``args`` holds, per argument, its goal type and its binder types as
-    functions of the instantiation.
+    functions of the instantiation, and ``probe``: ``None`` when a constant
+    may have the argument's goal type, else a function of the
+    instantiation returning that type if it is live and ``None`` if not,
+    without building it (see ``_Generator._expand``).
     """
 
     # a plain slotted class: a dataclass would cost a millisecond at import
@@ -117,13 +133,21 @@ _Split = tuple[tuple[tuple[_Candidate, ...], tuple[_Candidate, ...]], ...]
 
 class _SigTables:
     """What generation needs of one signature, compiled once: the
-    ground-type pool (closed under subterms), and the candidates by goal
-    root, ``var_rooted`` being those of a root no arity has."""
+    ground-type pool (closed under subterms), the candidates by goal root,
+    ``var_rooted`` being those of a root no arity has, and ``leaf_roots``,
+    the roots of the constants' results."""
 
-    __slots__ = ("pool", "by_root", "var_rooted")
+    __slots__ = ("pool", "by_root", "var_rooted", "leaf_roots")
 
-    def __init__(self, pool: list[ObjType], by_root: dict[str, _Split], var_rooted: _Split):
+    def __init__(
+        self,
+        pool: list[ObjType],
+        by_root: dict[str, _Split],
+        var_rooted: _Split,
+        leaf_roots: frozenset[str],
+    ):
         self.pool, self.by_root, self.var_rooted = pool, by_root, var_rooted
+        self.leaf_roots = leaf_roots
 
 
 # id(signature) -> its tables; an entry leaves with its signature
@@ -140,15 +164,20 @@ def _sig_data(sig: TypedSignature) -> _SigTables:
     data = _sig_cache.get(id(sig))
     if data is not None:
         return data
-    var_rooted = [_compile_arity(ar) for ar in sig.terms if type(ar.result) is TVar]
+    constants = [ar for ar in sig.terms if not ar.args]
+    leaf_roots = frozenset(ar.result.name for ar in constants if type(ar.result) is not TVar)
+    # a constant of any type makes no root leafless, so nothing is probed
+    probed = None if any(type(ar.result) is TVar for ar in constants) else leaf_roots
+    var_rooted = [_compile_arity(ar, probed) for ar in sig.terms if type(ar.result) is TVar]
     roots: dict[str, list[_Candidate]] = {}
     for ar in sig.terms:
         if type(ar.result) is not TVar:
-            roots.setdefault(ar.result.name, []).append(_compile_arity(ar))
+            roots.setdefault(ar.result.name, []).append(_compile_arity(ar, probed))
     data = _SigTables(
         ground_types(sig.all_types, 2),
         {root: _split(cands, var_rooted) for root, cands in roots.items()},
         _split([], var_rooted),
+        leaf_roots,
     )
     _sig_cache[id(sig)] = data
     weakref.finalize(sig, _sig_cache.pop, id(sig), None)
@@ -165,15 +194,53 @@ def _split(matched: list[_Candidate], var_rooted: list[_Candidate]) -> _Split:
     )
 
 
-def _compile_arity(ar: TermArity) -> _Candidate:
+def _compile_arity(ar: TermArity, leaf_roots: frozenset[str] | None) -> _Candidate:
+    """``ar`` compiled; an argument gets a probe when ``leaf_roots`` (the
+    roots a constant can produce, ``None`` for all) lacks its goal's root,
+    or when that root is a parameter's and so known only per node."""
     args = tuple(
         (
             type_function(compile_type_expr(spec.body, ar.degree)),
             tuple(type_function(compile_type_expr(b, ar.degree)) for b in spec.binders),
+            None
+            if leaf_roots is None
+            or (type(spec.body) is not TVar and spec.body.name in leaf_roots)
+            else _compile_probe(spec.body, ar.degree),
         )
         for spec in ar.args
     )
     return _Candidate(ar.name, ar.family_index, _compile_bind(ar.result, ar.degree), args)
+
+
+def _compile_probe(e: TypeExpr, degree: int) -> Callable | None:
+    """A function of instantiations returning the live type that ``e``
+    evaluates to, or ``None`` when that type is not live; it builds no
+    type.  ``None`` for an expression ``compile_type_expr`` would compile
+    to an error."""
+    if type(e) is TVar:
+        return itemgetter(e.index - 1) if 1 <= e.index <= degree else None
+    fixed, _ = compile_type_expr(e, degree)
+    if fixed is not None:
+        return lambda inst: fixed
+    parts = [_compile_probe(a, degree) for a in e.args]
+    if None in parts:
+        return None
+    name = e.name
+    if len(parts) > 1 and all(type(a) is TVar for a in e.args):
+        # C($i,$j,...): the children are parameters, so live; one tuple
+        children = itemgetter(*[a.index - 1 for a in e.args])
+        return lambda inst: interned(name, children(inst))
+
+    def probe(inst):
+        args = []
+        for part in parts:
+            arg = part(inst)
+            if arg is None:
+                return None
+            args.append(arg)
+        return interned(name, tuple(args))
+
+    return probe
 
 
 def _compile_bind(result: TypeExpr, degree: int) -> Callable:
@@ -222,6 +289,40 @@ def _match(expr, goal: ObjType, binding: list) -> bool:
     return all(_match(e, g, binding) for e, g in zip(expr.args, goal.args))
 
 
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """``Random._randbelow(n)``, for ``n > 0``, by the same ``getrandbits``
+    calls: ``random.randint(0, n - 1)`` and ``random.choice`` of ``n``
+    items draw their index with it."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _choice(getrandbits: Callable[[int], int], seq: list):
+    """``random.choice(seq)``, by the same draws."""
+    if not seq:
+        raise IndexError("Cannot choose from an empty sequence")
+    return seq[_below(getrandbits, len(seq))]
+
+
+def _order(getrandbits: Callable[[int], int], n: int) -> list[int]:
+    """The permutation ``random.sample(range(n), n)`` returns, by the same
+    draws; each index is drawn as ``_below`` draws it, inline, since this
+    runs at every node."""
+    rest = list(range(n))
+    order = []
+    for i in range(n, 0, -1):
+        k = i.bit_length()
+        j = getrandbits(k)
+        while j >= i:
+            j = getrandbits(k)
+        order.append(rest[j])
+        rest[j] = rest[i - 1]
+    return order
+
+
 class _Generator:
     """The search of one ``gen_term`` call.  Every table it reads is
     compiled per signature, so a node costs its candidate matches, its
@@ -231,9 +332,8 @@ class _Generator:
         tables = _sig_data(sig)
         self.by_root = tables.by_root
         self.var_rooted = tables.var_rooted
-        # what random.sample and randint(0, k) draw an index with
-        self.randbelow = rng._randbelow
-        self.choice = rng.choice
+        self.leaf_roots = tables.leaf_roots
+        self.getrandbits = rng.getrandbits
         self.pool = pool
         self.budget = _DEADEND_BUDGET
 
@@ -250,15 +350,7 @@ class _Generator:
         n = len(candidates)
         if not n:
             return None
-        # the permutation random.sample(range(n), n) returns, by its draws
-        randbelow = self.randbelow
-        rest = list(range(n))
-        order = []
-        for i in range(n, 0, -1):
-            j = randbelow(i)
-            order.append(rest[j])
-            rest[j] = rest[i - 1]
-        for which in order:
+        for which in _order(self.getrandbits, n):
             cand = candidates[which]
             if type(cand) is int:
                 return Var(cand)
@@ -272,17 +364,28 @@ class _Generator:
 
     def _expand(self, cand: _Candidate, goal: ObjType, ctx: Context, depth: int) -> Term | None:
         inst = cand.bind(goal)
+        getrandbits = self.getrandbits
         if type(inst) is list:
-            choice, pool = self.choice, self.pool
-            inst = tuple([b if b is not None else choice(pool) for b in inst])
-        lit = self.randbelow(4) if cand.family else None  # randint(0, 3)
+            pool = self.pool
+            inst = tuple([b if b is not None else _choice(getrandbits, pool) for b in inst])
+        lit = _below(getrandbits, 4) if cand.family else None  # randint(0, 3)
+        # the arguments get constants and context variables only
+        leaf_level = depth <= 2
         args = []
-        for body, binders in cand.args:
-            arg = self.gen(
-                body(inst),
-                tuple([b(inst) for b in binders]) + ctx if binders else ctx,
-                depth - 1,
-            )
+        for body, binders, probe in cand.args:
+            inner = tuple([b(inst) for b in binders]) + ctx if binders else ctx
+            if leaf_level and probe is not None:
+                # Only a variable can have this goal unless a constant has
+                # its root; a type that is not live is in no context.  The
+                # binders are built first, as they may hold the goal.
+                arg_goal = probe(inst)
+                if arg_goal is None or (
+                    arg_goal not in inner and arg_goal.name not in self.leaf_roots
+                ):
+                    return None  # as gen would, without drawing
+            else:
+                arg_goal = body(inst)
+            arg = self.gen(arg_goal, inner, depth - 1)
             if arg is None:
                 return None
             args.append(arg)
@@ -306,9 +409,18 @@ def gen_term(
     contract: at each node the generator draws a permutation of its
     candidates exactly as ``random.sample`` does, then, for the candidate
     it expands, each free type parameter as ``random.choice`` of the pool
-    and a family literal as ``random.randint(0, 3)``.  Only what depends on
-    the node is computed there; result matchers, argument and binder types
-    and the candidates of each goal root are compiled once per signature.
+    and a family literal as ``random.randint(0, 3)``.  It makes these draws
+    itself, with the ``rng.getrandbits`` calls that ``Random._randbelow``
+    makes (``k = n.bit_length()`` bits, drawn again while not below ``n``),
+    so ``rng`` must draw its indexes that way, as ``random.Random`` does.
+    Only what depends on the node is computed there; result matchers,
+    argument and binder types and the candidates of each goal root are
+    compiled once per signature.  An argument at the last level of depth
+    whose goal no constant can have is not generated when that goal type
+    is in no context: it is a dead end, found without building the type.
+
+    The default pool is the signature's pool plus every distinct subtree
+    of the context and goal types, collected without recursion.
     """
     if rng is None:
         rng = random.Random(cfg.seed)

@@ -111,11 +111,25 @@ def type_key(t: ObjType) -> tuple:
     return (t.name, tuple(type_key(a) for a in t.args))
 
 
+def interned(name: str, args: tuple[ObjType, ...] = ()) -> ObjType | None:
+    """The live type ``ObjType(name, args)`` would return, or ``None`` when
+    no such type is live; builds no type.  ``args`` must be a tuple."""
+    ref = _INTERNED.get((name, args))
+    return None if ref is None else ref()
+
+
 def subterms(t: ObjType) -> list[ObjType]:
-    """All subtrees of ``t``, including ``t`` itself."""
+    """The distinct subtrees of ``t``, ``t`` itself first, each once;
+    iterative, so depth costs no recursion."""
     out = [t]
-    for a in t.args:
-        out.extend(subterms(a))
+    seen = {t}
+    stack = [t]
+    while stack:
+        for a in stack.pop().args:
+            if a not in seen:
+                seen.add(a)
+                out.append(a)
+                stack.append(a)
     return out
 
 

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -13,7 +14,7 @@ from initsyn.laws import (
     gen_substitution,
     gen_term,
 )
-from initsyn.objtypes import ObjType
+from initsyn.objtypes import ObjType, eval_type_expr, ground_types, subterms
 from initsyn.signatures import TVar
 from initsyn.terms import Con, Term, Var, check, infer, substitute, weaken
 from initsyn.translate import identity_translation, translate_term
@@ -219,7 +220,7 @@ def test_compiled_matchers_agree_with_matching():
     for sig in sigs:
         goals = ground_types(sig.all_types, 3)
         for ar in sig.terms:
-            cand = _compile_arity(ar)
+            cand = _compile_arity(ar, None)
             for goal in goals:
                 binding = [None] * ar.degree
                 expected = binding if _reference_match(ar.result, goal, binding) else None
@@ -227,3 +228,215 @@ def test_compiled_matchers_agree_with_matching():
                 assert (None if got is None else list(got)) == expected, (ar.name, str(goal))
                 if got is not None:
                     assert isinstance(got, tuple) == (None not in expected)
+
+
+def test_draw_helpers_draw_as_the_library():
+    """The generator's draws are ``getrandbits`` calls; they must return
+    what ``random.sample``, ``random.choice`` and ``random.randint`` return
+    and leave the generator state where those leave it."""
+    from initsyn.laws import _below, _choice, _order
+
+    for seed in (0, 1, 7, 2**40 + 3):
+        ours, lib = random.Random(seed), random.Random(seed)
+        for n in range(1, 301):
+            assert _order(ours.getrandbits, n) == lib.sample(range(n), n), (seed, n)
+            pool = list(range(n))
+            assert _choice(ours.getrandbits, pool) == lib.choice(pool), (seed, n)
+            assert _below(ours.getrandbits, 4) == lib.randint(0, 3), (seed, n)
+        assert ours.getstate() == lib.getstate()
+    with pytest.raises(IndexError):
+        _choice(random.Random(1).getrandbits, [])
+
+
+class _RefExhausted(Exception):
+    pass
+
+
+class _ReferenceGenerator:
+    """The generator written node by node: each node matches every arity
+    of the goal's root, evaluates its argument and binder types and draws
+    with the library's ``sample``, ``choice`` and ``randint``."""
+
+    def __init__(self, sig, rng, pool):
+        self.sig, self.rng, self.pool, self.budget = sig, rng, pool, 40
+
+    def gen(self, goal, ctx, depth):
+        candidates = [i for i, t in enumerate(ctx) if t is goal]
+        terms = self.sig.terms
+        arities = [ar for ar in terms if not isinstance(ar.result, TVar) and ar.result.name == goal.name]
+        arities += [ar for ar in terms if isinstance(ar.result, TVar)]
+        for ar in arities:
+            if depth <= 1 and ar.args:
+                continue
+            binding = [None] * ar.degree
+            if _reference_match(ar.result, goal, binding):
+                candidates.append((ar, binding))
+        if not candidates:
+            return None
+        for which in self.rng.sample(range(len(candidates)), len(candidates)):
+            pick = candidates[which]
+            if isinstance(pick, int):
+                return Var(pick)
+            term = self._expand(*pick, ctx, depth)
+            if term is not None:
+                return term
+            self.budget -= 1
+            if self.budget <= 0:
+                raise _RefExhausted()
+        return None
+
+    def _expand(self, ar, binding, ctx, depth):
+        inst = tuple(b if b is not None else self.rng.choice(self.pool) for b in binding)
+        lit = self.rng.randint(0, 3) if ar.family_index else None
+        args = []
+        for spec in ar.args:
+            inner = tuple(eval_type_expr(inst, b) for b in spec.binders) + ctx
+            arg = self.gen(eval_type_expr(inst, spec.body), inner, depth - 1)
+            if arg is None:
+                return None
+            args.append(arg)
+        return Con(ar.name, lit, inst, tuple(args))
+
+
+def _reference_subtrees(t):
+    return [t] + [s for a in t.args for s in _reference_subtrees(a)]
+
+
+def _reference_gen_term(sig, ctx, goal, cfg, rng):
+    """``gen_term`` with its default pool, on ``_ReferenceGenerator``."""
+    pool = sorted(
+        set(ground_types(sig.all_types, 2))
+        | {s for t in ctx for s in _reference_subtrees(t)}
+        | (set(_reference_subtrees(goal)) if goal is not None else set()),
+        key=str,
+    )
+    if not pool and goal is None:
+        raise GenFailure("signature has no ground types")
+    g = _ReferenceGenerator(sig, rng, pool)
+    for _ in range(cfg.retries + 1):
+        target = goal if goal is not None else rng.choice(pool)
+        g.budget = 40
+        try:
+            term = g.gen(target, ctx, cfg.max_depth)
+        except _RefExhausted:
+            if goal is not None:
+                break
+            continue
+        if term is not None:
+            return term
+    if goal is not None:
+        hits = [i for i, t in enumerate(ctx) if t is goal]
+        if hits:
+            return Var(rng.choice(hits))
+    raise GenFailure(f"no term of type {goal} found in context {list(map(str, ctx))}")
+
+
+# constants with compound results, closed or not: their roots are leaf
+# roots, so the generator never probes an argument goal of those roots
+CONST_RESULT = """language KConst
+atoms { p q }
+types { impl : 2  and : 2 }
+terms {
+  k [0] : () -> impl(p,p)
+  dup [1] : () -> and($1,p)
+  lam [2] : ([$1] $2) -> impl($1,$2)
+  ap [2] : ([] impl($1,$2), [] $1) -> $2
+  fst [2] : ([] and($1,$2)) -> $1
+  pair [2] : ([] $1, [] $2) -> and($1,$2)
+}
+"""
+
+# a constant of every type: no goal is ever dead for want of a constant
+ANY_CONSTANT = """language KAny
+atoms { p q }
+types { impl : 2  and : 2 }
+terms {
+  any [1] : () -> $1
+  ap [2] : ([] impl($1,$2), [] $1) -> $2
+  fst [2] : ([] and($1,$2)) -> $1
+}
+"""
+
+# ``fix``'s argument goal equals its binder type, which only the binder may
+# hold alive; ``dne`` probes a nested goal and ``lit`` draws a literal
+BINDER_GOAL = """language Fix
+atoms { p q }
+types { impl : 2  box : 1  bot : 0 }
+terms {
+  unit [0] : () -> p
+  family lit [0] : () -> q
+  fix [1] : ([impl($1,$1)] impl($1,$1)) -> box($1)
+  unbox [1] : ([] box($1)) -> $1
+  lam [2] : ([$1] $2) -> impl($1,$2)
+  ap [2] : ([] impl($1,$2), [] $1) -> $2
+  dne [1] : ([] impl(impl($1,bot),bot)) -> $1
+}
+"""
+
+
+def _compound(sig, rng, parts):
+    """A type of a random constructor of ``sig`` over ``parts``, or one of
+    ``parts`` when every constructor is nullary."""
+    shapes = [(n, k) for n, k in sig.all_types.constructors.items() if k]
+    if not shapes:
+        return rng.choice(parts)
+    name, count = rng.choice(shapes)
+    return ObjType(name, tuple(rng.choice(parts) for _ in range(count)))
+
+
+def test_generator_agrees_with_the_reference_generator():
+    """Terms, ``GenFailure`` messages and the generator state after each
+    ``gen_term`` call equal those of a generator that builds every goal
+    type and draws through the library, on contexts that hold compound
+    types over the goal and goals of height up to four."""
+    from initsyn.surface import parse_signature
+
+    sigs = [get_language(n) for n in ("ULC", "PCF", "STLC", "IPC", "CPC")]
+    sigs += [parse_signature(t) for t in (CONST_RESULT, ANY_CONSTANT, BINDER_GOAL)]
+    calls = 0
+    for s, sig in enumerate(sigs):
+        pool = ground_types(sig.all_types, 2)
+        for case in range(160):
+            setup = random.Random(1000 * s + case)
+            goal = setup.choice(pool)
+            if setup.random() < 0.5:
+                goal = _compound(sig, setup, [goal] + pool)
+            ctx = [setup.choice(pool) for _ in range(setup.randint(0, 2))]
+            for _ in range(setup.randint(0, 3)):
+                ctx.insert(setup.randint(0, len(ctx)), _compound(sig, setup, [goal] + pool))
+            if setup.random() < 0.3:
+                ctx.append(goal)
+            cfg = GenConfig(
+                seed=case, cases=1, max_depth=setup.randint(1, 6), retries=setup.randint(0, 3)
+            )
+            for target in (goal, None):
+                ours, ref = random.Random(case), random.Random(case)
+                outcomes = []
+                for fn, rng in ((gen_term, ours), (_reference_gen_term, ref)):
+                    try:
+                        outcomes.append(fn(sig, tuple(ctx), target, cfg, rng=rng))
+                    except GenFailure as e:
+                        outcomes.append(("failure", str(e)))
+                assert outcomes[0] == outcomes[1], (sig.name, case, str(target))
+                assert ours.getstate() == ref.getstate(), (sig.name, case, str(target))
+                calls += 1
+    assert calls >= 2000
+
+
+def test_gen_term_on_deep_types_at_the_default_recursion_limit():
+    """The default pool collects the subtrees of the context and goal
+    without recursion, each distinct one once."""
+    ipc = get_language("IPC")
+    p, q = ObjType("p"), ObjType("q")
+    t = p
+    for _ in range(10_000):
+        t = ObjType("impl", (q, t))
+    shared = ObjType("and", (t, t))
+    assert len(subterms(shared)) == 1 + 10_000 + 2
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        term = gen_term(ipc, (t,), t, GenConfig(seed=1, cases=1))
+        assert infer(ipc, (t,), term) is t
+    finally:
+        sys.setrecursionlimit(old_limit)
