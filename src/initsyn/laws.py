@@ -554,6 +554,32 @@ def _show_sub(sub: Substitution) -> str:
 # Law checks
 
 
+def _run_cases(
+    law: str,
+    cfg: GenConfig,
+    draw: Callable[[random.Random], tuple],
+    check: Callable[..., str | None],
+) -> LawReport:
+    """Run ``cfg.cases`` cases of ``law``: seed case ``i``'s generator from
+    ``cfg.seed`` and ``i``, ``draw`` the case from it (a ``GenFailure``
+    skips the case), and stop at the first case for which
+    ``check(i, *case)`` returns a counterexample."""
+    run = skipped = 0
+    counterexample: str | None = None
+    for case in range(cfg.cases):
+        rng = random.Random(_mix(cfg.seed, case))
+        try:
+            drawn = draw(rng)
+        except GenFailure:
+            skipped += 1
+            continue
+        run += 1
+        counterexample = check(case, *drawn)
+        if counterexample is not None:
+            break
+    return LawReport(law, run, skipped, counterexample, cfg.seed)
+
+
 def check_monad_laws(
     sig: TypedSignature, cfg: GenConfig, substitute_fn=substitute
 ) -> LawReport:
@@ -563,19 +589,13 @@ def check_monad_laws(
     ``substitute_fn`` exists so tests can inject a broken substitution and
     watch the check fail.
     """
-    run = skipped = 0
-    counterexample: str | None = None
-    for case in range(cfg.cases):
-        rng = random.Random(_mix(cfg.seed, case))
-        try:
-            ctx, term = _case_term(sig, cfg, rng)
-            sub = gen_substitution(sig, ctx, cfg, rng)
-            sub2 = gen_substitution(sig, sub.codomain, cfg, rng, extension=1)
-        except GenFailure:
-            skipped += 1
-            continue
-        run += 1
 
+    def draw(rng: random.Random) -> tuple:
+        ctx, term = _case_term(sig, cfg, rng)
+        sub = gen_substitution(sig, ctx, cfg, rng)
+        return ctx, term, sub, gen_substitution(sig, sub.codomain, cfg, rng, extension=1)
+
+    def check(case: int, ctx: Context, term: Term, sub: Substitution, sub2: Substitution):
         def fail(law: str, detail: str = "") -> str:
             return (
                 f"case {case} ({law}): {_show_case(sig, ctx, term)}"
@@ -585,13 +605,9 @@ def check_monad_laws(
 
         for i in range(len(ctx)):
             if substitute_fn(sig, Var(i), sub) != sub.images[i]:
-                counterexample = fail("left unit", f"at #{i}")
-                break
-        if counterexample:
-            break
+                return fail("left unit", f"at #{i}")
         if substitute_fn(sig, term, identity_substitution(ctx)) != term:
-            counterexample = fail("right unit")
-            break
+            return fail("right unit")
         lhs = substitute_fn(sig, substitute_fn(sig, term, sub), sub2)
         composed = Substitution(
             ctx,
@@ -599,32 +615,26 @@ def check_monad_laws(
             tuple(substitute_fn(sig, img, sub2) for img in sub.images),
         )
         if lhs != substitute_fn(sig, term, composed):
-            counterexample = fail("associativity")
-            break
+            return fail("associativity")
         if infer(sig, sub.codomain, substitute_fn(sig, term, sub)) != infer(
             sig, ctx, term
         ):
-            counterexample = fail("type preservation")
-            break
-    return LawReport(f"monad-laws({sig.name})", run, skipped, counterexample, cfg.seed)
+            return fail("type preservation")
+        return None
+
+    return _run_cases(f"monad-laws({sig.name})", cfg, draw, check)
 
 
 def check_translation_laws(x: Representation, cfg: GenConfig) -> LawReport:
     """Substitution commutation, type preservation, and the variable clause
     for a translation, on generated source terms and substitutions."""
     src = x.source
-    run = skipped = 0
-    counterexample: str | None = None
-    for case in range(cfg.cases):
-        rng = random.Random(_mix(cfg.seed, case))
-        try:
-            ctx, term = _case_term(src, cfg, rng)
-            sub = gen_substitution(src, ctx, cfg, rng)
-        except GenFailure:
-            skipped += 1
-            continue
-        run += 1
 
+    def draw(rng: random.Random) -> tuple:
+        ctx, term = _case_term(src, cfg, rng)
+        return ctx, term, gen_substitution(src, ctx, cfg, rng)
+
+    def check(case: int, ctx: Context, term: Term, sub: Substitution):
         def fail(law: str, detail: str = "") -> str:
             return (
                 f"case {case} ({law}): {_show_case(src, ctx, term)}"
@@ -633,47 +643,33 @@ def check_translation_laws(x: Representation, cfg: GenConfig) -> LawReport:
 
         for i in range(len(ctx)):
             if translate_term(x, ctx, Var(i)) != Var(i):
-                counterexample = fail("variable clause", f"at #{i}")
-                break
-        if counterexample:
-            break
+                return fail("variable clause", f"at #{i}")
         translated = translate_term(x, ctx, term)
         expected_ty = translate_type(x.type_map, infer(src, ctx, term))
         actual_ty = infer(x.target, retype_context(x.type_map, ctx), translated)
         if actual_ty != expected_ty:
-            counterexample = fail(
-                "type preservation", f"expected {expected_ty}, found {actual_ty}"
-            )
-            break
+            return fail("type preservation", f"expected {expected_ty}, found {actual_ty}")
         lhs = translate_term(x, sub.codomain, substitute(src, term, sub))
         sub_t = Substitution(
             retype_context(x.type_map, ctx),
             retype_context(x.type_map, sub.codomain),
             tuple(translate_term(x, sub.codomain, img) for img in sub.images),
         )
-        rhs = substitute(x.target, translated, sub_t)
-        if lhs != rhs:
-            counterexample = fail("substitution commutation")
-            break
-    return LawReport(
-        f"translation-laws({x.name})", run, skipped, counterexample, cfg.seed
-    )
+        if lhs != substitute(x.target, translated, sub_t):
+            return fail("substitution commutation")
+        return None
+
+    return _run_cases(f"translation-laws({x.name})", cfg, draw, check)
 
 
 def check_agreement(x: Representation, oracle, cfg: GenConfig) -> LawReport:
     """The engine against an independently written translator."""
-    src = x.source
-    run = skipped = 0
-    counterexample: str | None = None
-    for case in range(cfg.cases):
-        rng = random.Random(_mix(cfg.seed, case))
-        try:
-            ctx, term = _case_term(src, cfg, rng)
-        except GenFailure:
-            skipped += 1
-            continue
-        run += 1
+
+    def check(case: int, ctx: Context, term: Term):
         if translate_term(x, ctx, term) != oracle(ctx, term):
-            counterexample = f"case {case}: {_show_case(src, ctx, term)}"
-            break
-    return LawReport(f"agreement({x.name})", run, skipped, counterexample, cfg.seed)
+            return f"case {case}: {_show_case(x.source, ctx, term)}"
+        return None
+
+    return _run_cases(
+        f"agreement({x.name})", cfg, lambda rng: _case_term(x.source, cfg, rng), check
+    )

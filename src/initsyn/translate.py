@@ -23,11 +23,12 @@ syntax cannot express:
   instantiation the engine can ever perform.
 
 Validation substitutes fresh opaque nullary type constants for the type
-parameters and typechecks each template once; equality of opaque types
-forces equality at every instantiation, so validated templates never
-produce ill-typed output.  When the target generates at most one ground
-type the unique type itself is substituted instead, which makes the check
-exact for unityped targets.
+parameters and typechecks each template once, in the walk that compiles
+it; equality of opaque types forces equality at every instantiation, so
+validated templates never produce ill-typed output.  When the target
+generates at most one ground type the unique type itself is substituted
+instead, which makes the check exact for unityped targets.  A template
+that ``validate_translation`` did not compile is checked on first use.
 """
 
 from __future__ import annotations
@@ -284,13 +285,7 @@ def build_stability_witness(sig: TypedSignature, ty: ObjType, d: Term) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Validation
-
-
-class _TplError(Exception):
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.message = message
+# Validation and compilation
 
 
 def _opaque_inst(target: TypedSignature, n: int) -> tuple[ObjType, ...]:
@@ -326,130 +321,21 @@ def _arity_images(
     return _ArityImages(binders, bodies, result)
 
 
-class _TemplateChecker:
-    def __init__(
-        self,
-        x: Translation,
-        ar: TermArity,
-        inst: tuple[ObjType, ...],
-        images: _ArityImages,
-        macro_types: dict[str, ObjType],
-        stab_ok: bool,
-    ):
-        self.x = x
-        self.ar = ar
-        self.inst = inst
-        self.images = images
-        self.macro_types = macro_types
-        self.stab_ok = stab_ok
-
-    def check(self, tpl: Template) -> ObjType:
-        return self._walk(tpl, (), None)
-
-    def _eval(self, e: TypeExpr) -> ObjType:
-        types = self.x.target.all_types.constructors
-        error = next(type_expr_errors(types, e, self.ar.degree), None)
-        if error is not None:
-            raise _TplError(f"type expression {e}: {error}")
-        return eval_type_expr(self.inst, e)
-
-    def _walk(
-        self, tpl: Template, ctx: Context, hole: tuple[ObjType, int] | None
-    ) -> ObjType:
-        match tpl:
-            case TplVar(index=i):
-                if not 0 <= i < len(ctx):
-                    raise _TplError(f"unbound template variable #{i}")
-                return ctx[i]
-            case TplMeta(index=j):
-                if not 1 <= j <= len(self.ar.args):
-                    raise _TplError(
-                        f"Meta({j}) out of range; arity has {len(self.ar.args)} arguments"
-                    )
-                expected = self.images.binders[j - 1]
-                if ctx[: len(expected)] != expected:
-                    raise _TplError(f"binder context mismatch at Meta({j})")
-                return self.images.bodies[j - 1]
-            case TplMacro(name=name):
-                if name not in self.macro_types:
-                    raise _TplError(f"unknown macro '{name}'")
-                return self.macro_types[name]
-            case TplCon():
-                return self._walk_con(tpl, ctx, hole)
-        raise _TplError(f"not a template: {tpl!r}")
-
-    def _walk_con(
-        self, tpl: TplCon, ctx: Context, hole: tuple[ObjType, int] | None
-    ) -> ObjType:
-        if tpl.name == HOLE:
-            if hole is None:
-                raise _TplError("__hole outside __iter")
-            if tpl.inst or tpl.lit is not None or tpl.args:
-                raise _TplError("__hole takes no literal, type parameters or sub-templates")
-            ty, depth = hole
-            if len(ctx) != depth:
-                raise _TplError("__hole under a binder introduced by the step")
-            return ty
-        if tpl.name == ITER:
-            if not self.ar.family_index:
-                raise _TplError("__iter in a template for a non-family arity")
-            if tpl.inst or tpl.lit is not None or len(tpl.args) != 2:
-                raise _TplError("__iter takes exactly two sub-templates")
-            step, base = tpl.args
-            base_ty = self._walk(base, ctx, hole)
-            step_ty = self._walk(step, ctx, (base_ty, len(ctx)))
-            if step_ty != base_ty:
-                raise _TplError(
-                    f"__iter step has type {step_ty}, base has type {base_ty}"
-                )
-            return base_ty
-        if tpl.name == STAB:
-            if not self.stab_ok:
-                raise _TplError(
-                    "__stab needs the impl/and/top/bot kit in the target and "
-                    "double-negation stable type templates"
-                )
-            if len(tpl.inst) != 1 or len(tpl.args) != 1 or tpl.lit is not None:
-                raise _TplError("__stab takes one type expression and one sub-template")
-            if not _stable_expr(tpl.inst[0]):
-                raise _TplError(
-                    f"__stab type {tpl.inst[0]} is not double-negation stable"
-                )
-            ty = self._eval(tpl.inst[0])
-            arg_ty = self._walk(tpl.args[0], ctx, hole)
-            if arg_ty != _nn(ty):
-                raise _TplError(
-                    f"__stab argument has type {arg_ty}, expected {_nn(ty)}"
-                )
-            return ty
-
-        target = self.x.target
-        tar = target.arity(tpl.name)
-        if tar is None:
-            raise _TplError(f"unknown target arity '{tpl.name}'")
-        if tar.family_index:
-            if tpl.lit is None and not self.ar.family_index:
-                raise _TplError(
-                    f"'{tpl.name}' needs a family literal (no source literal to pass through)"
-                )
-        elif tpl.lit is not None:
-            raise _TplError(f"'{tpl.name}' is not family-indexed")
-        if len(tpl.inst) != tar.degree:
-            raise _TplError(
-                f"'{tpl.name}' expects {tar.degree} type parameters, got {len(tpl.inst)}"
-            )
-        node_inst = tuple(self._eval(e) for e in tpl.inst)
-        if len(tpl.args) != len(tar.args):
-            raise _TplError(
-                f"'{tpl.name}' expects {len(tar.args)} arguments, got {len(tpl.args)}"
-            )
-        for spec, sub in zip(tar.args, tpl.args):
-            inner = tuple(eval_type_expr(node_inst, b) for b in spec.binders) + ctx
-            expected = eval_type_expr(node_inst, spec.body)
-            actual = self._walk(sub, inner, hole)
-            if actual != expected:
-                raise _TplError(f"expected {expected}, found {actual}")
-        return eval_type_expr(node_inst, tar.result)
+def _template_scope(x: Translation) -> tuple[dict[str, ObjType], list[str], bool]:
+    """What templates may refer to: the type of each macro that typechecks,
+    a message for each one that does not, and whether ``__stab`` is
+    allowed."""
+    macro_types: dict[str, ObjType] = {}
+    errors: list[str] = []
+    for name, body in x.macros.items():
+        try:
+            macro_types[name] = infer(x.target, (), body)
+        except TypeCheckError as exc:
+            errors.append(f"macro '{name}': {exc}")
+    stab_ok = _has_negation_kit(x.target) and all(
+        _stable_expr(tpl) for tpl in x.type_map.templates.values()
+    )
+    return macro_types, errors, stab_ok
 
 
 def validate_translation(x: Translation) -> ValidationReport:
@@ -457,21 +343,14 @@ def validate_translation(x: Translation) -> ValidationReport:
 
     Sound and incomplete: templates whose well-typedness depends on the
     concrete instantiation are rejected (except over unityped targets,
-    where the single ground type makes the check exact).
+    where the single ground type makes the check exact).  Each template
+    that passes is compiled by the same walk and kept for
+    ``instantiate_template``.
     """
     type_errors = x.type_map.check()
     out: list[str] = [f"types: {msg}" for msg in type_errors]
-
-    macro_types: dict[str, ObjType] = {}
-    for name, body in x.macros.items():
-        try:
-            macro_types[name] = infer(x.target, (), body)
-        except TypeCheckError as exc:
-            out.append(f"macro '{name}': {exc}")
-
-    stab_ok = _has_negation_kit(x.target) and all(
-        _stable_expr(tpl) for tpl in x.type_map.templates.values()
-    )
+    macro_types, macro_errors, stab_ok = _template_scope(x)
+    out += macro_errors
 
     for ar in x.source.terms:
         tpl = x.term_map.get(ar.name)
@@ -480,14 +359,9 @@ def validate_translation(x: Translation) -> ValidationReport:
             continue
         if type_errors:
             continue  # type map broken; per-arity checks would only cascade
-        inst = _opaque_inst(x.target, ar.degree)
-        images = _arity_images(x, ar, inst)
-        checker = _TemplateChecker(x, ar, inst, images, macro_types, stab_ok)
         try:
-            actual = checker.check(tpl)
-            if actual != images.result:
-                raise _TplError(f"template has type {actual}, expected {images.result}")
-        except _TplError as exc:
+            x._compiled[ar.name] = (tpl, ar, _compile(x, ar, tpl, macro_types, stab_ok))
+        except TypeCheckError as exc:
             out.append(f"arity '{ar.name}': {exc.message}")
     for name in x.term_map:
         if x.source.arity(name) is None:
@@ -511,21 +385,27 @@ def instantiate_template(
 
     ``inst`` is the already translated instantiation; each placeholder
     occurrence is shifted by the number of template binders it sits under
-    beyond the argument's own expected binders.  For validated translations
-    the result is well typed at the translated result type in any context
-    in which the translated arguments are; ``ctx`` is unused and only kept
-    for existing callers.
+    beyond the argument's own expected binders.  The result is well typed
+    at the translated result type in any context in which the translated
+    arguments are; ``ctx`` is unused and only kept for existing callers.
 
-    The template is compiled once per ``Translation`` object, on first use,
-    into a function that plugs in the arguments (see ``_compile``): every
-    closed subtemplate is built then, and all outputs share that one term.
-    The compiled form is kept with the template and ``ar`` it was made
-    from, and is made again when either is another object.
+    The template is checked and compiled once per ``Translation`` object
+    (see ``_compile``), by ``validate_translation`` or else on first use
+    here: every closed subtemplate is built then, and all outputs share
+    that one term.  The compiled form is kept with the template and ``ar``
+    it was made from, and is made again when either is another object.  A
+    template that fails its check raises ``TypeCheckError`` with the entry
+    ``validate_translation`` reports for it, at every call.
     """
     tpl = x.term_map[ar.name]
     entry = x._compiled.get(ar.name)
     if entry is None or entry[0] is not tpl or entry[1] is not ar:
-        entry = x._compiled[ar.name] = (tpl, ar, _compile(x, ar, tpl))
+        macro_types, _, stab_ok = _template_scope(x)
+        try:
+            compiled = _compile(x, ar, tpl, macro_types, stab_ok)
+        except TypeCheckError as exc:
+            raise TypeCheckError(f"arity '{ar.name}': {exc.message}") from None
+        entry = x._compiled[ar.name] = (tpl, ar, compiled)
     return entry[2](inst, translated_args, lit, None)
 
 
@@ -537,66 +417,166 @@ def instantiate_template(
 _Compiled = tuple
 
 
-def _compile(x: Translation, ar: TermArity, tpl: Template) -> Callable:
-    """The template of ``ar`` as a function of (inst, args, lit, hole).
+def _compile(
+    x: Translation,
+    ar: TermArity,
+    tpl: Template,
+    macro_types: dict[str, ObjType],
+    stab_ok: bool,
+) -> Callable:
+    """Check the template of ``ar`` and compile it into a function of
+    (inst, args, lit, hole), in one walk.
 
-    A closed type expression is evaluated here and ``$k`` becomes
-    ``inst[k-1]``; each placeholder carries its weakening amount; a node
-    whose type parameters, literal and arguments are all fixed is built
-    here.  A node that cannot be instantiated (an unvalidated template)
-    becomes a function that raises the error that walking the template
-    node by node raises there, so errors come in the same order.
+    Each node is typed at the opaque instantiation (``_opaque_inst``) in
+    the template's own binder context, and the first check that fails
+    raises ``TypeCheckError``.  Each closed type expression is evaluated
+    here and ``$k`` becomes ``inst[k-1]``; each placeholder carries its
+    weakening amount; a node whose type parameters, literal and arguments
+    are all fixed is built here, a closed ``__stab`` witness included.
     """
-    binder_counts = tuple(len(spec.binders) for spec in ar.args)
     target = x.target
+    inst0 = _opaque_inst(target, ar.degree)
+    images = _arity_images(x, ar, inst0)
 
-    def comp(tpl: Template, depth: int, hole_depth: int | None) -> _Compiled:
+    def type_expr(e: TypeExpr) -> _Compiled:
+        error = next(type_expr_errors(target.all_types.constructors, e, ar.degree), None)
+        if error is not None:
+            raise TypeCheckError(f"type expression {e}: {error}")
+        return compile_type_expr(e, ar.degree)
+
+    # -> (type at inst0, compiled form); ``hole``: type and depth of the ``__hole`` in scope
+    def walk(
+        tpl: Template, ctx: Context, hole: tuple[ObjType, int] | None
+    ) -> tuple[ObjType, _Compiled]:
         if isinstance(tpl, TplVar):
-            return Var(tpl.index), None
+            i = tpl.index
+            if not 0 <= i < len(ctx):
+                raise TypeCheckError(f"unbound template variable #{i}")
+            return ctx[i], (Var(i), None)
         if isinstance(tpl, TplMeta):
             j = tpl.index
-            if not 1 <= j <= len(binder_counts):
-                return _raiser(TypeCheckError, f"Meta({j}) out of range (validation skipped?)")
-            expected = binder_counts[j - 1]
-            if depth < expected:
-                return _raiser(
-                    TypeCheckError, f"Meta({j}) under too few binders (validation skipped?)"
+            if not 1 <= j <= len(ar.args):
+                raise TypeCheckError(
+                    f"Meta({j}) out of range; arity has {len(ar.args)} arguments"
                 )
-            amount = depth - expected
+            expected = images.binders[j - 1]
+            if ctx[: len(expected)] != expected:
+                raise TypeCheckError(f"binder context mismatch at Meta({j})")
+            outer, amount = len(expected), len(ctx) - len(expected)
             if amount == 0:
-                return None, lambda inst, args, lit, hole: args[j - 1]
-            return None, lambda inst, args, lit, hole: weaken(
-                target, args[j - 1], expected, amount
+                return images.bodies[j - 1], (None, lambda inst, args, lit, hole: args[j - 1])
+            return images.bodies[j - 1], (
+                None,
+                lambda inst, args, lit, hole: weaken(target, args[j - 1], outer, amount),
             )
         if isinstance(tpl, TplMacro):
-            if tpl.name not in x.macros:
-                return _raiser(KeyError, tpl.name)
-            return x.macros[tpl.name], None
+            if tpl.name not in macro_types:
+                raise TypeCheckError(f"unknown macro '{tpl.name}'")
+            return macro_types[tpl.name], (x.macros[tpl.name], None)
         if not isinstance(tpl, TplCon):
-            return _raiser(TypeCheckError, f"not a template: {tpl!r}")
+            raise TypeCheckError(f"not a template: {tpl!r}")
         if tpl.name == HOLE:
-            if hole_depth is None:
-                return _raiser(TypeCheckError, "__hole outside __iter (validation skipped?)")
-            if depth != hole_depth:
-                return _raiser(TypeCheckError, "__hole under a binder (validation skipped?)")
-            return None, lambda inst, args, lit, hole: hole
+            if hole is None:
+                raise TypeCheckError("__hole outside __iter")
+            if tpl.inst or tpl.lit is not None or tpl.args:
+                raise TypeCheckError(
+                    "__hole takes no literal, type parameters or sub-templates"
+                )
+            if len(ctx) != hole[1]:
+                raise TypeCheckError("__hole under a binder introduced by the step")
+            return hole[0], (None, lambda inst, args, lit, hole: hole)
         if tpl.name == ITER:
-            return None, comp_iter(tpl, depth, hole_depth)
+            return walk_iter(tpl, ctx, hole)
         if tpl.name == STAB:
-            return comp_stab(tpl, depth, hole_depth)
+            return walk_stab(tpl, ctx, hole)
+        return walk_con(tpl, ctx, hole)
 
-        tar = target.arity(tpl.name)
-        if tar is None:
-            return _raiser(TypeCheckError, f"unknown target arity '{tpl.name}'")
+    def walk_iter(
+        tpl: TplCon, ctx: Context, hole: tuple[ObjType, int] | None
+    ) -> tuple[ObjType, _Compiled]:
+        if not ar.family_index:
+            raise TypeCheckError("__iter in a template for a non-family arity")
+        if tpl.inst or tpl.lit is not None or len(tpl.args) != 2:
+            raise TypeCheckError("__iter takes exactly two sub-templates")
+        base_ty, base = walk(tpl.args[1], ctx, hole)
+        step_ty, step = walk(tpl.args[0], ctx, (base_ty, len(ctx)))
+        if step_ty != base_ty:
+            raise TypeCheckError(f"__iter step has type {step_ty}, base has type {base_ty}")
+        step_of, base_of = _function(step), _function(base)
+
+        def iterate(inst, args, lit, hole):
+            if lit is None:
+                raise TypeCheckError("__iter without a family literal")
+            acc = base_of(inst, args, lit, hole)
+            for _ in range(lit):
+                acc = step_of(inst, args, lit, acc)
+            return acc
+
+        return base_ty, (None, iterate)
+
+    def walk_stab(
+        tpl: TplCon, ctx: Context, hole: tuple[ObjType, int] | None
+    ) -> tuple[ObjType, _Compiled]:
+        if not stab_ok:
+            raise TypeCheckError(
+                "__stab needs the impl/and/top/bot kit in the target and "
+                "double-negation stable type templates"
+            )
+        if len(tpl.inst) != 1 or len(tpl.args) != 1 or tpl.lit is not None:
+            raise TypeCheckError("__stab takes one type expression and one sub-template")
+        if not _stable_expr(tpl.inst[0]):
+            raise TypeCheckError(f"__stab type {tpl.inst[0]} is not double-negation stable")
+        ty_c = type_expr(tpl.inst[0])
+        ty = type_function(ty_c)(inst0)
+        arg_ty, inner = walk(tpl.args[0], ctx, hole)
+        if arg_ty != _nn(ty):
+            raise TypeCheckError(f"__stab argument has type {arg_ty}, expected {_nn(ty)}")
+        if ty_c[0] is not None and inner[0] is not None:
+            return ty, (build_stability_witness(target, ty_c[0], inner[0]), None)
+        ty_of, inner_of = type_function(ty_c), _function(inner)
+
+        def stab(inst, args, lit, hole):
+            return build_stability_witness(target, ty_of(inst), inner_of(inst, args, lit, hole))
+
+        return ty, (None, stab)
+
+    def walk_con(
+        tpl: TplCon, ctx: Context, hole: tuple[ObjType, int] | None
+    ) -> tuple[ObjType, _Compiled]:
         name, node_lit = tpl.name, tpl.lit
+        tar = target.arity(name)
+        if tar is None:
+            raise TypeCheckError(f"unknown target arity '{name}'")
+        if tar.family_index:
+            if node_lit is None and not ar.family_index:
+                raise TypeCheckError(
+                    f"'{name}' needs a family literal (no source literal to pass through)"
+                )
+        elif node_lit is not None:
+            raise TypeCheckError(f"'{name}' is not family-indexed")
+        if len(tpl.inst) != tar.degree:
+            raise TypeCheckError(
+                f"'{name}' expects {tar.degree} type parameters, got {len(tpl.inst)}"
+            )
+        types = [type_expr(e) for e in tpl.inst]
+        node_inst = tuple([type_function(t)(inst0) for t in types])
+        if len(tpl.args) != len(tar.args):
+            raise TypeCheckError(
+                f"'{name}' expects {len(tar.args)} arguments, got {len(tpl.args)}"
+            )
+        subs = []
+        for spec, sub in zip(tar.args, tpl.args):
+            inner = tuple(eval_type_expr(node_inst, b) for b in spec.binders) + ctx
+            expected = eval_type_expr(node_inst, spec.body)
+            actual, compiled = walk(sub, inner, hole)
+            if actual != expected:
+                raise TypeCheckError(f"expected {expected}, found {actual}")
+            subs.append(compiled)
+        result = eval_type_expr(node_inst, tar.result)
+
         passthrough = tar.family_index and node_lit is None
-        types = [compile_type_expr(e, ar.degree) for e in tpl.inst]
-        subs = [
-            comp(sub, depth + len(spec.binders), hole_depth)
-            for spec, sub in zip(tar.args, tpl.args)
-        ]
         if not passthrough and all(fixed is not None for fixed, _ in types + subs):
-            return Con(name, node_lit, _fixed(types), _fixed(subs)), None
+            return result, (Con(name, node_lit, _fixed(types), _fixed(subs)), None)
         fixed_inst = _fixed(types) if all(t is not None for t, _ in types) else None
         inst_fns = [type_function(t) for t in types]
         arg_fns = [_function(s) for s in subs]
@@ -609,59 +589,12 @@ def _compile(x: Translation, ar: TermArity, tpl: Template) -> Callable:
                 tuple([f(inst, args, lit, hole) for f in arg_fns]),
             )
 
-        return None, node
+        return result, (None, node)
 
-    def comp_iter(tpl: TplCon, depth: int, hole_depth: int | None) -> Callable:
-        if len(tpl.args) != 2:
-
-            def bad_shape(inst, args, lit, hole):
-                if lit is None:
-                    raise TypeCheckError("__iter without a family literal")
-                step, base = tpl.args  # raises the ValueError of a wrong count
-
-            return bad_shape
-        step = _function(comp(tpl.args[0], depth, depth))
-        base = _function(comp(tpl.args[1], depth, hole_depth))
-
-        def iterate(inst, args, lit, hole):
-            if lit is None:
-                raise TypeCheckError("__iter without a family literal")
-            acc = base(inst, args, lit, hole)
-            for _ in range(lit):
-                acc = step(inst, args, lit, acc)
-            return acc
-
-        return iterate
-
-    def comp_stab(tpl: TplCon, depth: int, hole_depth: int | None) -> _Compiled:
-        if not tpl.inst:
-            return _raiser(IndexError, "tuple index out of range")
-        ty = compile_type_expr(tpl.inst[0], ar.degree)
-        if tpl.args:
-            inner = comp(tpl.args[0], depth, hole_depth)
-        else:
-            inner = _raiser(IndexError, "tuple index out of range")
-        if ty[0] is not None and inner[0] is not None:
-            try:
-                return build_stability_witness(target, ty[0], inner[0]), None
-            except TypeCheckError:
-                pass  # raised again on every call
-        ty_of, inner_of = type_function(ty), _function(inner)
-
-        def stab(inst, args, lit, hole):
-            ty = ty_of(inst)
-            return build_stability_witness(target, ty, inner_of(inst, args, lit, hole))
-
-        return None, stab
-
-    return _function(comp(tpl, 0, None))
-
-
-def _raiser(exc_type: type, message: str) -> _Compiled:
-    def raise_error(*_):
-        raise exc_type(message)
-
-    return None, raise_error
+    ty, compiled = walk(tpl, (), None)
+    if ty != images.result:
+        raise TypeCheckError(f"template has type {ty}, expected {images.result}")
+    return _function(compiled)
 
 
 def _fixed(parts: list[_Compiled]) -> tuple:
@@ -688,7 +621,8 @@ def translate_term(x: Representation, ctx: Context, term: Term) -> Term:
     and every instantiation, so each distinct type is translated once; and,
     per distinct (arity, instantiation) pair, the arity with its translated
     instantiation and, for opaque representations, its translated binder
-    and result types.
+    and result types.  A node with the wrong number of type parameters
+    (checked once per pair) or of arguments raises ``infer``'s error.
     """
     g = x.type_map
     opaque = isinstance(x, OpaqueRepresentation)
@@ -706,12 +640,20 @@ def translate_term(x: Representation, ctx: Context, term: Term) -> Term:
             ar = x.source.arity(t.name)
             if ar is None:
                 raise TypeCheckError(f"unknown arity '{t.name}'")
+            if len(t.inst) != ar.degree:
+                raise TypeCheckError(
+                    f"'{t.name}' expects {ar.degree} type parameters, got {len(t.inst)}"
+                )
             inst_t = _retype(g, t.inst, types)
             images = _arity_images(x, ar, inst_t) if opaque else None
-            shape = shapes[key] = (ar, inst_t, images)
-        ar, inst_t, images = shape
+            shape = shapes[key] = (ar, inst_t, images, len(ar.args))
+        ar, inst_t, images, arg_count = shape
+        if len(t.args) != arg_count:
+            raise TypeCheckError(
+                f"'{t.name}' expects {arg_count} arguments, got {len(t.args)}"
+            )
         if not opaque:
-            args = tuple([go(a, ctx_t) for a, _ in zip(t.args, ar.args)])
+            args = tuple([go(a, ctx_t) for a in t.args])
             return instantiate_template(x, ar, inst_t, args, ctx_t, t.lit)
         args = tuple([go(a, b + ctx_t) for a, b in zip(t.args, images.binders)])
         op = x.ops.get(t.name)

@@ -1,16 +1,19 @@
 """Compiled templates against a reference walk of the template tree.
 
-``instantiate_template`` compiles each template once per translation; the
-walk below instantiates a template node by node at every call, as the
-engine used to, and stays here only as the reference."""
+``instantiate_template`` checks and compiles each template once per
+translation; the walk below instantiates a validated template node by node
+at every call, as the engine used to, and stays here only as the
+reference."""
 
 import random
 
 import pytest
 
-from initsyn.languages import get_language, get_translation, list_builtins
+from initsyn import translate
+from initsyn.languages import _read, get_language, get_translation, list_builtins
 from initsyn.objtypes import ObjType, eval_type_expr, ground_types
 from initsyn.signatures import TApp, TVar
+from initsyn.surface import parse_translation, translation_header
 from initsyn.terms import Con, TypeCheckError, Var, weaken
 from initsyn.translate import (
     HOLE,
@@ -26,6 +29,7 @@ from initsyn.translate import (
     instantiate_template,
     retype_inst,
     translate_term,
+    validate_translation,
 )
 
 BOOL, STAR = ObjType("Bool"), ObjType("*")
@@ -33,7 +37,7 @@ BUILTIN_TRANSLATIONS = ["pcf2ulc-turing", "pcf2ulc-curry", "cpc2ipc-godel-gentze
 
 
 def reference_instantiate(x, ar, inst, translated_args, lit=None):
-    """The template of ``ar`` walked node by node."""
+    """The template of ``ar``, which validates, walked node by node."""
     binder_counts = tuple(len(spec.binders) for spec in ar.args)
 
     def build(tpl, depth, hole):
@@ -41,42 +45,25 @@ def reference_instantiate(x, ar, inst, translated_args, lit=None):
             case TplVar(index=i):
                 return Var(i)
             case TplMeta(index=j):
-                if not 1 <= j <= len(binder_counts):
-                    raise TypeCheckError(f"Meta({j}) out of range (validation skipped?)")
                 expected = binder_counts[j - 1]
-                if depth < expected:
-                    raise TypeCheckError(
-                        f"Meta({j}) under too few binders (validation skipped?)"
-                    )
                 return weaken(x.target, translated_args[j - 1], expected, depth - expected)
             case TplMacro(name=name):
                 return x.macros[name]
-            case TplCon():
-                pass
-            case _:
-                raise TypeCheckError(f"not a template: {tpl!r}")
         if tpl.name == HOLE:
-            if hole is None:
-                raise TypeCheckError("__hole outside __iter (validation skipped?)")
-            term, at_depth = hole
-            if depth != at_depth:
-                raise TypeCheckError("__hole under a binder (validation skipped?)")
-            return term
+            return hole
         if tpl.name == ITER:
             if lit is None:
                 raise TypeCheckError("__iter without a family literal")
             step, base = tpl.args
             acc = build(base, depth, hole)
             for _ in range(lit):
-                acc = build(step, depth, (acc, depth))
+                acc = build(step, depth, acc)
             return acc
         if tpl.name == STAB:
             ty = eval_type_expr(inst, tpl.inst[0])
             inner = build(tpl.args[0], depth, hole)
             return build_stability_witness(x.target, ty, inner)
         tar = x.target.arity(tpl.name)
-        if tar is None:
-            raise TypeCheckError(f"unknown target arity '{tpl.name}'")
         node_lit = tpl.lit
         if tar.family_index and node_lit is None:
             node_lit = lit
@@ -88,13 +75,6 @@ def reference_instantiate(x, ar, inst, translated_args, lit=None):
         return Con(tpl.name, node_lit, node_inst, new_args)
 
     return build(x.term_map[ar.name], 0, None)
-
-
-def _outcome(fn):
-    try:
-        return fn()
-    except Exception as exc:  # the type and message must agree too
-        return (type(exc), str(exc))
 
 
 def _translations():
@@ -155,8 +135,13 @@ def test_closed_templates_are_shared():
 def test_closed_stability_witness_is_shared():
     gg = get_translation("cpc2ipc-godel-gentzen")
     top_i = gg.source.arity("topI")
-    closed = TplCon(STAB, None, (TApp("top"),), (gg.term_map["topI"],))
+    bot = TApp("bot")
+    nn_top = TApp("impl", (TApp("impl", (TApp("top"), bot)), bot))
+    body = TplCon("implE", None, (nn_top, bot), (TplVar(0), gg.term_map["topI"]))
+    witness_of = TplCon("implI", None, (TApp("impl", (nn_top, bot)), bot), (body,))
+    closed = TplCon(STAB, None, (nn_top,), (witness_of,))
     x = Translation(gg.name, gg.source, gg.target, gg.type_map, dict(gg.term_map, topI=closed))
+    assert validate_translation(x).ok
     first = instantiate_template(x, top_i, (), (), ())
     assert first == reference_instantiate(x, top_i, (), ())
     assert instantiate_template(x, top_i, (), (), ()) is first
@@ -184,48 +169,97 @@ def _con(name, *args, inst=()):
     return TplCon(name, None, inst, args)
 
 
-# (translation, source arity, unvalidated template)
+# (translation, source arity, unvalidated template, its validate_translation entry)
 _BROKEN = {
-    "meta out of range": ("pcf2ulc-turing", "rec", _con("app", TplMeta(1), TplMeta(3))),
-    "hole outside iter": ("pcf2ulc-turing", "rec", _con("abs", _hole())),
-    "unknown arity": ("pcf2ulc-turing", "rec", _con("abs", _con("nope"))),
-    "unknown macro": ("pcf2ulc-turing", "rec", _con("app", TplMacro("Nope"), TplMeta(1))),
-    "iter in non-family": ("pcf2ulc-turing", "tttt", _con(ITER, TplVar(0), TplVar(0))),
-    "iter of three": ("pcf2ulc-turing", "nats", _con(ITER, TplVar(0), TplVar(0), TplVar(0))),
-    "broken step": ("pcf2ulc-turing", "nats", _con("abs", _con(ITER, _con("nope"), TplVar(0)))),
-    "hole under binder": ("pcf2ulc-turing", "nats", _con(ITER, _con("abs", _hole()), TplVar(0))),
+    "meta out of range": (
+        "pcf2ulc-turing",
+        "rec",
+        _con("app", TplMeta(1), TplMeta(3)),
+        "Meta(3) out of range; arity has 1 arguments",
+    ),
+    "hole outside iter": ("pcf2ulc-turing", "rec", _con("abs", _hole()), "__hole outside __iter"),
+    "unknown arity": (
+        "pcf2ulc-turing",
+        "rec",
+        _con("abs", _con("nope")),
+        "unknown target arity 'nope'",
+    ),
+    "unknown macro": (
+        "pcf2ulc-turing",
+        "rec",
+        _con("app", TplMacro("Nope"), TplMeta(1)),
+        "unknown macro 'Nope'",
+    ),
+    "iter in non-family": (
+        "pcf2ulc-turing",
+        "tttt",
+        _con(ITER, TplVar(0), TplVar(0)),
+        "__iter in a template for a non-family arity",
+    ),
+    "iter of three": (
+        "pcf2ulc-turing",
+        "nats",
+        _con(ITER, TplVar(0), TplVar(0), TplVar(0)),
+        "__iter takes exactly two sub-templates",
+    ),
+    "broken step": (
+        "pcf2ulc-turing",
+        "nats",
+        _con("abs", _con(ITER, _con("nope"), TplVar(0))),
+        "unknown target arity 'nope'",
+    ),
+    "hole under binder": (  # the base is checked before the step
+        "pcf2ulc-turing",
+        "nats",
+        _con(ITER, _con("abs", _hole()), TplVar(0)),
+        "unbound template variable #0",
+    ),
     "type variable out of range": (
         "cpc2ipc-godel-gentzen",
         "andI",
         _con("andI", TplMeta(1), TplMeta(2), inst=(TVar(1), TVar(5))),
+        "type expression $5: variable 5 exceeds degree 2",
     ),
-    "stab without a type": ("cpc2ipc-godel-gentzen", "orE", _con(STAB, TplMeta(1))),
+    "stab without a type": (
+        "cpc2ipc-godel-gentzen",
+        "orE",
+        _con(STAB, TplMeta(1)),
+        "__stab takes one type expression and one sub-template",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BROKEN))
 def test_unvalidated_templates_fail_as_the_walk_does(case):
-    name, source, tpl = _BROKEN[case]
+    """A template that fails its check raises, at every call, the entry
+    that ``validate_translation`` reports for its arity."""
+    name, source, tpl, message = _BROKEN[case]
     x = get_translation(name)
     ar = x.source.arity(source)
     bad = Translation(x.name, x.source, x.target, x.type_map, dict(x.term_map, **{source: tpl}))
     args = tuple(Var(k) for k in range(len(ar.args)))
     pool = ground_types(x.target.all_types, 1)
     inst = tuple(pool[k % len(pool)] for k in range(ar.degree))
+    entry = f"arity '{source}': {message}"
     for lit in (None, 0, 2):
-        for _ in range(2):  # the second call uses the compiled form
-            got = _outcome(lambda: instantiate_template(bad, ar, inst, args, (), lit))
-            assert got == _outcome(lambda: reference_instantiate(bad, ar, inst, args, lit))
+        for _ in range(2):  # the second call compiles again
+            with pytest.raises(TypeCheckError) as err:
+                instantiate_template(bad, ar, inst, args, (), lit)
+            assert str(err.value) == entry
+    entries = validate_translation(bad).entries
+    assert [e for e in entries if e.startswith(f"arity '{source}': ")] == [entry]
 
 
 def test_named_errors_keep_their_messages():
     x = get_translation("pcf2ulc-turing")
     rec = x.source.arity("rec")
     cases = {
-        TplMeta(2): "Meta(2) out of range (validation skipped?)",
-        _hole(): "__hole outside __iter (validation skipped?)",
-        _con(ITER, TplVar(0), TplVar(0)): "__iter without a family literal",
-        _con("nope"): "unknown target arity 'nope'",
+        TplMeta(2): "arity 'rec': Meta(2) out of range; arity has 1 arguments",
+        _hole(): "arity 'rec': __hole outside __iter",
+        _con(ITER, TplVar(0), TplVar(0)): (
+            "arity 'rec': __iter in a template for a non-family arity"
+        ),
+        _con("nope"): "arity 'rec': unknown target arity 'nope'",
     }
     for tpl, message in cases.items():
         bad = Translation(x.name, x.source, x.target, x.type_map, dict(x.term_map, rec=tpl))
@@ -233,6 +267,12 @@ def test_named_errors_keep_their_messages():
             with pytest.raises(TypeCheckError) as err:
                 instantiate_template(bad, rec, (STAR,), (Var(0),), ())
             assert err.value.message == message
+    # a valid family template still needs the literal of its occurrence
+    nats = x.source.arity("nats")
+    for _ in range(2):
+        with pytest.raises(TypeCheckError) as err:
+            instantiate_template(x, nats, (), (), (), None)
+        assert err.value.message == "__iter without a family literal"
 
 
 def test_type_variables_index_the_instantiation():
@@ -242,3 +282,26 @@ def test_type_variables_index_the_instantiation():
     inst = (pool[0], pool[-1])
     out = instantiate_template(x, abs_, inst, (Var(0),), ())
     assert out == Con("abs", None, inst, (Var(0),))
+
+
+@pytest.mark.parametrize("name", BUILTIN_TRANSLATIONS)
+def test_each_template_is_walked_once(name, monkeypatch):
+    """Parsing validates and compiles each template in one walk, and
+    translating then uses the compiled forms without walking again."""
+    calls = []
+    compile_ = translate._compile
+
+    def counting(x, ar, *rest):
+        calls.append(ar.name)
+        return compile_(x, ar, *rest)
+
+    monkeypatch.setattr(translate, "_compile", counting)
+    text = _read(name, ".xlat", "translation")
+    _, source, target = translation_header(text)
+    x = parse_translation(text, get_language(source), get_language(target))
+    pool = ground_types(x.source.all_types, 1)
+    for ar in x.source.terms:
+        inst = tuple(pool[k % len(pool)] for k in range(ar.degree))
+        args = tuple(Var(0) for _ in ar.args)
+        translate_term(x, (), Con(ar.name, 2 if ar.family_index else None, inst, args))
+    assert sorted(calls) == sorted(ar.name for ar in x.source.terms)

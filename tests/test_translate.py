@@ -355,3 +355,82 @@ def _binder_depth(sig, term, depth=0):
     return max(
         [depth] + [_binder_depth(sig, a, depth + k) for a, k in zip(term.args, counts)]
     )
+
+
+
+def _opaque_from_templates(x):
+    def op(ar):
+        return lambda inst, ctx, args, lit: instantiate_template(x, ar, inst, args, ctx, lit)
+
+    ops = {ar.name: op(ar) for ar in x.source.terms}
+    return OpaqueRepresentation(f"opaque-{x.name}", x.source, x.target, x.type_map, ops)
+
+
+def _app(*args, inst=(BOOL, BOOL)):
+    return Con("app", None, inst, args)
+
+
+def _implE(*args, inst=(P, Q)):
+    return Con("implE", None, inst, args)
+
+
+# (translation, a well-formed node, a malformed node of the same arity, infer's message)
+_MALFORMED = [
+    (
+        "pcf2ulc-turing",
+        _app(Var(0), Var(1)),
+        _app(Var(0), Var(0), Var(0)),
+        "'app' expects 2 arguments, got 3",
+    ),
+    ("pcf2ulc-turing", _app(Var(0), Var(1)), _app(Var(0)), "'app' expects 2 arguments, got 1"),
+    (
+        "pcf2ulc-turing",
+        _app(Var(0), Var(1)),
+        _app(Var(0), Var(0), inst=(BOOL,)),
+        "'app' expects 2 type parameters, got 1",
+    ),
+    (
+        "pcf2ulc-turing",
+        Con("tttt", None, (), ()),
+        Con("tttt", None, (), (Var(0),)),
+        "'tttt' expects 0 arguments, got 1",
+    ),
+    (
+        "cpc2ipc-godel-gentzen",
+        _implE(Var(0), Var(1)),
+        _implE(Var(0), Var(1), inst=(P,)),
+        "'implE' expects 2 type parameters, got 1",
+    ),
+    (
+        "cpc2ipc-godel-gentzen",
+        _implE(Var(0), Var(1)),
+        _implE(Var(0)),
+        "'implE' expects 2 arguments, got 1",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, good, bad, message",
+    _MALFORMED,
+    ids=["app-3-args", "app-1-arg", "app-1-param", "tttt-1-arg", "implE-1-param", "implE-1-arg"],
+)
+@pytest.mark.parametrize("opaque", [False, True], ids=["templates", "opaque"])
+def test_malformed_nodes_are_rejected_as_infer_rejects_them(name, good, bad, message, opaque):
+    """A node with the wrong number of type parameters or arguments fails
+    with ``infer``'s message: at the root, and after a well-formed node of
+    its arity has been translated in the same call."""
+    x = get_translation(name)
+    rep = _opaque_from_templates(x) if opaque else x
+    if name == "pcf2ulc-turing":
+        ctx, pair = (ObjType("arr", (BOOL, BOOL)), BOOL), _app(good, bad)
+    else:
+        ctx, pair = (imp(P, Q), P), Con("andI", None, (Q, Q), (good, bad))
+    translate_term(rep, ctx, good)
+    with pytest.raises(TypeCheckError) as err:
+        infer(x.source, ctx, bad)
+    assert err.value.message == message
+    for term in (bad, pair):
+        with pytest.raises(TypeCheckError) as err:
+            translate_term(rep, ctx, term)
+        assert err.value.message == message
