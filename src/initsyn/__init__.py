@@ -53,7 +53,7 @@ from .translate import (
     translate_term,
     validate_translation,
 )
-from .languages import get_language, get_translation, list_builtins
+from .languages import get_language, get_translation, list_builtins, load_translation
 from .surface import (
     SourceError,
     parse_signature,

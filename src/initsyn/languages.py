@@ -45,11 +45,16 @@ def get_language(name: str) -> TypedSignature:
     return parse_signature(_read(name, ".sig", "language"))
 
 
-@lru_cache(maxsize=None)
-def get_translation(name: str) -> Translation:
-    text = _read(name, ".xlat", "translation")
+def load_translation(text: str) -> Translation:
+    """Parse the text of a ``.xlat`` file against the builtin languages
+    that its header names; ``KeyError`` when one is not a builtin."""
     _, source, target = translation_header(text)
     return parse_translation(text, get_language(source), get_language(target))
+
+
+@lru_cache(maxsize=None)
+def get_translation(name: str) -> Translation:
+    return load_translation(_read(name, ".xlat", "translation"))
 
 
 def turing_combinator() -> Term:

@@ -28,7 +28,30 @@ from .signatures import TApp, TVar, TypeExpr, TypeSignature, type_expr_errors
 _INTERNED: dict[tuple, weakref.ref] = {}
 
 
-class ObjType:
+class Frozen:
+    """Base of the slotted immutable values (``ObjType``, ``Var`` and
+    ``Con``), whose fields are their ``__match_args__``: assignment and
+    deletion raise ``FrozenInstanceError``, pickling and copying call the
+    class on the fields, and the ``repr`` is the dataclass one.  Each class
+    keeps its own ``__new__``, ``__eq__`` and ``__hash__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), tuple([getattr(self, f) for f in self.__match_args__]))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+class ObjType(Frozen):
     """A ground type: constructor name plus child types.
 
     Hash-consed and immutable: ``ObjType(name, args)`` returns the one live
@@ -38,8 +61,8 @@ class ObjType:
     weak references whose callbacks remove an entry only while it still
     holds a dead reference, and entries are inserted with ``setdefault``;
     both are single atomic dict operations, so types may be built and
-    shared across threads.  Pickling and copying return the interned
-    object.
+    shared across threads.  Pickling and copying go through ``__new__``
+    (see ``Frozen``), so they return the interned object.
     """
 
     __slots__ = ("name", "args", "_str", "__weakref__")
@@ -70,18 +93,6 @@ class ObjType:
             if other is not None:
                 return other  # another thread interned it first
             _remove_dead_weakref(_INTERNED, key)  # its callback is still pending
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (ObjType, (self.name, self.args))
-
-    def __repr__(self) -> str:
-        return f"ObjType(name={self.name!r}, args={self.args!r})"
 
     def __str__(self) -> str:
         if self._str is not None:

@@ -149,6 +149,27 @@ class TypedSignature:
     def type_arity(self, name: str) -> int | None:
         return self.all_types.arity_of(name)
 
+    def node_error(
+        self, name: str, lit: int | None, degree: int, count: int
+    ) -> str | None:
+        """Why a node of arity ``name`` with family literal ``lit``,
+        ``degree`` type parameters and ``count`` arguments is not well
+        formed, or ``None`` when it is.  The first failed check wins, in
+        this order: a known arity, the literal, the type parameters, the
+        arguments.  Every term operation rejects a node with this."""
+        ar = self._arities.get(name)
+        if ar is None:
+            return f"unknown arity '{name}'"
+        if ar.family_index and lit is None:
+            return f"'{name}' needs a family literal"
+        if not ar.family_index and lit is not None:
+            return f"'{name}' is not family-indexed"
+        if degree != ar.degree:
+            return f"'{name}' expects {ar.degree} type parameters, got {degree}"
+        if count != len(ar.args):
+            return f"'{name}' expects {len(ar.args)} arguments, got {count}"
+        return None
+
 
 # ---------------------------------------------------------------------------
 # Validation

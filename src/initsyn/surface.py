@@ -37,7 +37,6 @@ from .translate import (
     TplMeta,
     TplVar,
     Translation,
-    term_to_template,
     validate_translation,
 )
 
@@ -842,7 +841,7 @@ def print_translation(x: Translation) -> str:
     if x.macros:
         lines.append("macros {")
         for mname, body in x.macros.items():
-            lines.append(f"  {mname} = {_template_str(term_to_template(body))}")
+            lines.append(f"  {mname} = {body}")
         lines.append("}")
         lines.append("")
     lines.append("types {")

@@ -25,10 +25,10 @@ here.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .objtypes import ObjType, eval_type_expr
+from .objtypes import Frozen, ObjType, eval_type_expr
 from .signatures import TypedSignature
 
 Context = tuple[ObjType, ...]
@@ -49,13 +49,12 @@ class TypeCheckError(Exception):
         return self.message
 
 
-class Var:
+class Var(Frozen):
     """The variable at context position ``index``.
 
     Immutable and compared by value, as a frozen dataclass is: ``==`` and
-    ``hash`` see the index, assignment and deletion raise
-    ``FrozenInstanceError``, and pickling and copying rebuild an equal
-    variable.
+    ``hash`` see the index; the rest of the frozen-value protocol comes
+    from ``objtypes.Frozen``.
     """
 
     __slots__ = ("index",)
@@ -68,15 +67,6 @@ class Var:
         _set_index(obj, index)
         return obj
 
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (Var, (self.index,))
-
     def __eq__(self, other):
         if other.__class__ is not Var:
             return NotImplemented
@@ -85,22 +75,18 @@ class Var:
     def __hash__(self) -> int:
         return hash((self.index,))
 
-    def __repr__(self) -> str:
-        return f"Var(index={self.index!r})"
-
     def __str__(self) -> str:
         return f"#{self.index}"
 
 
-class Con:
+class Con(Frozen):
     """An occurrence of arity ``name`` with its family literal (or None),
     the ground types instantiating its type parameters and its arguments.
 
     Immutable and compared by value, like ``Var``: ``==`` compares the four
-    fields, ``hash`` is that of their tuple, and the ``repr`` is the
-    dataclass one.  ``__new__`` sets the slots through their descriptors,
-    which costs about half of a frozen dataclass ``__init__``; every
-    rebuilt node pays it.
+    fields and ``hash`` is that of their tuple.  ``__new__`` sets the slots
+    through their descriptors, which costs about half of a frozen
+    dataclass ``__init__``; every rebuilt node pays it.
     """
 
     __slots__ = ("name", "lit", "inst", "args")
@@ -125,15 +111,6 @@ class Con:
         _set_args(obj, args)
         return obj
 
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (Con, (self.name, self.lit, self.inst, self.args))
-
     def __eq__(self, other):
         if other.__class__ is not Con:
             return NotImplemented
@@ -146,12 +123,6 @@ class Con:
 
     def __hash__(self) -> int:
         return hash((self.name, self.lit, self.inst, self.args))
-
-    def __repr__(self) -> str:
-        return (
-            f"Con(name={self.name!r}, lit={self.lit!r}, "
-            f"inst={self.inst!r}, args={self.args!r})"
-        )
 
     def __str__(self) -> str:
         """The canonical text, which the term parser reads back.  Built with
@@ -247,27 +218,16 @@ def _infer(
 
 
 def _shape(sig: TypedSignature, term: Con, shapes: dict[tuple, tuple]) -> tuple:
-    """Check ``term``'s node against its arity, then enter and return its
-    shape in ``shapes``: whether the arity takes a family literal, its
-    argument count, and the binder types, argument types and result type
-    at the node's instantiation.  A node whose (name, instantiation) is in
+    """Check ``term``'s node (``TypedSignature.node_error``), then enter
+    and return its shape in ``shapes``: whether the arity takes a family
+    literal, its argument count, and the binder types, argument types and
+    result type at the node's instantiation.  A node whose (name, instantiation) is in
     the table already reaches here only to raise."""
-    name, inst, args = term.name, term.inst, term.args
+    name, inst = term.name, term.inst
+    error = sig.node_error(name, term.lit, len(inst), len(term.args))
+    if error is not None:
+        raise TypeCheckError(error)
     ar = sig.arity(name)
-    if ar is None:
-        raise TypeCheckError(f"unknown arity '{name}'")
-    if ar.family_index and term.lit is None:
-        raise TypeCheckError(f"'{name}' needs a family literal")
-    if not ar.family_index and term.lit is not None:
-        raise TypeCheckError(f"'{name}' is not family-indexed")
-    if len(inst) != ar.degree:
-        raise TypeCheckError(
-            f"'{name}' expects {ar.degree} type parameters, got {len(inst)}"
-        )
-    if len(args) != len(ar.args):
-        raise TypeCheckError(
-            f"'{name}' expects {len(ar.args)} arguments, got {len(args)}"
-        )
     shape = shapes[name, inst] = (
         bool(ar.family_index),
         len(ar.args),
@@ -322,14 +282,10 @@ def _map(
         if type(t) is not Con:
             raise TypeCheckError(f"not a term: {t!r}")
         counts = binders.get(t.name)
-        if counts is None:
-            raise TypeCheckError(f"unknown arity '{t.name}'")
         args = t.args
         n = len(args)
-        if n != len(counts):
-            raise TypeCheckError(
-                f"'{t.name}' expects {len(counts)} arguments, got {n}"
-            )
+        if counts is None or n != len(counts):
+            raise TypeCheckError(sig.node_error(t.name, t.lit, len(t.inst), n))
         if n == 0:
             return t
         if n == 1:

@@ -99,25 +99,6 @@ class TplCon:
 Template = TplVar | TplMeta | TplMacro | TplCon
 
 
-def term_to_template(term: Term) -> Template:
-    """Embed a ground target term as a template (used for macros)."""
-    match term:
-        case Var(index=i):
-            return TplVar(i)
-        case Con(name=name, lit=lit, inst=inst, args=args):
-            return TplCon(
-                name,
-                lit,
-                tuple(_ground_to_expr(t) for t in inst),
-                tuple(term_to_template(a) for a in args),
-            )
-    raise TypeError(f"not a term: {term!r}")
-
-
-def _ground_to_expr(t: ObjType) -> TypeExpr:
-    return TApp(t.name, tuple(_ground_to_expr(a) for a in t.args))
-
-
 @dataclass(frozen=True)
 class Translation:
     """A serializable representation of the source language in the target."""
@@ -378,7 +359,6 @@ def instantiate_template(
     ar: TermArity,
     inst: tuple[ObjType, ...],
     translated_args: tuple[Term, ...],
-    ctx: Context,
     lit: int | None = None,
 ) -> Term:
     """Plug translated arguments into the template of ``ar``.
@@ -387,7 +367,7 @@ def instantiate_template(
     occurrence is shifted by the number of template binders it sits under
     beyond the argument's own expected binders.  The result is well typed
     at the translated result type in any context in which the translated
-    arguments are; ``ctx`` is unused and only kept for existing callers.
+    arguments are, so no context is passed.
 
     The template is checked and compiled once per ``Translation`` object
     (see ``_compile``), by ``validate_translation`` or else on first use
@@ -621,8 +601,10 @@ def translate_term(x: Representation, ctx: Context, term: Term) -> Term:
     and every instantiation, so each distinct type is translated once; and,
     per distinct (arity, instantiation) pair, the arity with its translated
     instantiation and, for opaque representations, its translated binder
-    and result types.  A node with the wrong number of type parameters
-    (checked once per pair) or of arguments raises ``infer``'s error.
+    and result types.  A node that is not well formed raises ``infer``'s
+    error (``TypedSignature.node_error``): the whole check runs once per
+    pair, and a later node of the pair compares only whether it has a
+    literal and its argument count, as ``infer`` does.
     """
     g = x.type_map
     opaque = isinstance(x, OpaqueRepresentation)
@@ -634,27 +616,21 @@ def translate_term(x: Representation, ctx: Context, term: Term) -> Term:
             return t
         if type(t) is not Con:
             raise TypeCheckError(f"not a term: {t!r}")
-        key = (t.name, t.inst)
-        shape = shapes.get(key)
-        if shape is None:
+        shape = shapes.get((t.name, t.inst))
+        if shape is None or (t.lit is None) is shape[0] or len(t.args) != shape[1]:
+            error = x.source.node_error(t.name, t.lit, len(t.inst), len(t.args))
+            if error is not None:
+                raise TypeCheckError(error)
             ar = x.source.arity(t.name)
-            if ar is None:
-                raise TypeCheckError(f"unknown arity '{t.name}'")
-            if len(t.inst) != ar.degree:
-                raise TypeCheckError(
-                    f"'{t.name}' expects {ar.degree} type parameters, got {len(t.inst)}"
-                )
             inst_t = _retype(g, t.inst, types)
             images = _arity_images(x, ar, inst_t) if opaque else None
-            shape = shapes[key] = (ar, inst_t, images, len(ar.args))
-        ar, inst_t, images, arg_count = shape
-        if len(t.args) != arg_count:
-            raise TypeCheckError(
-                f"'{t.name}' expects {arg_count} arguments, got {len(t.args)}"
+            shape = shapes[t.name, t.inst] = (
+                bool(ar.family_index), len(ar.args), ar, inst_t, images
             )
+        _, _, ar, inst_t, images = shape
         if not opaque:
             args = tuple([go(a, ctx_t) for a in t.args])
-            return instantiate_template(x, ar, inst_t, args, ctx_t, t.lit)
+            return instantiate_template(x, ar, inst_t, args, t.lit)
         args = tuple([go(a, b + ctx_t) for a, b in zip(t.args, images.binders)])
         op = x.ops.get(t.name)
         if op is None:

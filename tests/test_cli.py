@@ -122,6 +122,18 @@ def test_translate_rejects_type_template_outside_target(tmp_path):
     assert "unknown type constructor 'Foo'" in err
 
 
+def test_translate_xlat_naming_an_unknown_language_exits_2(tmp_path):
+    ident = identity_translation(get_language("ULC"))
+    xlat = tmp_path / "id.xlat"
+    xlat.write_text(print_translation(ident).replace("to ULC", "to NOPE", 1))
+    term = tmp_path / "v.term"
+    term.write_text("context * ; #0")
+    code, out, err = run(["translate", "--xlat", str(xlat), str(term)])
+    assert (code, out) == (2, "")
+    assert "translation file references unknown language" in err
+    assert "'NOPE'" in err
+
+
 def test_builtin_names_are_not_paths(tmp_path):
     path = tmp_path / "f.term"
     path.write_text("context ; (tttt)")

@@ -99,7 +99,7 @@ def test_every_arity_agrees_with_the_reference_walk(x):
                 args = tuple(
                     rng.choice([Var(rng.randrange(4)), rng.choice(outputs)]) for _ in ar.args
                 )
-                got = instantiate_template(x, ar, inst, args, (), lit)
+                got = instantiate_template(x, ar, inst, args, lit)
                 assert got == reference_instantiate(x, ar, inst, args, lit)
                 if len(outputs) < 200:
                     outputs.append(got)
@@ -118,15 +118,15 @@ def test_or_elimination_takes_the_stability_path():
     for _ in range(40):
         inst = retype_inst(x.type_map, tuple(rng.choice(pool) for _ in range(3)))
         args = (Var(rng.randrange(3)), Var(rng.randrange(4)), Var(rng.randrange(5)))
-        got = instantiate_template(x, orE, inst, args, ())
+        got = instantiate_template(x, orE, inst, args)
         assert got == reference_instantiate(x, orE, inst, args)
 
 
 def test_closed_templates_are_shared():
     x = get_translation("pcf2ulc-turing")
     tttt = x.source.arity("tttt")
-    first = instantiate_template(x, tttt, (), (), ())
-    assert instantiate_template(x, tttt, (), (), ()) is first
+    first = instantiate_template(x, tttt, (), ())
+    assert instantiate_template(x, tttt, (), ()) is first
     both = Con("app", None, (BOOL, BOOL), (Con("tttt", None, (), ()),) * 2)
     out = translate_term(x, (), both)
     assert out.args[0] is out.args[1] is first
@@ -142,23 +142,23 @@ def test_closed_stability_witness_is_shared():
     closed = TplCon(STAB, None, (nn_top,), (witness_of,))
     x = Translation(gg.name, gg.source, gg.target, gg.type_map, dict(gg.term_map, topI=closed))
     assert validate_translation(x).ok
-    first = instantiate_template(x, top_i, (), (), ())
+    first = instantiate_template(x, top_i, (), ())
     assert first == reference_instantiate(x, top_i, (), ())
-    assert instantiate_template(x, top_i, (), (), ()) is first
+    assert instantiate_template(x, top_i, (), ()) is first
 
 
 def test_rebuilt_translation_compiles_afresh():
     x = get_translation("pcf2ulc-turing")
     tttt = x.source.arity("tttt")
-    old = instantiate_template(x, tttt, (), (), ())
+    old = instantiate_template(x, tttt, (), ())
     edited = dict(x.term_map, tttt=x.term_map["ffff"])
     y = Translation(x.name, x.source, x.target, x.type_map, edited, x.macros)
-    ffff = instantiate_template(x, x.source.arity("ffff"), (), (), ())
-    assert instantiate_template(y, tttt, (), (), ()) == ffff != old
-    assert instantiate_template(x, tttt, (), (), ()) is old
+    ffff = instantiate_template(x, x.source.arity("ffff"), (), ())
+    assert instantiate_template(y, tttt, (), ()) == ffff != old
+    assert instantiate_template(x, tttt, (), ()) is old
     # an edit in place is seen too: the compiled form is kept with its template
     y.term_map["tttt"] = x.term_map["tttt"]
-    assert instantiate_template(y, tttt, (), (), ()) == old
+    assert instantiate_template(y, tttt, (), ()) == old
 
 
 def _hole():
@@ -244,7 +244,7 @@ def test_unvalidated_templates_fail_as_the_walk_does(case):
     for lit in (None, 0, 2):
         for _ in range(2):  # the second call compiles again
             with pytest.raises(TypeCheckError) as err:
-                instantiate_template(bad, ar, inst, args, (), lit)
+                instantiate_template(bad, ar, inst, args, lit)
             assert str(err.value) == entry
     entries = validate_translation(bad).entries
     assert [e for e in entries if e.startswith(f"arity '{source}': ")] == [entry]
@@ -265,13 +265,13 @@ def test_named_errors_keep_their_messages():
         bad = Translation(x.name, x.source, x.target, x.type_map, dict(x.term_map, rec=tpl))
         for _ in range(2):
             with pytest.raises(TypeCheckError) as err:
-                instantiate_template(bad, rec, (STAR,), (Var(0),), ())
+                instantiate_template(bad, rec, (STAR,), (Var(0),))
             assert err.value.message == message
     # a valid family template still needs the literal of its occurrence
     nats = x.source.arity("nats")
     for _ in range(2):
         with pytest.raises(TypeCheckError) as err:
-            instantiate_template(x, nats, (), (), (), None)
+            instantiate_template(x, nats, (), (), None)
         assert err.value.message == "__iter without a family literal"
 
 
@@ -280,7 +280,7 @@ def test_type_variables_index_the_instantiation():
     abs_ = x.source.arity("abs")
     pool = ground_types(x.source.all_types, 2)
     inst = (pool[0], pool[-1])
-    out = instantiate_template(x, abs_, inst, (Var(0),), ())
+    out = instantiate_template(x, abs_, inst, (Var(0),))
     assert out == Con("abs", None, inst, (Var(0),))
 
 

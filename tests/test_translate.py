@@ -151,13 +151,13 @@ class TestInstantiate:
         x = get_translation("pcf2ulc-turing")
         rec = x.source.arity("rec")
         arg = Con("abs", None, (), (Var(0),))
-        got = instantiate_template(x, rec, (STAR,), (arg,), ())
+        got = instantiate_template(x, rec, (STAR,), (arg,))
         assert got == Con("app", None, (), (x.macros["Theta"], arg))
 
     def test_constant_template_ignores_arguments(self):
         x = get_translation("pcf2ulc-turing")
         tttt = x.source.arity("tttt")
-        got = instantiate_template(x, tttt, (), (), ())
+        got = instantiate_template(x, tttt, (), ())
         ulc = get_language("ULC")
         assert print_term(ulc, (), got, style="paper") == "Abs (Abs 2)"
 
@@ -167,7 +167,7 @@ class TestInstantiate:
         broken["tttt"] = TplMeta(1)
         bad = Translation(x.name, x.source, x.target, x.type_map, broken, x.macros)
         with pytest.raises(TypeCheckError):
-            instantiate_template(bad, x.source.arity("tttt"), (), (), ())
+            instantiate_template(bad, x.source.arity("tttt"), (), ())
 
 
 class TestTranslateTerm:
@@ -217,7 +217,7 @@ class TestOpaqueRepresentation:
             ar = x.source.arity(name)
 
             def run(inst, ctx, args, lit):
-                return instantiate_template(x, ar, inst, args, ctx, lit)
+                return instantiate_template(x, ar, inst, args, lit)
 
             return run
 
@@ -296,7 +296,7 @@ class TestTranslationContext:
         def op(ar):
             def run(inst, ctx, args, lit):
                 seen.append((ar.name, ctx))
-                return instantiate_template(x, ar, inst, args, ctx, lit)
+                return instantiate_template(x, ar, inst, args, lit)
 
             return run
 
@@ -360,7 +360,7 @@ def _binder_depth(sig, term, depth=0):
 
 def _opaque_from_templates(x):
     def op(ar):
-        return lambda inst, ctx, args, lit: instantiate_template(x, ar, inst, args, ctx, lit)
+        return lambda inst, ctx, args, lit: instantiate_template(x, ar, inst, args, lit)
 
     ops = {ar.name: op(ar) for ar in x.source.terms}
     return OpaqueRepresentation(f"opaque-{x.name}", x.source, x.target, x.type_map, ops)
@@ -407,19 +407,41 @@ _MALFORMED = [
         _implE(Var(0)),
         "'implE' expects 2 arguments, got 1",
     ),
+    (
+        "pcf2ulc-turing",
+        Con("tttt", None, (), ()),
+        Con("tttt", 5, (), ()),
+        "'tttt' is not family-indexed",
+    ),
+    (
+        "pcf2ulc-turing",
+        Con("nats", 3, (), ()),
+        Con("nats", None, (), ()),
+        "'nats' needs a family literal",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "name, good, bad, message",
     _MALFORMED,
-    ids=["app-3-args", "app-1-arg", "app-1-param", "tttt-1-arg", "implE-1-param", "implE-1-arg"],
+    ids=[
+        "app-3-args",
+        "app-1-arg",
+        "app-1-param",
+        "tttt-1-arg",
+        "implE-1-param",
+        "implE-1-arg",
+        "tttt-literal",
+        "nats-no-literal",
+    ],
 )
 @pytest.mark.parametrize("opaque", [False, True], ids=["templates", "opaque"])
 def test_malformed_nodes_are_rejected_as_infer_rejects_them(name, good, bad, message, opaque):
-    """A node with the wrong number of type parameters or arguments fails
-    with ``infer``'s message: at the root, and after a well-formed node of
-    its arity has been translated in the same call."""
+    """A node with the wrong number of type parameters or arguments, or a
+    wrong family literal, fails with ``infer``'s message: at the root, and
+    after a well-formed node of its arity has been translated in the same
+    call."""
     x = get_translation(name)
     rep = _opaque_from_templates(x) if opaque else x
     if name == "pcf2ulc-turing":
