@@ -127,8 +127,9 @@ class _Candidate:
 # Candidates for goals with one root, for any depth and for depth at most 1
 # (constants alone): the arities whose result has that root, which must be
 # matched, then those whose result is a type variable, which match any
-# goal; each in signature order.
-_Split = tuple[tuple[tuple[_Candidate, ...], tuple[_Candidate, ...]], ...]
+# goal, each paired with None (``gen`` pairs a matched one with its
+# binding; these bind only when drawn); each in signature order.
+_Split = tuple[tuple[tuple[_Candidate, ...], tuple[tuple[_Candidate, None], ...]], ...]
 
 
 class _SigTables:
@@ -189,8 +190,8 @@ def _split(matched: list[_Candidate], var_rooted: list[_Candidate]) -> _Split:
         return tuple(c for c in cands if not c.args)
 
     return (
-        (tuple(matched), tuple(var_rooted)),
-        (leaves(matched), leaves(var_rooted)),
+        (tuple(matched), tuple((c, None) for c in var_rooted)),
+        (leaves(matched), tuple((c, None) for c in leaves(var_rooted))),
     )
 
 
@@ -344,8 +345,9 @@ class _Generator:
         candidates: list = [i for i, t in enumerate(ctx) if t is goal] if goal in ctx else []
         matched, var_rooted = self.by_root.get(goal.name, self.var_rooted)[depth <= 1]
         for cand in matched:
-            if cand.bind(goal) is not None:
-                candidates.append(cand)
+            inst = cand.bind(goal)
+            if inst is not None:
+                candidates.append((cand, inst))
         candidates += var_rooted
         n = len(candidates)
         if not n:
@@ -354,7 +356,8 @@ class _Generator:
             cand = candidates[which]
             if type(cand) is int:
                 return Var(cand)
-            term = self._expand(cand, goal, ctx, depth)
+            cand, inst = cand
+            term = self._expand(cand, cand.bind(goal) if inst is None else inst, ctx, depth)
             if term is not None:
                 return term
             self.budget -= 1
@@ -362,8 +365,9 @@ class _Generator:
                 raise _Exhausted()
         return None
 
-    def _expand(self, cand: _Candidate, goal: ObjType, ctx: Context, depth: int) -> Term | None:
-        inst = cand.bind(goal)
+    def _expand(self, cand: _Candidate, inst, ctx: Context, depth: int) -> Term | None:
+        """A node of ``cand`` whose result has the goal; ``inst`` is the
+        binding that matching it fixed."""
         getrandbits = self.getrandbits
         if type(inst) is list:
             pool = self.pool

@@ -511,11 +511,14 @@ def _node_token(toks: list[str], k: int, path: tuple[int, ...]) -> int:
 def _parse_term_node(p: _Parser, sig: TypedSignature) -> Term:
     """A term from the lookahead on, without recursion: ``stack`` holds the
     constructor nodes whose arguments are being read, each with its name,
-    literal, instantiation and the arguments read so far.  Variables and
-    instantiations are read once per distinct token text and then shared."""
+    literal, instantiation and the arguments read so far.  Variables,
+    instantiations and argument-free nodes (per name, literal and
+    instantiation) are built once per file and then shared."""
     toks, i = p.toks, p.i
     room = _MAX_NESTING - p.depth
+    arities = sig.binder_counts  # keyed by arity name
     variables: dict[str, Var] = {}
+    leaves: dict[tuple, Con] = {}
     instantiations: dict[tuple[str, ...], tuple[ObjType, ...]] = {}
     stack: list[tuple[str, int | None, tuple[ObjType, ...], list[Term]]] = []
     while True:
@@ -534,7 +537,7 @@ def _parse_term_node(p: _Parser, sig: TypedSignature) -> Term:
                 p.found("'('")
             i += 1
             name = toks[i]
-            if not _is_ident(name):
+            if name not in arities and not _is_ident(name):
                 p.i = i
                 p.found("an arity name")
             i += 1
@@ -567,19 +570,21 @@ def _parse_term_node(p: _Parser, sig: TypedSignature) -> Term:
                     i, inst = p.i, tuple(types)
                     if i - 1 == end:
                         instantiations[span] = inst
-            stack.append((name, lit, inst, []))
             if toks[i] != ")":
+                stack.append((name, lit, inst, []))
                 continue
-            node = None
+            i += 1
+            node = leaves.get((name, lit, inst))
+            if node is None:
+                node = leaves[name, lit, inst] = Con(name, lit, inst, ())
         # close every node whose last argument has been read
         while True:
-            if node is not None:
-                if not stack:
-                    p.i = i
-                    return node
-                stack[-1][3].append(node)
-                if toks[i] != ")":
-                    break
+            if not stack:
+                p.i = i
+                return node
+            stack[-1][3].append(node)
+            if toks[i] != ")":
+                break
             i += 1
             name, lit, inst, args = stack.pop()
             node = Con(name, lit, inst, tuple(args))

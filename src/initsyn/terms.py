@@ -125,26 +125,52 @@ class Con(Frozen):
         return hash((self.name, self.lit, self.inst, self.args))
 
     def __str__(self) -> str:
-        """The canonical text, which the term parser reads back.  Built with
-        an explicit stack of the terms still to render and the text between
-        them, so that depth costs no recursion; the pieces are joined a few
-        thousand at a time, so that few are held at once."""
-        done: list[str] = []
-        out: list[str] = []
+        """The canonical text, which the term parser reads back.  A first
+        pass finds, by identity, the nodes with arguments reached more than
+        once; the text of each is built once and then appended at every
+        later occurrence.  Both passes keep an explicit stack, so that depth
+        costs no recursion; outside a shared node the pieces are joined a
+        few thousand at a time, so that few are held at once."""
+        shared: dict[int, str | None] = {}  # id -> its text, once rendered
+        seen: set[int] = set()
         stack: list = [self]
         while stack:
+            for a in stack.pop().args:
+                if type(a) is Con and a.args:
+                    if id(a) in seen:
+                        shared[id(a)] = None
+                    else:
+                        seen.add(id(a))
+                        stack.append(a)
+        done: list[str] = []
+        out: list[str] = []
+        opened: list[tuple[int, int]] = []  # open shared nodes: id, first piece
+        stack.append(self)
+        while stack:
             t = stack.pop()
-            if not isinstance(t, Con):
+            if type(t) is not Con:
+                if t is _SHARED_END:
+                    k, start = opened.pop()
+                    out.append(")")
+                    text = shared[k] = "".join(out[start:])
+                    out[start:] = [text]
+                    continue
                 out.append(t if type(t) is str else str(t))
                 continue
-            if len(out) > 4096:
+            text = shared.get(id(t), False) if shared else False
+            if text:
+                out.append(text)
+                continue
+            if text is None:
+                opened.append((id(t), len(out)))
+            elif len(out) > 4096 and not opened:
                 done.append("".join(out))
                 out.clear()
+            stack.append(_SHARED_END if text is None else ")")
             out.append("(")
             out.append(t.name if t.lit is None else f"{t.name}{{{t.lit}}}")
             if t.inst:
                 out.append(" [" + ", ".join([str(ty) for ty in t.inst]) + "]")
-            stack.append(")")
             for a in reversed(t.args):
                 stack.append(a)
                 stack.append(" ")
@@ -152,6 +178,7 @@ class Con(Frozen):
         return "".join(done)
 
 
+_SHARED_END = object()  # on the printer's stack: a shared node's text ends
 _new = object.__new__
 _set_index = Var.index.__set__
 _set_name = Con.name.__set__

@@ -413,6 +413,12 @@ def _compile(
     here and ``$k`` becomes ``inst[k-1]``; each placeholder carries its
     weakening amount; a node whose type parameters, literal and arguments
     are all fixed is built here, a closed ``__stab`` witness included.
+
+    A node ``(C [..] ?1 ... ?n)`` whose placeholders are the source arity's
+    arguments in order, none weakened (each target binder list is as long
+    as the translated source one), and that passes no source literal
+    through, takes the tuple of translated arguments as its own arguments
+    instead of calling one function per argument.
     """
     target = x.target
     inst0 = _opaque_inst(target, ar.degree)
@@ -560,13 +566,19 @@ def _compile(
         fixed_inst = _fixed(types) if all(t is not None for t, _ in types) else None
         inst_fns = [type_function(t) for t in types]
         arg_fns = [_function(s) for s in subs]
+        # (C [..] ?1 ... ?n), no ?j weakened: the translated arguments are the node's
+        direct = not passthrough and len(tpl.args) == len(ar.args) and all(
+            type(sub) is TplMeta and sub.index == j
+            and len(spec.binders) + len(ctx) == len(images.binders[j - 1])
+            for j, (spec, sub) in enumerate(zip(tar.args, tpl.args), 1)
+        )
 
         def node(inst, args, lit, hole):
             return Con(
                 name,
                 lit if passthrough else node_lit,
                 fixed_inst if fixed_inst is not None else tuple([f(inst) for f in inst_fns]),
-                tuple([f(inst, args, lit, hole) for f in arg_fns]),
+                args if direct else tuple([f(inst, args, lit, hole) for f in arg_fns]),
             )
 
         return result, (None, node)
@@ -604,7 +616,8 @@ def translate_term(x: Representation, ctx: Context, term: Term) -> Term:
     and result types.  A node that is not well formed raises ``infer``'s
     error (``TypedSignature.node_error``): the whole check runs once per
     pair, and a later node of the pair compares only whether it has a
-    literal and its argument count, as ``infer`` does.
+    literal and its argument count, as ``infer`` does.  A variable argument
+    is its own translation and is passed through without a call.
     """
     g = x.type_map
     opaque = isinstance(x, OpaqueRepresentation)
@@ -629,7 +642,7 @@ def translate_term(x: Representation, ctx: Context, term: Term) -> Term:
             )
         _, _, ar, inst_t, images = shape
         if not opaque:
-            args = tuple([go(a, ctx_t) for a in t.args])
+            args = tuple([a if type(a) is Var else go(a, ctx_t) for a in t.args])
             return instantiate_template(x, ar, inst_t, args, t.lit)
         args = tuple([go(a, b + ctx_t) for a, b in zip(t.args, images.binders)])
         op = x.ops.get(t.name)

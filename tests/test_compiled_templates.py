@@ -13,8 +13,8 @@ from initsyn import translate
 from initsyn.languages import _read, get_language, get_translation, list_builtins
 from initsyn.objtypes import ObjType, eval_type_expr, ground_types
 from initsyn.signatures import TApp, TVar
-from initsyn.surface import parse_translation, translation_header
-from initsyn.terms import Con, TypeCheckError, Var, weaken
+from initsyn.surface import parse_signature, parse_translation, translation_header
+from initsyn.terms import Con, TypeCheckError, Var, infer, weaken
 from initsyn.translate import (
     HOLE,
     ITER,
@@ -305,3 +305,65 @@ def test_each_template_is_walked_once(name, monkeypatch):
         args = tuple(Var(0) for _ in ar.args)
         translate_term(x, (), Con(ar.name, 2 if ar.family_index else None, inst, args))
     assert sorted(calls) == sorted(ar.name for ar in x.source.terms)
+
+
+_GUARD_SOURCE = """
+language GuardSource
+types { * : 0 }
+terms {
+  pair [0] : ([] *, [] *) -> *
+  wrap [0] : ([] *) -> *
+  family num [0] : ([] *) -> *
+}
+"""
+
+_GUARD_TARGET = """
+language GuardTarget
+types { * : 0 }
+terms {
+  app [0] : ([] *, [] *) -> *
+  lam [0] : ([*] *) -> *
+  family tag [0] : ([] *) -> *
+}
+"""
+
+_GUARD_TRANSLATION = """
+translation guard from GuardSource to GuardTarget
+types { * -> * }
+terms {
+  pair -> (app ?2 ?1)
+  wrap -> (lam ?1)
+  num -> (tag ?1)
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "ctx_len, term, expected",
+    [
+        # placeholders out of order
+        (2, Con("pair", None, (), (Var(0), Var(1))), Con("app", None, (), (Var(1), Var(0)))),
+        # the target binds a variable the source does not: ?1 is weakened
+        (1, Con("wrap", None, (), (Var(0),)), Con("lam", None, (), (Var(1),))),
+        (
+            1,
+            Con("wrap", None, (), (Con("wrap", None, (), (Var(0),)),)),
+            Con("lam", None, (), (Con("lam", None, (), (Var(2),)),)),
+        ),
+        # the source literal is passed through to a family target
+        (1, Con("num", 3, (), (Var(0),)), Con("tag", 3, (), (Var(0),))),
+    ],
+)
+def test_templates_shaped_like_their_arguments_keep_their_meaning(ctx_len, term, expected):
+    """Templates that look like ``(C ?1 … ?n)`` but reorder, weaken or pass
+    a literal through translate as the reference walk does."""
+    source, target = parse_signature(_GUARD_SOURCE), parse_signature(_GUARD_TARGET)
+    x = parse_translation(_GUARD_TRANSLATION, source, target)
+    assert validate_translation(x).ok
+    ctx = (STAR,) * ctx_len
+    got = translate_term(x, ctx, term)
+    assert got == expected
+    assert infer(target, ctx, got) == STAR
+    ar = source.arity(term.name)
+    args = tuple(translate_term(x, ctx, a) for a in term.args)
+    assert reference_instantiate(x, ar, (), args, term.lit) == expected

@@ -21,7 +21,7 @@ from initsyn.surface import (
     print_translation,
 )
 from initsyn.terms import Con, TypeCheckError, Var, infer
-from initsyn.translate import TplCon, TplMacro, TplMeta
+from initsyn.translate import TplCon, TplMacro, TplMeta, translate_term
 
 
 class TestParseSignature:
@@ -155,6 +155,41 @@ class TestParseTerm:
             parse_term("context ; (nats)", pcf)
         assert "family literal" in err.value.message
 
+    def test_argument_free_nodes_are_shared_per_name_literal_and_instantiation(self):
+        """Nodes without arguments that differ only in their instantiation
+        or their literal stay apart, each with its own type, while equal
+        ones are one object; the file round-trips."""
+        pcf = get_language("PCF")
+        cond = "(app [Bool, arr(Nat,arr(Nat,Nat))] (CondN) (bottom [Bool]))"
+        second = f"(app [Nat, Nat] (app [Nat, arr(Nat,Nat)] {cond} (nats{{2}})) (bottom [Nat]))"
+        text = f"context ; (app [Nat, Nat] (app [Nat, arr(Nat,Nat)] {cond} (nats{{1}})) {second})"
+        ctx, term = parse_term(text, pcf)
+        leaves: dict[tuple, list[Con]] = {}
+        stack = [term]
+        while stack:
+            t = stack.pop()
+            if not t.args:
+                leaves.setdefault((t.name, t.lit, t.inst), []).append(t)
+            stack.extend(t.args)
+        nat, bool_ = ObjType("Nat"), ObjType("Bool")
+        expected = {
+            ("bottom", None, (nat,)): nat,
+            ("bottom", None, (bool_,)): bool_,
+            ("nats", 1, ()): nat,
+            ("nats", 2, ()): nat,
+        }
+        for key, ty in expected.items():
+            first, *rest = leaves[key]
+            assert all(node is first for node in rest)
+            assert infer(pcf, ctx, first) == ty
+        distinct = [leaves[key][0] for key in expected]
+        assert len({id(node) for node in distinct}) == len(distinct)
+        assert len(leaves[("bottom", None, (bool_,))]) == 2
+        assert infer(pcf, ctx, term) == nat
+        printed = print_termfile(pcf, ctx, term)
+        assert parse_term(printed, pcf) == (ctx, term)
+        assert print_termfile(pcf, *parse_term(printed, pcf)) == printed
+
 
 def _nested(depth: int, leaf: str) -> str:
     """``leaf`` as the argument of ``depth`` nested ``Succ`` applications,
@@ -229,24 +264,38 @@ class TestPrintTerm:
             print_term(ulc, (), Var(0), style="fancy")
 
     def test_deep_chain_prints_without_recursion(self):
+        """A 10 000-deep chain over a variable, and over a leaf in which one
+        node occurs twice, at recursion limit 1 000."""
         ulc = get_language("ULC")
         depth = 10_000
-        term = Var(0)
-        for _ in range(depth):
-            term = Con("abs", None, (), (term,))
-        saved = sys.getrecursionlimit()
-        sys.setrecursionlimit(1000)
-        try:
-            canonical = str(term)
-            paper = print_term(ulc, (), term, style="paper")
-        finally:
-            sys.setrecursionlimit(saved)
-        assert canonical == "(abs " * depth + "#0" + ")" * depth
-        assert paper == "Abs (" * (depth - 1) + "Abs 1" + ")" * (depth - 1)
+        shared = Con("abs", None, (), (Var(0),))
+        leaves = [
+            (Var(0), "#0", "Abs (" * (depth - 1) + "Abs 1" + ")" * (depth - 1)),
+            (
+                Con("app", None, (), (shared, shared)),
+                "(app (abs #0) (abs #0))",
+                "Abs (" * depth + "Abs 1 @ Abs 1" + ")" * depth,
+            ),
+        ]
+        for leaf, leaf_text, expected_paper in leaves:
+            term = leaf
+            for _ in range(depth):
+                term = Con("abs", None, (), (term,))
+            saved = sys.getrecursionlimit()
+            sys.setrecursionlimit(1000)
+            try:
+                canonical = str(term)
+                paper = print_term(ulc, (), term, style="paper")
+            finally:
+                sys.setrecursionlimit(saved)
+            assert canonical == "(abs " * depth + leaf_text + ")" * depth
+            assert paper == expected_paper
 
     def test_printers_match_recursive_references(self):
         """Both printers against the recursive ones they replaced, on
-        random terms of every builtin language (paper style on ULC)."""
+        random terms of every builtin language, on each builtin
+        translation's output on such terms, and on a term in which one
+        node occurs at several depths (paper style on ULC)."""
 
         def canonical(t):
             if isinstance(t, Var):
@@ -269,14 +318,27 @@ class TestPrintTerm:
                 right = f"({right})"
             return f"{paper(fun)} @ {right}"
 
+        cases = []
         for name in list_builtins()[0]:
             sig = get_language(name)
             rng = random.Random(4)
             for _ in range(60):
-                _, term = _case_term(sig, GenConfig(seed=4, cases=1), rng)
-                assert str(term) == canonical(term)
-                if name == "ULC":
-                    assert print_term(sig, (), term, style="paper") == paper(term)
+                cases.append((sig, _case_term(sig, GenConfig(seed=4, cases=1), rng)[1]))
+        for name in list_builtins()[1]:
+            x = get_translation(name)
+            rng = random.Random(4)
+            for _ in range(60):
+                ctx, term = _case_term(x.source, GenConfig(seed=4, cases=1), rng)
+                cases.append((x.target, translate_term(x, ctx, term)))
+        ulc = get_language("ULC")
+        inner = Con("app", None, (), (Var(0), Con("abs", None, (), (Var(1),))))
+        outer = Con("app", None, (), (inner, inner))
+        body = Con("app", None, (), (outer, Con("abs", None, (), (Con("app", None, (), (inner, outer)),))))
+        cases.append((ulc, Con("abs", None, (), (body,))))
+        for sig, term in cases:
+            assert str(term) == canonical(term)
+            if sig.name == "ULC":
+                assert print_term(sig, (), term, style="paper") == paper(term)
 
     def test_canonical_round_trip_samples(self):
         for name in list_builtins()[0]:
