@@ -542,10 +542,9 @@ class LawReport:
         return head
 
 
-def _show_case(sig: TypedSignature, ctx: Context, term: Term, extra: str = "") -> str:
+def _show_case(ctx: Context, term: Term) -> str:
     types = " ".join(str(t) for t in ctx)
-    out = f"context {types} ; {term}"
-    return out + (f" | {extra}" if extra else "")
+    return f"context {types} ; {term}"
 
 
 def _show_sub(sub: Substitution) -> str:
@@ -602,7 +601,7 @@ def check_monad_laws(
     def check(case: int, ctx: Context, term: Term, sub: Substitution, sub2: Substitution):
         def fail(law: str, detail: str = "") -> str:
             return (
-                f"case {case} ({law}): {_show_case(sig, ctx, term)}"
+                f"case {case} ({law}): {_show_case(ctx, term)}"
                 f" | sigma {_show_sub(sub)} | rho {_show_sub(sub2)}"
                 + (f" | {detail}" if detail else "")
             )
@@ -641,7 +640,7 @@ def check_translation_laws(x: Representation, cfg: GenConfig) -> LawReport:
     def check(case: int, ctx: Context, term: Term, sub: Substitution):
         def fail(law: str, detail: str = "") -> str:
             return (
-                f"case {case} ({law}): {_show_case(src, ctx, term)}"
+                f"case {case} ({law}): {_show_case(ctx, term)}"
                 f" | sigma {_show_sub(sub)}" + (f" | {detail}" if detail else "")
             )
 
@@ -671,7 +670,7 @@ def check_agreement(x: Representation, oracle, cfg: GenConfig) -> LawReport:
 
     def check(case: int, ctx: Context, term: Term):
         if translate_term(x, ctx, term) != oracle(ctx, term):
-            return f"case {case}: {_show_case(x.source, ctx, term)}"
+            return f"case {case}: {_show_case(ctx, term)}"
         return None
 
     return _run_cases(

@@ -30,15 +30,7 @@ from .signatures import (
     validate_signature,
 )
 from .terms import Con, Context, Term, TypeCheckError, Var, infer
-from .translate import (
-    Template,
-    TplCon,
-    TplMacro,
-    TplMeta,
-    TplVar,
-    Translation,
-    validate_translation,
-)
+from .translate import Template, TplMacro, TplMeta, Translation, validate_translation
 
 _MAX_NESTING = 500
 
@@ -508,15 +500,20 @@ def _node_token(toks: list[str], k: int, path: tuple[int, ...]) -> int:
     return k + 1 if toks[k] == "(" else k
 
 
-def _parse_term_node(p: _Parser, sig: TypedSignature) -> Term:
+def _parse_term_node(p: _Parser, sig: TypedSignature, template: bool = False) -> Term:
     """A term from the lookahead on, without recursion: ``stack`` holds the
     constructor nodes whose arguments are being read, each with its name,
     literal, instantiation and the arguments read so far.  Variables,
     instantiations and argument-free nodes (per name, literal and
-    instantiation) are built once per file and then shared."""
+    instantiation) are built once per file and then shared.
+
+    With ``template`` it reads a template or a macro body of a translation
+    into ``sig``: instantiations are type expressions, and ``?j`` and
+    ``<m>`` are leaves too."""
     toks, i = p.toks, p.i
     room = _MAX_NESTING - p.depth
     arities = sig.binder_counts  # keyed by arity name
+    read_type = (lambda: _parse_tyexpr(p)[0]) if template else (lambda: _parse_groundty(p, sig))
     variables: dict[str, Var] = {}
     leaves: dict[tuple, Con] = {}
     instantiations: dict[tuple[str, ...], tuple[ObjType, ...]] = {}
@@ -531,10 +528,13 @@ def _parse_term_node(p: _Parser, sig: TypedSignature) -> Term:
             if node is None:
                 node = variables[t] = Var(int(t[1:]))
             i += 1
-        else:
-            if t != "(":
-                p.i = i
+        elif t != "(":
+            p.i = i
+            if not template:
                 p.found("'('")
+            node = _template_leaf(p)
+            i = p.i
+        else:
             i += 1
             name = toks[i]
             if name not in arities and not _is_ident(name):
@@ -561,10 +561,10 @@ def _parse_term_node(p: _Parser, sig: TypedSignature) -> Term:
                     i, inst = end + 1, known
                 else:
                     p.i, p.depth = i + 1, p.depth + len(stack) + 1
-                    types = [_parse_groundty(p, sig)]
+                    types = [read_type()]
                     while p.at_punct(","):
                         p.i += 1
-                        types.append(_parse_groundty(p, sig))
+                        types.append(read_type())
                     p.expect_punct("]")
                     p.depth -= len(stack) + 1
                     i, inst = p.i, tuple(types)
@@ -588,6 +588,23 @@ def _parse_term_node(p: _Parser, sig: TypedSignature) -> Term:
             i += 1
             name, lit, inst, args = stack.pop()
             node = Con(name, lit, inst, tuple(args))
+
+
+def _template_leaf(p: _Parser) -> TplMeta | TplMacro:
+    """The ``?j`` or ``<m>`` at the lookahead, which is not '('."""
+    at = p.i
+    t = p.next()
+    if t[:1] == "?" and len(t) > 1:
+        j = int(t[1:])
+        if j < 1:
+            p.fail("placeholder index must be positive", at=at)
+        return TplMeta(j)
+    if t == "<":
+        mname = p.expect_ident("a macro name")
+        p.expect_punct(">")
+        return TplMacro(mname)
+    p.i = at
+    p.found("'('")
 
 
 def print_term(
@@ -695,8 +712,8 @@ def parse_translation(
             if mname in macros:
                 p.fail(f"duplicate macro '{mname}'", at=at)
             p.expect_punct("=")
-            tpl = _parse_template(p)
-            macros[mname] = _template_to_term(p, tpl, macros, at)
+            tpl = _parse_term_node(p, target, template=True)
+            macros[mname] = _macro_term(p, tpl, macros, at)
             macro_at[mname] = at
         p.expect_punct("}")
 
@@ -725,7 +742,7 @@ def parse_translation(
         if aname in term_map:
             p.fail(f"duplicate template for '{aname}'", at=at)
         p.expect_punct("->")
-        term_map[aname] = _parse_template(p)
+        term_map[aname] = _parse_term_node(p, target, template=True)
         term_at[aname] = at
     p.expect_punct("}")
     p.expect_eof()
@@ -749,96 +766,40 @@ def parse_translation(
     return x
 
 
-def _parse_template(p: _Parser) -> Template:
-    p.enter()
-    try:
-        at = p.i
-        t = p.peek()
-        if t[:1] == "?" and len(t) > 1:
-            p.next()
-            j = int(t[1:])
-            if j < 1:
-                p.fail("placeholder index must be positive", at=at)
-            return TplMeta(j)
-        if t[:1] == "#" and len(t) > 1:
-            p.next()
-            return TplVar(int(t[1:]))
-        if p.at_punct("<"):
-            p.next()
-            mname = p.expect_ident("a macro name")
-            p.expect_punct(">")
-            return TplMacro(mname)
-        p.expect_punct("(")
-        name = p.expect_ident("an arity name")
-        lit: int | None = None
-        if p.at_punct("{"):
-            p.next()
-            lit = p.expect_nat()
-            p.expect_punct("}")
-        inst: list[TypeExpr] = []
-        if p.at_punct("["):
-            p.next()
-            inst.append(_parse_tyexpr(p)[0])
-            while p.at_punct(","):
-                p.next()
-                inst.append(_parse_tyexpr(p)[0])
-            p.expect_punct("]")
-        args: list[Template] = []
-        while not p.at_punct(")"):
-            args.append(_parse_template(p))
-        p.expect_punct(")")
-        return TplCon(name, lit, tuple(inst), tuple(args))
-    finally:
-        p.leave()
-
-
-def _template_to_term(
+def _macro_term(
     p: _Parser, tpl: Template, macros: dict[str, Term], at: int
 ) -> Term:
     """Macros are ground terms; earlier macros may be referenced and are
-    inlined.  Errors point at the macro's name, the token at index ``at``."""
-    match tpl:
-        case TplVar(index=i):
-            return Var(i)
-        case TplMeta():
+    inlined.  Errors point at the macro's name, the token at index ``at``.
+    The walk keeps an explicit stack: a node is checked when it is reached,
+    in the order the text gives, and built once its arguments are."""
+    done: list[Term] = []
+    stack: list = [tpl]
+    while stack:
+        t = stack.pop()
+        if type(t) is tuple:  # (name, lit, inst, argument count): build it
+            name, lit, inst, n = t
+            args = tuple(done[len(done) - n :])
+            del done[len(done) - n :]
+            done.append(Con(name, lit, inst, args))
+        elif type(t) is Var:
+            done.append(t)
+        elif type(t) is TplMeta:
             p.fail("macros cannot contain argument placeholders", at=at)
-        case TplMacro(name=mname):
-            if mname not in macros:
-                p.fail(f"macro '{mname}' is not defined yet", at=at)
-            return macros[mname]
-        case TplCon(name=cname, lit=lit, inst=inst, args=args):
-            if cname.startswith("__"):
-                p.fail(f"'{cname}' is not allowed in a macro", at=at)
-            ground = []
-            for e in inst:
-                try:
-                    ground.append(eval_type_expr((), e))
-                except ValueError:
-                    p.fail("macro type parameters must be closed", at=at)
-            return Con(
-                cname,
-                lit,
-                tuple(ground),
-                tuple(_template_to_term(p, a, macros, at) for a in args),
-            )
-    raise AssertionError(f"not a template: {tpl!r}")
-
-
-def _template_str(tpl: Template) -> str:
-    match tpl:
-        case TplMeta(index=j):
-            return f"?{j}"
-        case TplVar(index=i):
-            return f"#{i}"
-        case TplMacro(name=name):
-            return f"<{name}>"
-        case TplCon(name=name, lit=lit, inst=inst, args=args):
-            head = name if lit is None else f"{name}{{{lit}}}"
-            if inst:
-                head += " [" + ", ".join(str(e) for e in inst) + "]"
-            parts = [head] + [_template_str(a) for a in args]
-            return "(" + " ".join(parts) + ")"
-    raise AssertionError(f"not a template: {tpl!r}")
+        elif type(t) is TplMacro:
+            if t.name not in macros:
+                p.fail(f"macro '{t.name}' is not defined yet", at=at)
+            done.append(macros[t.name])
+        else:
+            if t.name.startswith("__"):
+                p.fail(f"'{t.name}' is not allowed in a macro", at=at)
+            try:
+                inst = tuple([eval_type_expr((), e) for e in t.inst])
+            except ValueError:
+                p.fail("macro type parameters must be closed", at=at)
+            stack.append((t.name, t.lit, inst, len(t.args)))
+            stack.extend(reversed(t.args))
+    return done[0]
 
 
 def print_translation(x: Translation) -> str:
@@ -856,6 +817,6 @@ def print_translation(x: Translation) -> str:
     lines.append("")
     lines.append("terms {")
     for aname, tpl in x.term_map.items():
-        lines.append(f"  {aname} -> {_template_str(tpl)}")
+        lines.append(f"  {aname} -> {tpl}")
     lines.append("}")
     return "\n".join(lines) + "\n"

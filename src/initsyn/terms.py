@@ -82,6 +82,8 @@ class Var(Frozen):
 class Con(Frozen):
     """An occurrence of arity ``name`` with its family literal (or None),
     the ground types instantiating its type parameters and its arguments.
+    A translation template is a ``Con`` tree too, whose instantiations are
+    type expressions (see ``translate``).
 
     Immutable and compared by value, like ``Var``: ``==`` compares the four
     fields and ``hash`` is that of their tuple.  ``__new__`` sets the slots

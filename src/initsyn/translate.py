@@ -2,11 +2,13 @@
 
 A translation of one typed signature into another consists of a type
 translation (see objtypes) plus, for every source arity, a target term
-template.  Templates are target terms with two extra leaf forms: ``?j``
-stands for the translated j-th argument of the source constructor, and
-``<M>`` references a shared closed macro term.  Type positions inside a
-template hold type expressions whose variables $1..$n denote the
-translated type parameters of the source occurrence.
+template.  A template is a target term, built from the same ``Con`` and
+``Var`` nodes and read and printed as one, with two extra leaf forms:
+``?j`` (``TplMeta``) stands for the translated j-th argument of the source
+constructor, and ``<M>`` (``TplMacro``) references a shared closed macro
+term.  Instantiations inside a template hold type expressions whose
+variables $1..$n denote the translated type parameters of the source
+occurrence.
 
 Three constructor names are reserved for engine forms that plain target
 syntax cannot express:
@@ -70,33 +72,28 @@ STAB = "__stab"
 
 
 @dataclass(frozen=True, slots=True)
-class TplVar:
-    """A variable bound by a binder introduced inside the template."""
-
-    index: int
-
-
-@dataclass(frozen=True, slots=True)
 class TplMeta:
     """Placeholder for the translated j-th source argument (1-based)."""
 
     index: int
+
+    def __str__(self) -> str:
+        return f"?{self.index}"
 
 
 @dataclass(frozen=True, slots=True)
 class TplMacro:
     name: str
 
-
-@dataclass(frozen=True, slots=True)
-class TplCon:
-    name: str
-    lit: int | None
-    inst: tuple[TypeExpr, ...]
-    args: tuple["Template", ...]
+    def __str__(self) -> str:
+        return f"<{self.name}>"
 
 
-Template = TplVar | TplMeta | TplMacro | TplCon
+# Every other template node is a term node; the old names stay importable.
+TplVar = Var
+TplCon = Con
+
+Template = Var | Con | TplMeta | TplMacro
 
 
 @dataclass(frozen=True)
@@ -434,7 +431,7 @@ def _compile(
     def walk(
         tpl: Template, ctx: Context, hole: tuple[ObjType, int] | None
     ) -> tuple[ObjType, _Compiled]:
-        if isinstance(tpl, TplVar):
+        if isinstance(tpl, Var):
             i = tpl.index
             if not 0 <= i < len(ctx):
                 raise TypeCheckError(f"unbound template variable #{i}")
@@ -459,77 +456,23 @@ def _compile(
             if tpl.name not in macro_types:
                 raise TypeCheckError(f"unknown macro '{tpl.name}'")
             return macro_types[tpl.name], (x.macros[tpl.name], None)
-        if not isinstance(tpl, TplCon):
+        if not isinstance(tpl, Con):
             raise TypeCheckError(f"not a template: {tpl!r}")
-        if tpl.name == HOLE:
+        name, node_lit = tpl.name, tpl.lit
+        if name == HOLE:
             if hole is None:
                 raise TypeCheckError("__hole outside __iter")
-            if tpl.inst or tpl.lit is not None or tpl.args:
+            if tpl.inst or node_lit is not None or tpl.args:
                 raise TypeCheckError(
                     "__hole takes no literal, type parameters or sub-templates"
                 )
             if len(ctx) != hole[1]:
                 raise TypeCheckError("__hole under a binder introduced by the step")
             return hole[0], (None, lambda inst, args, lit, hole: hole)
-        if tpl.name == ITER:
+        if name == ITER:
             return walk_iter(tpl, ctx, hole)
-        if tpl.name == STAB:
+        if name == STAB:
             return walk_stab(tpl, ctx, hole)
-        return walk_con(tpl, ctx, hole)
-
-    def walk_iter(
-        tpl: TplCon, ctx: Context, hole: tuple[ObjType, int] | None
-    ) -> tuple[ObjType, _Compiled]:
-        if not ar.family_index:
-            raise TypeCheckError("__iter in a template for a non-family arity")
-        if tpl.inst or tpl.lit is not None or len(tpl.args) != 2:
-            raise TypeCheckError("__iter takes exactly two sub-templates")
-        base_ty, base = walk(tpl.args[1], ctx, hole)
-        step_ty, step = walk(tpl.args[0], ctx, (base_ty, len(ctx)))
-        if step_ty != base_ty:
-            raise TypeCheckError(f"__iter step has type {step_ty}, base has type {base_ty}")
-        step_of, base_of = _function(step), _function(base)
-
-        def iterate(inst, args, lit, hole):
-            if lit is None:
-                raise TypeCheckError("__iter without a family literal")
-            acc = base_of(inst, args, lit, hole)
-            for _ in range(lit):
-                acc = step_of(inst, args, lit, acc)
-            return acc
-
-        return base_ty, (None, iterate)
-
-    def walk_stab(
-        tpl: TplCon, ctx: Context, hole: tuple[ObjType, int] | None
-    ) -> tuple[ObjType, _Compiled]:
-        if not stab_ok:
-            raise TypeCheckError(
-                "__stab needs the impl/and/top/bot kit in the target and "
-                "double-negation stable type templates"
-            )
-        if len(tpl.inst) != 1 or len(tpl.args) != 1 or tpl.lit is not None:
-            raise TypeCheckError("__stab takes one type expression and one sub-template")
-        if not _stable_expr(tpl.inst[0]):
-            raise TypeCheckError(f"__stab type {tpl.inst[0]} is not double-negation stable")
-        ty_c = type_expr(tpl.inst[0])
-        ty = type_function(ty_c)(inst0)
-        arg_ty, inner = walk(tpl.args[0], ctx, hole)
-        if arg_ty != _nn(ty):
-            raise TypeCheckError(f"__stab argument has type {arg_ty}, expected {_nn(ty)}")
-        if ty_c[0] is not None and inner[0] is not None:
-            return ty, (build_stability_witness(target, ty_c[0], inner[0]), None)
-        ty_of, inner_of = type_function(ty_c), _function(inner)
-
-        def stab(inst, args, lit, hole):
-            return build_stability_witness(target, ty_of(inst), inner_of(inst, args, lit, hole))
-
-        return ty, (None, stab)
-
-    def walk_con(
-        tpl: TplCon, ctx: Context, hole: tuple[ObjType, int] | None
-    ) -> tuple[ObjType, _Compiled]:
-        name, node_lit = tpl.name, tpl.lit
         tar = target.arity(name)
         if tar is None:
             raise TypeCheckError(f"unknown target arity '{name}'")
@@ -582,6 +525,55 @@ def _compile(
             )
 
         return result, (None, node)
+
+    def walk_iter(
+        tpl: Con, ctx: Context, hole: tuple[ObjType, int] | None
+    ) -> tuple[ObjType, _Compiled]:
+        if not ar.family_index:
+            raise TypeCheckError("__iter in a template for a non-family arity")
+        if tpl.inst or tpl.lit is not None or len(tpl.args) != 2:
+            raise TypeCheckError("__iter takes exactly two sub-templates")
+        base_ty, base = walk(tpl.args[1], ctx, hole)
+        step_ty, step = walk(tpl.args[0], ctx, (base_ty, len(ctx)))
+        if step_ty != base_ty:
+            raise TypeCheckError(f"__iter step has type {step_ty}, base has type {base_ty}")
+        step_of, base_of = _function(step), _function(base)
+
+        def iterate(inst, args, lit, hole):
+            if lit is None:
+                raise TypeCheckError("__iter without a family literal")
+            acc = base_of(inst, args, lit, hole)
+            for _ in range(lit):
+                acc = step_of(inst, args, lit, acc)
+            return acc
+
+        return base_ty, (None, iterate)
+
+    def walk_stab(
+        tpl: Con, ctx: Context, hole: tuple[ObjType, int] | None
+    ) -> tuple[ObjType, _Compiled]:
+        if not stab_ok:
+            raise TypeCheckError(
+                "__stab needs the impl/and/top/bot kit in the target and "
+                "double-negation stable type templates"
+            )
+        if len(tpl.inst) != 1 or len(tpl.args) != 1 or tpl.lit is not None:
+            raise TypeCheckError("__stab takes one type expression and one sub-template")
+        if not _stable_expr(tpl.inst[0]):
+            raise TypeCheckError(f"__stab type {tpl.inst[0]} is not double-negation stable")
+        ty_c = type_expr(tpl.inst[0])
+        ty = type_function(ty_c)(inst0)
+        arg_ty, inner = walk(tpl.args[0], ctx, hole)
+        if arg_ty != _nn(ty):
+            raise TypeCheckError(f"__stab argument has type {arg_ty}, expected {_nn(ty)}")
+        if ty_c[0] is not None and inner[0] is not None:
+            return ty, (build_stability_witness(target, ty_c[0], inner[0]), None)
+        ty_of, inner_of = type_function(ty_c), _function(inner)
+
+        def stab(inst, args, lit, hole):
+            return build_stability_witness(target, ty_of(inst), inner_of(inst, args, lit, hole))
+
+        return ty, (None, stab)
 
     ty, compiled = walk(tpl, (), None)
     if ty != images.result:
@@ -666,7 +658,7 @@ def identity_translation(sig: TypedSignature) -> Translation:
     for ar in sig.terms:
         inst = tuple(TVar(k) for k in range(1, ar.degree + 1))
         metas = tuple(TplMeta(j) for j in range(1, len(ar.args) + 1))
-        term_map[ar.name] = TplCon(ar.name, None, inst, metas)
+        term_map[ar.name] = Con(ar.name, None, inst, metas)
     return Translation(
         name=f"identity-{sig.name}",
         source=sig,

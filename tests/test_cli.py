@@ -5,6 +5,8 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from initsyn.cli import main
 from initsyn.languages import get_language, get_translation
 from initsyn.surface import parse_signature, print_translation
@@ -267,6 +269,31 @@ def test_too_deep_input_exits_2_without_traceback(tmp_path):
     assert (code, out) == (2, "")
     assert err == "error: input too deep or too large (RecursionError)\n"
     assert _fresh_run(["translate", "--using", "pcf2ulc-turing", str(path)]) == (2, out, err)
+
+
+@pytest.mark.parametrize("depth", [500, 501])
+def test_templates_and_macros_nest_as_deep_as_terms(tmp_path, depth):
+    """A ``.xlat`` file whose ``rec`` template and first macro each nest
+    500 levels loads and translates at the default recursion limit; one
+    level more is an error at the first node too deep."""
+    text = print_translation(get_translation("pcf2ulc-turing")).replace(
+        "\n\nmacros {\n", "\nmacros { M = " + "(abs " * (depth - 1) + "#0" + ")" * (depth - 1) + "\n"
+    )
+    deep = "(app " + "(abs " * (depth - 2) + "#0" + ")" * (depth - 2)
+    xlat = tmp_path / "deep.xlat"
+    xlat.write_text(text.replace("rec -> (app <Theta> ?1)", f"rec -> {deep} ?1)"))
+    term = tmp_path / "rec.term"
+    term.write_text("context ; (rec [Nat] (abs [Nat, Nat] #0))")
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        got = run(["translate", "--xlat", str(xlat), str(term)])
+    finally:
+        sys.setrecursionlimit(saved)
+    if depth == 500:
+        assert got == (0, f"{deep} (abs #0))\n", "")
+    else:
+        assert got == (1, "", "error: line 2, column 2514: nesting too deep\n")
 
 
 def test_memory_error_exits_2(tmp_path, monkeypatch):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from initsyn.languages import get_language
+from initsyn.languages import get_language, get_translation
 from initsyn.surface import (
     SourceError,
     _scan,
@@ -25,6 +25,7 @@ from initsyn.surface import (
     parse_signature,
     parse_term,
     parse_translation,
+    print_translation,
     translation_header,
 )
 
@@ -133,6 +134,19 @@ def _arrows(depth: int) -> str:
     return "context " + "arr(Nat," * (depth - 1) + "Nat" + ")" * (depth - 1) + " ; #0"
 
 
+def _deep_xlat(kind: str, depth: int) -> tuple[str, str]:
+    """``pcf2ulc-turing`` with either the template of ``rec`` (on line 15)
+    or a new first macro ``M`` (on line 2) nesting ``depth`` levels deep,
+    and the text of that template or macro."""
+    text = print_translation(get_translation("pcf2ulc-turing"))
+    text = text.replace("\n\nmacros {\n", "\nmacros { M = (abs #0)\n")
+    if kind == "template":
+        deep = "(app " + "(abs " * (depth - 2) + "#0" + ")" * (depth - 2) + " ?1)"
+        return text.replace("rec -> (app <Theta> ?1)", f"rec -> {deep}"), deep
+    deep = "(abs " * (depth - 1) + "#0" + ")" * (depth - 1)
+    return text.replace("M = (abs #0)", f"M = {deep}"), deep
+
+
 class TestNestingLimit:
     """The limit as measured before the parsers read token strings; every
     case runs at the default recursion limit."""
@@ -163,3 +177,18 @@ class TestNestingLimit:
             parse_term(_arrows(501), get_language("PCF"))
         got = (err.value.line, err.value.column, err.value.message)
         assert got == (1, 4005, "nesting too deep")
+
+    @pytest.mark.parametrize("kind", ["template", "macro"])
+    def test_500_level_templates_and_macros_load(self, kind):
+        text, deep = _deep_xlat(kind, 500)
+        x = parse_translation(text, get_language("PCF"), get_language("ULC"))
+        assert str(x.term_map["rec"] if kind == "template" else x.macros["M"]) == deep
+
+    @pytest.mark.parametrize(
+        "kind, at", [("template", (15, 2510)), ("macro", (2, 2514))], ids=["template", "macro"]
+    )
+    def test_501_level_templates_and_macros_are_too_deep(self, kind, at):
+        text, _ = _deep_xlat(kind, 501)
+        with pytest.raises(SourceError) as err:
+            parse_translation(text, get_language("PCF"), get_language("ULC"))
+        assert (err.value.line, err.value.column, err.value.message) == (*at, "nesting too deep")

@@ -396,6 +396,28 @@ class TestParseTranslation:
         got = (err.value.line, err.value.column, err.value.message)
         assert got == (line, 3, f"invalid translation: types: type template for 'p': {error}")
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("(app ?1 #0)", "macros cannot contain argument placeholders"),
+            ("(app <J> #0)", "macro 'J' is not defined yet"),
+            ("(abs (__hole))", "'__hole' is not allowed in a macro"),
+            ("(abs [$1] #0)", "macro type parameters must be closed"),
+            # the first error in text order: a node before its arguments, an
+            # argument before the next one
+            ("(app ?1 <J>)", "macros cannot contain argument placeholders"),
+            ("(__iter <J> ?1)", "'__iter' is not allowed in a macro"),
+        ],
+    )
+    def test_macro_errors_point_at_the_macro_name(self, body, message):
+        pcf, ulc = get_language("PCF"), get_language("ULC")
+        text = print_translation(get_translation("pcf2ulc-turing")).replace(
+            "\n\nmacros {\n", f"\nmacros {{ M = {body}\n"
+        )
+        with pytest.raises(SourceError) as err:
+            parse_translation(text, pcf, ulc)
+        assert (err.value.line, err.value.column, err.value.message) == (2, 10, message)
+
     def test_macro_forward_reference_rejected(self):
         pcf, ulc = get_language("PCF"), get_language("ULC")
         text = print_translation(get_translation("pcf2ulc-turing")).replace(
