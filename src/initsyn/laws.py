@@ -45,6 +45,8 @@ from typing import Callable
 
 from .objtypes import (
     ObjType,
+    TVar,
+    TypeExpr,
     compile_type_expr,
     ground_types,
     interned,
@@ -52,7 +54,7 @@ from .objtypes import (
     translate_type,
     type_function,
 )
-from .signatures import TermArity, TVar, TypedSignature, TypeExpr
+from .signatures import TermArity, TypedSignature
 from .terms import (
     Con,
     Context,

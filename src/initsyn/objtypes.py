@@ -1,14 +1,16 @@
-"""Ground types and type translations.
+"""Types, type expressions and type translations.
 
 Ground types are the trees freely generated by a type signature.  A type
-translation gives, for every source constructor, a target type expression
-in the constructor's parameters; extending it over whole trees by
-structural recursion is the unique homomorphism between the two freely
-generated type sets.
+expression is a tree of the same algebra over type variables $1, $2, ...
+(``TVar`` leaves), so both are ``ObjType``s and a closed expression is the
+ground type itself.  A type translation gives, for every source
+constructor, a target type expression in the constructor's parameters;
+extending it over whole trees by structural recursion is the unique
+homomorphism between the two freely generated type sets.
 
-Ground types are hash-consed: building a type whose constructor name and
-child types equal those of a live type returns that live object, so equal
-types are the same object.  Equality and hashing are identity, which costs
+Types are hash-consed: building a type whose constructor name and child
+types equal those of a live type returns that live object, so equal types
+are the same object.  Equality and hashing are identity, which costs
 O(1) whatever the size of the type, and a fold memoized by identity, such
 as ``translate_type``, visits each distinct subtree once.  The intern
 table holds its types weakly, so a type nobody else references is freed
@@ -20,9 +22,10 @@ from __future__ import annotations
 import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
-from .signatures import TApp, TVar, TypeExpr, TypeSignature, type_expr_errors
+if TYPE_CHECKING:
+    from .signatures import TypeSignature
 
 # (name, args) -> weak reference to the one live ObjType of that structure
 _INTERNED: dict[tuple, weakref.ref] = {}
@@ -51,8 +54,21 @@ class Frozen:
         return f"{type(self).__name__}({fields})"
 
 
+@dataclass(frozen=True, slots=True)
+class TVar:
+    """The k-th type parameter, written $k.  Indices are 1-based."""
+
+    index: int
+
+    def __str__(self) -> str:
+        return f"${self.index}"
+
+    _str = property(__str__)  # the rendering ObjType.__str__ reads off a child
+
+
 class ObjType(Frozen):
-    """A ground type: constructor name plus child types.
+    """A type: constructor name plus child types, each an ``ObjType`` or a
+    ``TVar``.  It is a type expression, and a ground type when closed.
 
     Hash-consed and immutable: ``ObjType(name, args)`` returns the one live
     object with that constructor name and those (already interned)
@@ -69,9 +85,9 @@ class ObjType(Frozen):
     __match_args__ = ("name", "args")
 
     name: str
-    args: tuple[ObjType, ...]
+    args: tuple[TypeExpr, ...]
 
-    def __new__(cls, name: str, args: tuple[ObjType, ...] = ()) -> ObjType:
+    def __new__(cls, name: str, args: tuple[TypeExpr, ...] = ()) -> ObjType:
         if type(args) is not tuple:
             args = tuple(args)
         key = (name, args)
@@ -116,6 +132,44 @@ _set_name = ObjType.name.__set__
 _set_args = ObjType.args.__set__
 _set_str = ObjType._str.__set__
 
+TypeExpr = TVar | ObjType
+
+
+def constructor_error(types: Mapping[str, int], name: str, count: int) -> str | None:
+    """Why ``types`` (name to argument count) has no constructor ``name`` of
+    ``count`` arguments, or ``None`` when it has."""
+    declared = types.get(name)
+    if declared is None:
+        return f"unknown type constructor '{name}'"
+    if declared != count:
+        return f"{name} expects {declared} argument{'s' if declared != 1 else ''}, got {count}"
+    return None
+
+
+def type_expr_errors(
+    types: Mapping[str, int], e: TypeExpr, degree: int
+) -> Iterator[str]:
+    """Yield, in pre-order, each way in which ``e`` is not a type expression
+    of degree ``degree`` over the constructors (name to argument count) in
+    ``types``: a ground type when ``degree`` is 0.  Every well-formedness
+    check of a built type expression is this one; the parser checks ground
+    types as it reads them, with ``constructor_error`` too."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if type(e) is TVar:
+            if e.index < 1:
+                yield f"variable index {e.index} is not positive"
+            elif e.index > degree:
+                yield f"variable {e.index} exceeds degree {degree}"
+        elif type(e) is ObjType:
+            error = constructor_error(types, e.name, len(e.args))
+            if error is not None:
+                yield error
+            stack.extend(reversed(e.args))
+        else:
+            yield f"not a type expression: {e!r}"
+
 
 def type_key(t: ObjType) -> tuple:
     """Sort key: lexicographic on constructor name, then children."""
@@ -145,8 +199,9 @@ def subterms(t: ObjType) -> list[ObjType]:
 
 
 def eval_type_expr(env: Sequence[ObjType], e: TypeExpr) -> ObjType:
-    """Evaluate an open type expression: $k becomes ``env[k-1]``."""
-    if type(e) is TApp:
+    """Evaluate an open type expression: $k becomes ``env[k-1]``.  The
+    environment may itself hold type expressions (substitution)."""
+    if type(e) is ObjType:
         return ObjType(e.name, tuple([eval_type_expr(env, a) for a in e.args]))
     if type(e) is TVar:
         k = e.index
@@ -163,8 +218,8 @@ def compile_type_expr(
 ) -> tuple[ObjType | None, Callable[[Sequence[ObjType]], ObjType] | None]:
     """``e`` compiled for environments of length ``degree``.
 
-    Returns ``(fixed, None)`` when ``e`` is closed, ``fixed`` being its
-    value, and otherwise ``(None, fn)`` with ``fn(env) ==
+    Returns ``(e, None)`` when ``e`` is closed, a closed expression being
+    its own value, and otherwise ``(None, fn)`` with ``fn(env) ==
     eval_type_expr(env, e)``; closed subexpressions are evaluated here, once.
     A variable outside ``1..degree`` compiles to a function raising the
     error ``eval_type_expr`` raises.
@@ -172,10 +227,10 @@ def compile_type_expr(
     if type(e) is TVar and 1 <= e.index <= degree:
         k = e.index - 1
         return None, lambda env: env[k]
-    if type(e) is TApp:
+    if type(e) is ObjType:
         parts = [compile_type_expr(a, degree) for a in e.args]
         if all(fixed is not None for fixed, _ in parts):
-            return ObjType(e.name, tuple([fixed for fixed, _ in parts])), None
+            return e, None
         name = e.name
         fns = [type_function(part) for part in parts]
         return None, lambda env: ObjType(name, tuple([f(env) for f in fns]))
@@ -225,55 +280,37 @@ class TypeTranslation:
         return out
 
 
-def translate_type(g: TypeTranslation, t: ObjType) -> ObjType:
-    """Apply the homomorphism determined by ``g`` to a ground type.
+def translate_type(g: TypeTranslation, t: TypeExpr) -> TypeExpr:
+    """Apply the homomorphism determined by ``g`` to a type.
 
-    Each distinct subtree of ``t`` is translated once.
+    Each distinct subtree of ``t`` is translated once.  Variables of an
+    open expression stay themselves, so that evaluating the result at
+    translated parameters agrees with translating the evaluation (the
+    translation and evaluation square commutes).
     """
     return _translate_type(g, t, {})
 
 
+translate_type_expr = translate_type  # type expressions are types
+
+
 def _translate_type(
-    g: TypeTranslation, t: ObjType, memo: dict[ObjType, ObjType]
-) -> ObjType:
+    g: TypeTranslation, t: TypeExpr, memo: dict[ObjType, TypeExpr]
+) -> TypeExpr:
     """``translate_type`` memoized in ``memo``, which the caller owns and
     may share across calls with the same ``g``."""
     out = memo.get(t)
     if out is None:
+        if type(t) is TVar:
+            return t
         translated = tuple([_translate_type(g, a, memo) for a in t.args])
         out = memo[t] = eval_type_expr(translated, g.templates[t.name])
     return out
 
 
-def subst_type_expr(e: TypeExpr, args: Sequence[TypeExpr]) -> TypeExpr:
-    """Replace $k in ``e`` by ``args[k-1]``."""
-    match e:
-        case TVar(index=k):
-            return args[k - 1]
-        case TApp(name=name, args=sub):
-            return TApp(name, tuple(subst_type_expr(a, args) for a in sub))
-    raise TypeError(f"not a type expression: {e!r}")
-
-
-def translate_type_expr(g: TypeTranslation, e: TypeExpr) -> TypeExpr:
-    """Extend the type translation to open expressions.
-
-    Variables stay themselves, so that evaluating the result at translated
-    parameters agrees with translating the evaluation (the translation and
-    evaluation square commutes).
-    """
-    match e:
-        case TVar():
-            return e
-        case TApp(name=name, args=args):
-            translated = [translate_type_expr(g, a) for a in args]
-            return subst_type_expr(g.templates[name], translated)
-    raise TypeError(f"not a type expression: {e!r}")
-
-
 def identity_type_translation(ts: TypeSignature) -> TypeTranslation:
     templates: dict[str, TypeExpr] = {
-        name: TApp(name, tuple(TVar(i + 1) for i in range(count)))
+        name: ObjType(name, tuple(TVar(i + 1) for i in range(count)))
         for name, count in ts.constructors.items()
     }
     return TypeTranslation(ts, ts, templates)

@@ -1,47 +1,27 @@
-"""Typed signatures: type constructors, type expressions, and term arities.
+"""Typed signatures: type constructors and term arities.
 
 A language is declared as a typed signature: a set of type constructors
 (each with an argument count) plus a set of term constructors ("arities").
 An arity of degree n abstracts over n type parameters, written $1..$n in
 type expressions; each argument of an arity carries a binder list (the
 types of the variables the constructor binds in that argument) and a body
-type; the arity also declares a result type.
+type; the arity also declares a result type.  Type expressions are the
+``ObjType`` trees of ``objtypes`` with ``TVar`` leaves; ``TVar``,
+``TypeExpr`` and ``type_expr_errors`` are re-exported here, and ``TApp``
+is another name for ``ObjType``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+
+from .objtypes import ObjType, TVar, TypeExpr, type_expr_errors
 
 
 # ---------------------------------------------------------------------------
 # Type expressions
 
-
-@dataclass(frozen=True, slots=True)
-class TVar:
-    """The k-th type parameter, written $k.  Indices are 1-based."""
-
-    index: int
-
-    def __str__(self) -> str:
-        return f"${self.index}"
-
-
-@dataclass(frozen=True, slots=True)
-class TApp:
-    """A type constructor applied to argument expressions."""
-
-    name: str
-    args: tuple["TypeExpr", ...] = ()
-
-    def __str__(self) -> str:
-        if not self.args:
-            return self.name
-        return f"{self.name}({','.join(str(a) for a in self.args)})"
-
-
-TypeExpr = TVar | TApp
+TApp = ObjType  # callers may build type expressions under this name
 
 
 def min_degree(e: TypeExpr) -> int:
@@ -49,7 +29,7 @@ def min_degree(e: TypeExpr) -> int:
     match e:
         case TVar(index=k):
             return k
-        case TApp(args=args):
+        case ObjType(args=args):
             return max((min_degree(a) for a in args), default=0)
     raise TypeError(f"not a type expression: {e!r}")
 
@@ -185,35 +165,6 @@ class ValidationReport:
 
     def __str__(self) -> str:
         return "ok" if self.ok else "\n".join(self.entries)
-
-
-def type_expr_errors(
-    types: Mapping[str, int], e: TypeExpr, degree: int
-) -> Iterator[str]:
-    """Yield, in pre-order, each way in which ``e`` is not a type expression
-    of degree ``degree`` over the constructors (name to argument count) in
-    ``types``.  Every well-formedness check of a type expression is this
-    one."""
-    stack = [e]
-    while stack:
-        e = stack.pop()
-        if type(e) is TVar:
-            if e.index < 1:
-                yield f"variable index {e.index} is not positive"
-            elif e.index > degree:
-                yield f"variable {e.index} exceeds degree {degree}"
-        elif type(e) is TApp:
-            declared = types.get(e.name)
-            if declared is None:
-                yield f"unknown type constructor '{e.name}'"
-            elif declared != len(e.args):
-                yield (
-                    f"{e.name} expects {declared} argument"
-                    f"{'s' if declared != 1 else ''}, got {len(e.args)}"
-                )
-            stack.extend(reversed(e.args))
-        else:
-            yield f"not a type expression: {e!r}"
 
 
 def validate_signature(sig: TypedSignature) -> ValidationReport:

@@ -17,18 +17,16 @@ import re
 from itertools import islice
 from typing import Iterator, NamedTuple, NoReturn
 
-from .objtypes import ObjType, TypeTranslation, eval_type_expr
-from .signatures import (
-    ArgSpec,
-    TApp,
+from .objtypes import (
+    ObjType,
     TVar,
-    TermArity,
     TypeExpr,
-    TypedSignature,
-    TypeSignature,
+    TypeTranslation,
+    constructor_error,
+    eval_type_expr,
     type_expr_errors,
-    validate_signature,
 )
+from .signatures import ArgSpec, TermArity, TypedSignature, TypeSignature, validate_signature
 from .terms import Con, Context, Term, TypeCheckError, Var, infer
 from .translate import Template, TplMacro, TplMeta, Translation, validate_translation
 
@@ -147,6 +145,8 @@ class _Parser:
     parser stops at it at the latest, and an error raised while it is the
     lookahead reports it as an unexpected character instead: the first
     error of a scan that raised as soon as a bad token became the lookahead.
+    ``depth`` is how deep the lookahead is nested in what encloses it; the
+    readers add their own stack of open nodes to it to check the limit.
     """
 
     def __init__(self, text: str):
@@ -213,67 +213,43 @@ class _Parser:
         if t:
             self.fail(f"trailing input {_shown(t)!r}", "end of input")
 
-    def enter(self) -> None:
-        self.depth += 1
-        if self.depth > _MAX_NESTING:
-            self.fail("nesting too deep")
-
-    def leave(self) -> None:
-        self.depth -= 1
-
 
 # ---------------------------------------------------------------------------
 # Type expressions and ground types
 
 
-def _parse_tyexpr(p: _Parser) -> tuple[TypeExpr, int]:
-    """A type expression and the index of its head token."""
-    p.enter()
-    try:
-        at = p.i
-        t = p.peek()
-        if t[:1] == "$" and len(t) > 1:
-            p.next()
-            return TVar(int(t[1:])), at
-        name = p.expect_ident("a type expression")
-        args: list[TypeExpr] = []
-        if p.at_punct("("):
-            p.next()
-            args.append(_parse_tyexpr(p)[0])
-            while p.at_punct(","):
-                p.next()
-                args.append(_parse_tyexpr(p)[0])
-            p.expect_punct(")")
-        return TApp(name, tuple(args)), at
-    finally:
-        p.leave()
-
-
-def _parse_groundty(p: _Parser, sig: TypedSignature) -> ObjType:
-    """A ground type from the lookahead on, without recursion: ``stack``
+def _parse_type(p: _Parser, ground: dict[str, int] | None = None) -> TypeExpr:
+    """A type expression from the lookahead on, without recursion: ``stack``
     holds the constructors whose arguments are being read, each with the
-    index of its name and the arguments read so far."""
+    index of its name and the arguments read so far.
+
+    With ``ground`` (constructor name to argument count) it reads a ground
+    type: ``$k`` is not read, and each constructor is checked where its
+    name ends or its arguments close, the error pointing at the name."""
     toks, i = p.toks, p.i
     room = _MAX_NESTING - p.depth
-    declared = sig.all_types.constructors
-    stack: list[tuple[str, int, list[ObjType]]] = []
+    stack: list[tuple[str, int, list[TypeExpr]]] = []
     while True:
         if len(stack) >= room:
             p.i = i
             p.fail("nesting too deep")
         name = toks[i]
-        if not _is_ident(name):
-            p.i = i
-            p.found("a ground type")
-        i += 1
-        if toks[i] == "(":
-            stack.append((name, i - 1, []))
+        if ground is None and name[:1] == "$" and len(name) > 1:
             i += 1
-            continue
-        if declared.get(name) != 0:
+            ty = TVar(int(name[1:]))
+        elif not _is_ident(name):
             p.i = i
-            _ground_error(p, sig, name, i - 1, 0)
-        ty = ObjType(name)
+            p.found("a type expression" if ground is None else "a ground type")
+        else:
+            i += 1
+            if toks[i] == "(":
+                stack.append((name, i - 1, []))
+                i += 1
+                continue
+            if ground is not None and ground.get(name) != 0:
+                p.i = i
+                p.fail(constructor_error(ground, name, 0), at=i - 1)
+            ty = ObjType(name)
         while True:
             if not stack:
                 p.i = i
@@ -288,22 +264,10 @@ def _parse_groundty(p: _Parser, sig: TypedSignature) -> ObjType:
                 p.found("')'")
             i += 1
             stack.pop()
-            if declared.get(name) != len(args):
+            if ground is not None and ground.get(name) != len(args):
                 p.i = i
-                _ground_error(p, sig, name, at, len(args))
+                p.fail(constructor_error(ground, name, len(args)), at=at)
             ty = ObjType(name, tuple(args))
-
-
-def _ground_error(p: _Parser, sig: TypedSignature, name: str, at: int, count: int) -> NoReturn:
-    """Raise: ``sig`` has no type constructor ``name`` of ``count``
-    arguments.  The error points at the name, the token at index ``at``."""
-    declared = sig.type_arity(name)
-    if declared is None:
-        p.fail(f"unknown type constructor '{name}'", at=at)
-    p.fail(
-        f"{name} expects {declared} argument{'s' if declared != 1 else ''}, got {count}",
-        at=at,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +367,8 @@ def _parse_argspec(p: _Parser, types: dict[str, int], degree: int) -> ArgSpec:
 
 def _parse_checked_tyexpr(p: _Parser, types: dict[str, int], degree: int) -> TypeExpr:
     """A type expression, with its first error raised at its head token."""
-    e, at = _parse_tyexpr(p)
+    at = p.i
+    e = _parse_type(p)
     error = next(type_expr_errors(types, e, degree), None)
     if error is not None:
         p.fail(error, at=at)
@@ -467,7 +432,7 @@ def _parse_typed_term(
     p.expect_keyword("context")
     ctx: list[ObjType] = []
     while p.at_ident():
-        ctx.append(_parse_groundty(p, sig))
+        ctx.append(_parse_type(p, sig.all_types.constructors))
     p.expect_punct(";")
     start = p.i
     term = _parse_term_node(p, sig)
@@ -513,7 +478,7 @@ def _parse_term_node(p: _Parser, sig: TypedSignature, template: bool = False) ->
     toks, i = p.toks, p.i
     room = _MAX_NESTING - p.depth
     arities = sig.binder_counts  # keyed by arity name
-    read_type = (lambda: _parse_tyexpr(p)[0]) if template else (lambda: _parse_groundty(p, sig))
+    ground = None if template else sig.all_types.constructors
     variables: dict[str, Var] = {}
     leaves: dict[tuple, Con] = {}
     instantiations: dict[tuple[str, ...], tuple[ObjType, ...]] = {}
@@ -561,10 +526,10 @@ def _parse_term_node(p: _Parser, sig: TypedSignature, template: bool = False) ->
                     i, inst = end + 1, known
                 else:
                     p.i, p.depth = i + 1, p.depth + len(stack) + 1
-                    types = [read_type()]
+                    types = [_parse_type(p, ground)]
                     while p.at_punct(","):
                         p.i += 1
-                        types.append(read_type())
+                        types.append(_parse_type(p, ground))
                     p.expect_punct("]")
                     p.depth -= len(stack) + 1
                     i, inst = p.i, tuple(types)
@@ -713,7 +678,7 @@ def parse_translation(
                 p.fail(f"duplicate macro '{mname}'", at=at)
             p.expect_punct("=")
             tpl = _parse_term_node(p, target, template=True)
-            macros[mname] = _macro_term(p, tpl, macros, at)
+            macros[mname] = _macro_term(p, tpl, macros, target.all_types.constructors, at)
             macro_at[mname] = at
         p.expect_punct("}")
 
@@ -727,8 +692,7 @@ def parse_translation(
         if cname in type_templates:
             p.fail(f"duplicate type template for '{cname}'", at=at)
         p.expect_punct("->")
-        e, _ = _parse_tyexpr(p)
-        type_templates[cname] = e
+        type_templates[cname] = _parse_type(p)
         type_at[cname] = at
     p.expect_punct("}")
 
@@ -767,10 +731,12 @@ def parse_translation(
 
 
 def _macro_term(
-    p: _Parser, tpl: Template, macros: dict[str, Term], at: int
+    p: _Parser, tpl: Template, macros: dict[str, Term], types: dict[str, int], at: int
 ) -> Term:
     """Macros are ground terms; earlier macros may be referenced and are
-    inlined.  Errors point at the macro's name, the token at index ``at``.
+    inlined.  Their instantiations are ground types over ``types``, the
+    target's constructors.  Errors point at the macro's name, the token at
+    index ``at``.
     The walk keeps an explicit stack: a node is checked when it is reached,
     in the order the text gives, and built once its arguments are."""
     done: list[Term] = []
@@ -797,6 +763,10 @@ def _macro_term(
                 inst = tuple([eval_type_expr((), e) for e in t.inst])
             except ValueError:
                 p.fail("macro type parameters must be closed", at=at)
+            for e in inst:
+                error = next(type_expr_errors(types, e, 0), None)
+                if error is not None:
+                    p.fail(f"type expression {e}: {error}", at=at)
             stack.append((t.name, t.lit, inst, len(t.args)))
             stack.extend(reversed(t.args))
     return done[0]

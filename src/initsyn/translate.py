@@ -40,6 +40,8 @@ from typing import Callable
 
 from .objtypes import (
     ObjType,
+    TVar,
+    TypeExpr,
     TypeTranslation,
     _translate_type,
     compile_type_expr,
@@ -48,18 +50,10 @@ from .objtypes import (
     identity_type_translation,
     is_unityped,
     translate_type,  # not called here; perfbench/tracing.py counts calls by this name
-    translate_type_expr,
+    type_expr_errors,
     type_function,
 )
-from .signatures import (
-    TApp,
-    TVar,
-    TypeExpr,
-    TypedSignature,
-    TermArity,
-    ValidationReport,
-    type_expr_errors,
-)
+from .signatures import TypedSignature, TermArity, ValidationReport
 from .terms import Con, Context, Term, TypeCheckError, Var, infer, weaken
 
 ITER = "__iter"
@@ -176,11 +170,11 @@ def _stable_expr(e: TypeExpr) -> bool:
     match e:
         case TVar():
             return True
-        case TApp(name="bot" | "top", args=()):
+        case ObjType(name="bot" | "top", args=()):
             return True
-        case TApp(name="impl", args=(_, b)):
+        case ObjType(name="impl", args=(_, b)):
             return _stable_expr(b)
-        case TApp(name="and", args=(a, b)):
+        case ObjType(name="and", args=(a, b)):
             return _stable_expr(a) and _stable_expr(b)
     return False
 
@@ -287,16 +281,14 @@ class _ArityImages:
 def _arity_images(
     x: Representation, ar: TermArity, inst: tuple[ObjType, ...]
 ) -> _ArityImages:
-    g = x.type_map
-    binders = tuple(
-        tuple(eval_type_expr(inst, translate_type_expr(g, b)) for b in spec.binders)
-        for spec in ar.args
-    )
-    bodies = tuple(
-        eval_type_expr(inst, translate_type_expr(g, spec.body)) for spec in ar.args
-    )
-    result = eval_type_expr(inst, translate_type_expr(g, ar.result))
-    return _ArityImages(binders, bodies, result)
+    g, memo = x.type_map, {}
+
+    def image(e: TypeExpr) -> ObjType:
+        return eval_type_expr(inst, _translate_type(g, e, memo))
+
+    binders = tuple(tuple(image(b) for b in spec.binders) for spec in ar.args)
+    bodies = tuple(image(spec.body) for spec in ar.args)
+    return _ArityImages(binders, bodies, image(ar.result))
 
 
 def _template_scope(x: Translation) -> tuple[dict[str, ObjType], list[str], bool]:

@@ -25,6 +25,7 @@ from initsyn.surface import (
     parse_signature,
     parse_term,
     parse_translation,
+    print_signature,
     print_translation,
     translation_header,
 )
@@ -147,6 +148,13 @@ def _deep_xlat(kind: str, depth: int) -> tuple[str, str]:
     return text.replace("M = (abs #0)", f"M = {deep}"), deep
 
 
+def _deep_signature(depth: int) -> str:
+    """A signature whose one arity has a result ``depth`` constructors
+    deep over ``$1``, on line 4."""
+    result = "arr(" * depth + "$1" + ",Nat)" * depth
+    return f"language L\ntypes {{ Nat : 0 arr : 2 }}\nterms {{\n  f [1] : () -> {result}\n}}\n"
+
+
 class TestNestingLimit:
     """The limit as measured before the parsers read token strings; every
     case runs at the default recursion limit."""
@@ -192,3 +200,14 @@ class TestNestingLimit:
         with pytest.raises(SourceError) as err:
             parse_translation(text, get_language("PCF"), get_language("ULC"))
         assert (err.value.line, err.value.column, err.value.message) == (*at, "nesting too deep")
+
+    def test_499_level_type_expressions_print_and_round_trip(self):
+        sig = parse_signature(_deep_signature(499))
+        text = print_signature(sig)
+        assert "arr(" * 499 + "$1" + ",Nat)" * 499 in text
+        assert parse_signature(text) == sig
+
+    def test_500_level_type_expressions_are_too_deep(self):
+        with pytest.raises(SourceError) as err:
+            parse_signature(_deep_signature(500))
+        assert (err.value.line, err.value.column, err.value.message) == (4, 2017, "nesting too deep")

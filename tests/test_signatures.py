@@ -1,3 +1,11 @@
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import initsyn
 from initsyn.languages import get_language, list_builtins
 from initsyn.signatures import (
     ArgSpec,
@@ -84,3 +92,16 @@ def test_min_degree_bounded_by_declared_degree_on_builtins():
 def test_validation_is_deterministic():
     sig = get_language("PCF")
     assert validate_signature(sig) == validate_signature(sig)
+
+
+@pytest.mark.parametrize("module", [m.name for m in pkgutil.iter_modules(initsyn.__path__)])
+def test_each_module_imports_first(module):
+    """Each ``initsyn`` module loads as the package's first, ``__init__``
+    not run, in a fresh interpreter: no two modules import each other."""
+    code = (
+        "import importlib, importlib.machinery, importlib.util, sys\n"
+        f"spec = importlib.machinery.PathFinder.find_spec('initsyn', [{str(Path(initsyn.__path__[0]).parent)!r}])\n"
+        "sys.modules['initsyn'] = importlib.util.module_from_spec(spec)\n"
+        f"importlib.import_module('initsyn.{module}')\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)

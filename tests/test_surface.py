@@ -418,6 +418,36 @@ class TestParseTranslation:
             parse_translation(text, pcf, ulc)
         assert (err.value.line, err.value.column, err.value.message) == (2, 10, message)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (
+                "(implE [impl(Foo,Foo), top] (implI [impl(Foo,Foo), top] (topI)) (implI [Foo, Foo] #0))",
+                "type expression impl(Foo,Foo): unknown type constructor 'Foo'",
+            ),
+            # reported before the wrong parameter count of the same node
+            (
+                "(implE [impl(Foo,Foo)] (implI [impl(Foo,Foo), top] (topI)) (implI [Foo, Foo] #0))",
+                "type expression impl(Foo,Foo): unknown type constructor 'Foo'",
+            ),
+            (
+                "(implE [impl(top), top] (implI [impl(top), top] (topI)) (implI [top, top] #0))",
+                "type expression impl(top): impl expects 2 arguments, got 1",
+            ),
+        ],
+        ids=["unknown", "unknown-and-count", "argument-count"],
+    )
+    def test_macro_types_are_checked_against_the_target(self, body, message):
+        gg = get_translation("cpc2ipc-godel-gentzen")
+        text = print_translation(gg).replace("\n\ntypes {", f"\nmacros {{ K = {body} }}\n\ntypes {{")
+        text = text.replace(
+            "topI -> (implI [impl(top,bot), bot] (implE [top, bot] #0 (topI)))",
+            "topI -> (implI [impl(top,bot), bot] (implE [top, bot] #0 <K>))",
+        )
+        with pytest.raises(SourceError) as err:
+            parse_translation(text, gg.source, gg.target)
+        assert (err.value.line, err.value.column, err.value.message) == (2, 10, message)
+
     def test_macro_forward_reference_rejected(self):
         pcf, ulc = get_language("PCF"), get_language("ULC")
         text = print_translation(get_translation("pcf2ulc-turing")).replace(

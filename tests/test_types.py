@@ -15,6 +15,7 @@ from initsyn import objtypes
 from initsyn.languages import get_language, get_translation
 from initsyn.objtypes import (
     ObjType,
+    compile_type_expr,
     eval_type_expr,
     ground_types,
     translate_type,
@@ -43,6 +44,15 @@ def test_eval_type_expr():
     assert eval_type_expr([NAT], TApp("Bool")) == BOOL
     nested = TApp("arr", (TApp("arr", (TVar(1), TVar(1))), TVar(2)))
     assert eval_type_expr([BOOL, NAT], nested) == arr(arr(BOOL, BOOL), NAT)
+
+
+def test_type_expressions_are_types():
+    assert TApp is ObjType
+    assert get_language("PCF").arity("Succ").result is arr(NAT, NAT)
+    for e in (NAT, arr(NAT, arr(BOOL, NAT)), TApp("arr", (TApp("Nat"), TApp("Bool")))):
+        assert compile_type_expr(e, 2)[0] is e
+        assert eval_type_expr((), e) is e
+    assert str(TApp("arr", (TVar(1), arr(TVar(2), NAT)))) == "arr($1,arr($2,Nat))"
 
 
 def test_eval_out_of_range():
