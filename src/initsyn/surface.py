@@ -55,12 +55,15 @@ class SourceError(Exception):
 # punctuation character, or else any one character, which is a bad token.
 # Identifiers start with a letter, '_' or '*' (``_tokenize`` checks the
 # letter) and continue with letters, digits, '_', '*', "'" and inner '-', so
-# that 'a ->' lexes as an identifier and an arrow.
+# that 'a ->' lexes as an identifier and an arrow.  Only a comment and '-'
+# let a token reach past whitespace or punctuation, which ``_split`` uses.
 _TOKEN = re.compile(
     r"""[ \t\r\n]+ | \#(?![0-9])[^\n]*
     | ( [\#$?][0-9]+ | [0-9]+ | [\w*](?:[\w*'-]*[\w*'])? | -> | [()\[\]{},;:=<>] | . )""",
     re.VERBOSE,
 )
+# '-', and control characters other than the whitespace that ``_TOKEN`` skips
+_ODD = re.compile(r"[^ -~\t\r\n]|-")
 
 _DIGITS = frozenset("0123456789")
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_*")
@@ -94,15 +97,32 @@ def _kind(t: str) -> str:
 def _scan(text: str) -> list[str]:
     """The token strings of ``text`` in order, then ``""`` for its end.
 
-    ASCII text is scanned by ``findall`` alone.  Other text goes through
-    ``_tokenize``, since which characters are letters and digits there takes
-    ``str`` methods that the pattern cannot express.
+    ASCII text is read by ``_split``, or by ``findall`` where that declines.
+    Other text goes through ``_tokenize``: which characters are letters and
+    digits there takes ``str`` methods that the pattern cannot express.
     """
     if not text.isascii():
         return [t.text for t in _tokenize(text)]
-    toks = list(filter(None, _TOKEN.findall(text)))
+    toks = _split(text) or list(filter(None, _TOKEN.findall(text)))
     toks.append("")
     return toks
+
+
+def _split(text: str) -> list[str] | None:
+    """The token strings of ASCII ``text``, its words once punctuation is
+    spaced out; None, as ``findall`` may read others, where ``_ODD`` finds a
+    character or a distinct word is not one token ('# c', '#1a', '@@')."""
+    if _ODD.search(text):
+        return None
+    for c in "()[]{},;:=<>":
+        if c in text:
+            text = text.replace(c, f" {c} ")
+    words = text.split()
+    for w in set(words):
+        m = _TOKEN.match(w)
+        if m.group(1) is None or m.end() != len(w):
+            return None
+    return words
 
 
 def _tokenize(text: str) -> Iterator[_Token]:

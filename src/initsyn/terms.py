@@ -144,6 +144,7 @@ class Con(Frozen):
                     else:
                         seen.add(id(a))
                         stack.append(a)
+        insts: dict[tuple, str] = {}  # an instantiation -> its text
         done: list[str] = []
         out: list[str] = []
         opened: list[tuple[int, int]] = []  # open shared nodes: id, first piece
@@ -172,7 +173,10 @@ class Con(Frozen):
             out.append("(")
             out.append(t.name if t.lit is None else f"{t.name}{{{t.lit}}}")
             if t.inst:
-                out.append(" [" + ", ".join([str(ty) for ty in t.inst]) + "]")
+                shown = insts.get(t.inst)
+                if shown is None:
+                    shown = insts[t.inst] = " [" + ", ".join([str(ty) for ty in t.inst]) + "]"
+                out.append(shown)
             for a in reversed(t.args):
                 stack.append(a)
                 stack.append(" ")

@@ -17,15 +17,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from initsyn.languages import get_language, get_translation
+from initsyn import languages
+from initsyn.languages import get_language, get_translation, list_builtins
+from initsyn.laws import GenConfig, GenFailure, gen_context, gen_term
 from initsyn.surface import (
+    _TOKEN,
     SourceError,
     _scan,
+    _split,
     _tokenize,
     parse_signature,
     parse_term,
     parse_translation,
     print_signature,
+    print_termfile,
     print_translation,
     translation_header,
 )
@@ -124,6 +129,74 @@ def test_scan_is_the_positional_scan(text):
         for result in outcomes(t):
             if result is not None and result[2].startswith("unexpected character"):
                 assert result[2] == f"unexpected character {bad[result[0], result[1]]!r}"
+
+
+def _findall(text: str) -> list[str]:
+    return list(filter(None, _TOKEN.findall(text)))
+
+
+# no '-' and no control character, so that ``_split`` reads every text
+# whose words are single tokens
+SPLIT_ALPHABET = "ab_*'#$?09 \t\r\n()[]{},;:=<>!@"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.text(alphabet=SPLIT_ALPHABET, max_size=40))
+def test_split_scan_is_the_findall_scan(text):
+    assert _scan(text) == _findall(text) + [""]
+
+
+@pytest.mark.parametrize(
+    "piece",
+    ["# x", "#", "#1a", "a#1", "'a", "12ab", "$1x", "@@", "a->b", "a-b", "\x0b", "\x0c", "\x1c", "\x7f"],
+)
+def test_split_declines_what_it_could_read_otherwise(piece):
+    """A word that is not one token (a comment's '#' starts one), '-' and
+    the control characters at which ``str.split`` splits or ``findall``
+    reads a bad token are left to ``findall``."""
+    text = f"context Nat ; (app [Nat, Nat] {piece} #0)\n"
+    assert _split(text) is None
+    assert _scan(text) == _findall(text) + [""]
+
+
+@pytest.mark.parametrize("piece", ["$", "?", "!"])
+def test_split_reads_a_lone_bad_character(piece):
+    """A word of one character that no token starts with is one bad token,
+    as ``findall`` reads it, so ``_split`` need not decline it."""
+    text = f"context Nat ; (app [Nat, Nat] {piece} #0)\n"
+    assert _split(text) == _findall(text)
+    assert piece in _split(text)
+
+
+def _seeded_term_files() -> list[str]:
+    """``print_termfile`` of seeded terms in seeded contexts, for every
+    builtin language."""
+    out = []
+    for name in list_builtins()[0]:
+        sig, cfg, rng = get_language(name), GenConfig(seed=14), random.Random(14)
+        for _ in range(20):
+            ctx = gen_context(sig, cfg, rng, max_len=3)
+            try:
+                out.append(print_termfile(sig, ctx, gen_term(sig, ctx, None, cfg, rng=rng)))
+            except GenFailure:
+                pass
+    return out
+
+
+def test_split_reads_term_files_and_declines_builtin_sources():
+    """Where the split path runs: canonical term files take it, so a change
+    cannot switch it off unseen, and the builtin ``.sig`` and ``.xlat``
+    files, which have arrows, decline at their first '-'."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    neg = readme.split("the boolean negation program\n\n```\n", 1)[1].split("```", 1)[0]
+    files = _seeded_term_files()
+    assert len(files) > 50 and any("[" in f for f in files) and any("{" in f for f in files)
+    for text in [neg, *files]:
+        assert _split(text) == _findall(text), text
+    sigs, xlats = list_builtins()
+    data = Path(languages.__file__).parent / "data"
+    for stem in [*(f"{s}.sig" for s in sigs), *(f"{x}.xlat" for x in xlats)]:
+        assert _split((data / stem).read_text(encoding="utf-8")) is None, stem
 
 
 def _nested_apps(depth: int) -> str:
