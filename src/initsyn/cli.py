@@ -20,7 +20,7 @@ from .surface import SourceError, parse_signature, print_signature, print_term
 # (perfbench/tracing.py wraps ``initsyn.cli.parse_term``); unlike
 # ``surface.parse_term`` it also returns the type the parse inferred.
 from .surface import _parse_typed_term as parse_term
-from .terms import TypeCheckError, infer
+from .terms import TypeCheckError, infer, paused_gc
 # validate_translation is not called here; perfbench/tracing.py wraps it by this name
 from .translate import retype_context, translate_term, validate_translation
 
@@ -166,6 +166,7 @@ _COMMANDS = {
 }
 
 
+@paused_gc
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:

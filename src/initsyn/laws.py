@@ -63,6 +63,7 @@ from .terms import (
     Var,
     identity_substitution,
     infer,
+    paused_gc,
     substitute,
 )
 from .translate import Representation, retype_context, translate_term
@@ -398,6 +399,7 @@ class _Generator:
         return Con(cand.name, lit, inst, tuple(args))
 
 
+@paused_gc
 def gen_term(
     sig: TypedSignature,
     ctx: Context,
@@ -568,21 +570,32 @@ def _run_cases(
     """Run ``cfg.cases`` cases of ``law``: seed case ``i``'s generator from
     ``cfg.seed`` and ``i``, ``draw`` the case from it (a ``GenFailure``
     skips the case), and stop at the first case for which
-    ``check(i, *case)`` returns a counterexample."""
+    ``check(i, *case)`` returns a counterexample.  Collection is paused per
+    case, and runs when due as the next case's generator is allocated."""
     run = skipped = 0
     counterexample: str | None = None
     for case in range(cfg.cases):
         rng = random.Random(_mix(cfg.seed, case))
-        try:
-            drawn = draw(rng)
-        except GenFailure:
+        drawn, counterexample = _run_case(case, rng, draw, check)
+        if not drawn:
             skipped += 1
             continue
         run += 1
-        counterexample = check(case, *drawn)
         if counterexample is not None:
             break
     return LawReport(law, run, skipped, counterexample, cfg.seed)
+
+
+@paused_gc
+def _run_case(
+    case: int, rng: random.Random, draw: Callable, check: Callable
+) -> tuple[bool, str | None]:
+    """Whether case ``case`` was drawn from ``rng``, and its counterexample."""
+    try:
+        drawn = draw(rng)
+    except GenFailure:
+        return False, None
+    return True, check(case, *drawn)
 
 
 def check_monad_laws(

@@ -27,7 +27,7 @@ from .objtypes import (
     type_expr_errors,
 )
 from .signatures import ArgSpec, TermArity, TypedSignature, TypeSignature, validate_signature
-from .terms import Con, Context, Term, TypeCheckError, Var, infer
+from .terms import Con, Context, Term, TypeCheckError, Var, infer, paused_gc
 from .translate import Template, TplMacro, TplMeta, Translation, validate_translation
 
 _MAX_NESTING = 500
@@ -439,11 +439,13 @@ def print_signature(sig: TypedSignature) -> str:
 
 
 def parse_term(text: str, sig: TypedSignature) -> tuple[Context, Term]:
-    """Parse a ``.term`` file and typecheck the term in its context."""
+    """Parse a ``.term`` file and typecheck the term in its context, with
+    garbage collection paused by ``_parse_typed_term``."""
     ctx, term, _ = _parse_typed_term(text, sig)
     return ctx, term
 
 
+@paused_gc
 def _parse_typed_term(
     text: str, sig: TypedSignature
 ) -> tuple[Context, Term, ObjType]:

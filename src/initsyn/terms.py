@@ -21,10 +21,26 @@ the binders above it, lazily, once per image and binder count.  Together
 with variables-as-terms this is the Kleisli presentation of the term
 monad; flattening is definable from it and is not a separate operation
 here.
+
+Terms are trees: a node is immutable and is built after its arguments, so
+no term can be part of a reference cycle, and a kernel call leaves no
+cyclic garbage.  The cyclic collector finds nothing in what the kernel
+allocates, yet scans all of it, and the whole live heap at each full
+collection.  So ``paused_gc`` pauses automatic collection while a public
+entry point that builds or walks terms runs (``infer``, ``weaken``,
+``rename`` and ``substitute`` here; ``translate_term``, ``parse_term``,
+``gen_term``, each law-check case and ``cli.main``) and restores it when
+the call returns or raises.  The pause is process-wide while a call
+runs, in every thread, as ``gc.disable`` is.  Cycles that user callbacks
+make during a call (``rename``'s ``f``, an ``OpaqueRepresentation``
+operation, an agreement oracle) are collected afterwards, by the first
+collection after the outermost paused call; law checks pause per case.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -32,6 +48,27 @@ from .objtypes import Frozen, ObjType, eval_type_expr
 from .signatures import TypedSignature
 
 Context = tuple[ObjType, ...]
+
+
+def paused_gc(fn: Callable) -> Callable:
+    """``fn`` with automatic cyclic garbage collection paused while it runs:
+    switched off if it was on, and on again when the call returns or
+    raises.  A nested call, or a caller that disabled collection itself,
+    leaves it off.  The switch is process-wide, so calls running in several
+    threads at once can end each other's pause early.  The wrapper costs
+    one frame per call, not one per level of the term."""
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class TypeCheckError(Exception):
@@ -202,6 +239,7 @@ def context_extend(
     return tuple(eval_type_expr(inst, b) for b in binders) + tuple(ctx)
 
 
+@paused_gc
 def infer(sig: TypedSignature, ctx: Context, term: Term) -> ObjType:
     """The unique type of ``term`` in ``ctx``, or a TypeCheckError.
 
@@ -341,9 +379,13 @@ def _map(
             return t
         return Con(t.name, t.lit, t.inst, tuple(new))
 
-    return on_var(term, 0) if type(term) is Var else go(term, 0)
+    try:
+        return on_var(term, 0) if type(term) is Var else go(term, 0)
+    finally:
+        del go  # it refers to itself: the cycle would hold on_var's tables
 
 
+@paused_gc
 def weaken(sig: TypedSignature, term: Term, cutoff: int, amount: int) -> Term:
     """Shift free indices >= ``cutoff`` up by ``amount``.
 
@@ -357,6 +399,7 @@ def weaken(sig: TypedSignature, term: Term, cutoff: int, amount: int) -> Term:
     )
 
 
+@paused_gc
 def rename(sig: TypedSignature, term: Term, f: Callable[[int], int]) -> Term:
     """Relabel free variables; under b binders, index i maps through
     ``i if i < b else f(i - b) + b``."""
@@ -396,6 +439,7 @@ def identity_substitution(ctx: Context) -> Substitution:
     return Substitution(ctx, ctx, tuple(Var(i) for i in range(len(ctx))))
 
 
+@paused_gc
 def substitute(sig: TypedSignature, term: Term, sub: Substitution) -> Term:
     """Capture-avoiding simultaneous substitution.
 

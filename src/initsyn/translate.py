@@ -54,7 +54,7 @@ from .objtypes import (
     type_function,
 )
 from .signatures import TypedSignature, TermArity, ValidationReport
-from .terms import Con, Context, Term, TypeCheckError, Var, infer, weaken
+from .terms import Con, Context, Term, TypeCheckError, Var, infer, paused_gc, weaken
 
 ITER = "__iter"
 HOLE = "__hole"
@@ -582,6 +582,7 @@ def _function(compiled: _Compiled) -> Callable:
     return fn if fn is not None else lambda inst, args, lit, hole: fixed
 
 
+@paused_gc
 def translate_term(x: Representation, ctx: Context, term: Term) -> Term:
     """The initial morphism on terms: structural recursion over ``term``.
 
@@ -641,7 +642,10 @@ def translate_term(x: Representation, ctx: Context, term: Term) -> Term:
             )
         return result
 
-    return go(term, _retype(g, ctx, types) if opaque else ())
+    try:
+        return go(term, _retype(g, ctx, types) if opaque else ())
+    finally:
+        del go  # it refers to itself: the cycle would hold the tables
 
 
 def identity_translation(sig: TypedSignature) -> Translation:
