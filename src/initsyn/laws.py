@@ -8,10 +8,10 @@ subterms of the context and goal).  Runs are pure functions of the inputs
 and the seed: each case derives its own generator state by mixing the seed
 with the case index, so reports are reproducible bit for bit.  Which values
 are drawn from that state, and in which order, is part of this contract
-(see ``gen_term``): a change to it changes every report's cases.  Each draw
-is made with ``getrandbits`` calls identical to those of CPython's
-``Random._randbelow``, which ``random.sample``, ``choice`` and ``randint``
-use, so the values are the library's.
+(see ``gen_term``): a change to it changes every report's cases.  A node's
+candidates, draws and argument goals are handled in one frame, each draw
+by the ``getrandbits`` calls of CPython's ``Random._randbelow``, which
+``random.sample``, ``choice`` and ``randint`` use: the values are theirs.
 
 Everything about a signature that does not depend on the goal is compiled
 once per signature, on first use, into tables that live as long as the
@@ -117,7 +117,7 @@ class _Candidate:
     functions of the instantiation, and ``probe``: ``None`` when a constant
     may have the argument's goal type, else a function of the
     instantiation returning that type if it is live and ``None`` if not,
-    without building it (see ``_Generator._expand``).
+    without building it (see ``_Generator.gen``).
     """
 
     # a plain slotted class: a dataclass would cost a millisecond at import
@@ -330,7 +330,8 @@ def _order(getrandbits: Callable[[int], int], n: int) -> list[int]:
 class _Generator:
     """The search of one ``gen_term`` call.  Every table it reads is
     compiled per signature, so a node costs its candidate matches, its
-    draws and its argument types."""
+    draws and its argument goals, handled in one frame with the
+    ``getrandbits`` calls of ``random.sample``, ``choice`` and ``randint``."""
 
     def __init__(self, sig: TypedSignature, rng: random.Random, pool: list[ObjType]):
         tables = _sig_data(sig)
@@ -339,6 +340,7 @@ class _Generator:
         self.leaf_roots = tables.leaf_roots
         self.getrandbits = rng.getrandbits
         self.pool = pool
+        self.pool_bits = len(pool), len(pool).bit_length()
         self.budget = _DEADEND_BUDGET
 
     def gen(self, goal: ObjType, ctx: Context, depth: int) -> Term | None:
@@ -352,51 +354,62 @@ class _Generator:
             if inst is not None:
                 candidates.append((cand, inst))
         candidates += var_rooted
-        n = len(candidates)
-        if not n:
-            return None
-        for which in _order(self.getrandbits, n):
-            cand = candidates[which]
+        getrandbits = self.getrandbits
+        order = []  # the whole permutation first, as random.sample draws it
+        for i in range(len(candidates), 0, -1):
+            k = i.bit_length()
+            j = getrandbits(k)
+            while j >= i:
+                j = getrandbits(k)
+            order.append(candidates[j])
+            candidates[j] = candidates[i - 1]
+        # the arguments get constants and context variables only
+        leaf_level = depth <= 2
+        for cand in order:
             if type(cand) is int:
                 return Var(cand)
             cand, inst = cand
-            term = self._expand(cand, cand.bind(goal) if inst is None else inst, ctx, depth)
-            if term is not None:
-                return term
+            if inst is None:
+                inst = cand.bind(goal)
+            if type(inst) is list and self.pool:  # random.choice(pool) for each None
+                n, k = self.pool_bits
+                fill = []
+                for b in inst:
+                    if b is None:
+                        j = getrandbits(k)
+                        while j >= n:
+                            j = getrandbits(k)
+                        b = self.pool[j]
+                    fill.append(b)
+                inst = tuple(fill)
+            if type(inst) is tuple:  # else a free parameter and no pool to draw it from
+                lit = None
+                while cand.family and (lit is None or lit > 3):
+                    lit = getrandbits(3)  # randint(0, 3), as _below(4) draws it
+                args = []
+                for body, binders, probe in cand.args:
+                    inner = tuple([b(inst) for b in binders]) + ctx if binders else ctx
+                    if leaf_level and probe is not None:
+                        # Only a variable can have this goal unless a constant
+                        # has its root; a type that is not live is in no context.
+                        # The binders are built first, as they may hold the goal.
+                        arg_goal = probe(inst)
+                        if arg_goal is None or (
+                            arg_goal not in inner and arg_goal.name not in self.leaf_roots
+                        ):
+                            break  # as generating it would, without drawing
+                    else:
+                        arg_goal = body(inst)
+                    arg = self.gen(arg_goal, inner, depth - 1)
+                    if arg is None:
+                        break
+                    args.append(arg)
+                else:
+                    return Con(cand.name, lit, inst, tuple(args))
             self.budget -= 1
             if self.budget <= 0:
                 raise _Exhausted()
         return None
-
-    def _expand(self, cand: _Candidate, inst, ctx: Context, depth: int) -> Term | None:
-        """A node of ``cand`` whose result has the goal; ``inst`` is the
-        binding that matching it fixed."""
-        getrandbits = self.getrandbits
-        if type(inst) is list:
-            pool = self.pool
-            inst = tuple([b if b is not None else _choice(getrandbits, pool) for b in inst])
-        lit = _below(getrandbits, 4) if cand.family else None  # randint(0, 3)
-        # the arguments get constants and context variables only
-        leaf_level = depth <= 2
-        args = []
-        for body, binders, probe in cand.args:
-            inner = tuple([b(inst) for b in binders]) + ctx if binders else ctx
-            if leaf_level and probe is not None:
-                # Only a variable can have this goal unless a constant has
-                # its root; a type that is not live is in no context.  The
-                # binders are built first, as they may hold the goal.
-                arg_goal = probe(inst)
-                if arg_goal is None or (
-                    arg_goal not in inner and arg_goal.name not in self.leaf_roots
-                ):
-                    return None  # as gen would, without drawing
-            else:
-                arg_goal = body(inst)
-            arg = self.gen(arg_goal, inner, depth - 1)
-            if arg is None:
-                return None
-            args.append(arg)
-        return Con(cand.name, lit, inst, tuple(args))
 
 
 @paused_gc
@@ -421,11 +434,12 @@ def gen_term(
     itself, with the ``rng.getrandbits`` calls that ``Random._randbelow``
     makes (``k = n.bit_length()`` bits, drawn again while not below ``n``),
     so ``rng`` must draw its indexes that way, as ``random.Random`` does.
-    Only what depends on the node is computed there; result matchers,
-    argument and binder types and the candidates of each goal root are
-    compiled once per signature.  An argument at the last level of depth
-    whose goal no constant can have is not generated when that goal type
-    is in no context: it is a dead end, found without building the type.
+    A node's candidates, draws and argument goals are handled in one frame;
+    result matchers, argument and binder types and the candidates of each
+    goal root are compiled once per signature.  A dead end is found without
+    a draw when the pool is empty and a candidate has a free type parameter,
+    and without building the type when an argument at the last level of
+    depth has a goal that no constant can have and no context holds.
 
     The default pool is the signature's pool plus every distinct subtree
     of the context and goal types, collected without recursion.

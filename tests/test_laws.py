@@ -440,3 +440,56 @@ def test_gen_term_on_deep_types_at_the_default_recursion_limit():
         assert infer(ipc, (t,), term) is t
     finally:
         sys.setrecursionlimit(old_limit)
+
+
+def test_generator_agrees_with_the_reference_generator_on_wide_contexts():
+    """As above, on contexts holding the goal type 100 to 300 times, so a
+    node draws a permutation of well over 64 candidates: IPC, whose pool of
+    more than 64 types makes parameter draws reject, PCF and ``BINDER_GOAL``,
+    whose family arities draw literals."""
+    from initsyn.surface import parse_signature
+
+    sigs = [get_language(n) for n in ("IPC", "PCF")] + [parse_signature(BINDER_GOAL)]
+    for s, sig in enumerate(sigs):
+        pool = ground_types(sig.all_types, 2)
+        for case in range(40):
+            setup = random.Random(5000 + 100 * s + case)
+            goal = setup.choice(pool)
+            if setup.random() < 0.5:
+                goal = _compound(sig, setup, [goal] + pool)
+            ctx = [goal] * setup.randint(100, 300)
+            for _ in range(setup.randint(0, 40)):
+                other = _compound(sig, setup, [goal] + pool)
+                ctx.insert(setup.randint(0, len(ctx)), setup.choice([other] + pool))
+            cfg = GenConfig(
+                seed=case, cases=1, max_depth=setup.randint(1, 6), retries=setup.randint(0, 3)
+            )
+            # a type over the goal, so the search reaches the goal below the root
+            over = _compound(sig, setup, [goal])
+            for target in (goal, over, None):
+                ours, ref = random.Random(case), random.Random(case)
+                outcomes = []
+                for fn, rng in ((gen_term, ours), (_reference_gen_term, ref)):
+                    try:
+                        outcomes.append(fn(sig, tuple(ctx), target, cfg, rng=rng))
+                    except GenFailure as e:
+                        outcomes.append(("failure", str(e)))
+                assert outcomes[0] == outcomes[1], (sig.name, case, str(target))
+                assert ours.getstate() == ref.getstate(), (sig.name, case, str(target))
+
+
+def test_gen_term_with_an_empty_pool_gives_a_term_or_a_failure():
+    """With ``pool=[]``, a candidate with a free type parameter is a dead
+    end: ``gen_term`` returns a well-typed term or raises ``GenFailure``,
+    and never indexes the empty pool."""
+    for name in ("IPC", "CPC", "STLC", "PCF"):
+        sig = get_language(name)
+        for goal in ground_types(sig.all_types, 1):
+            for ctx in ((), (goal,)):
+                for seed in range(20):
+                    cfg = GenConfig(seed=seed, cases=1)
+                    try:
+                        term = gen_term(sig, ctx, goal, cfg, pool=[])
+                    except GenFailure:
+                        continue
+                    assert infer(sig, ctx, term) is goal, (name, str(goal), seed)
