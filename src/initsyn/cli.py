@@ -35,6 +35,8 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise _Usage(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _Usage(f"cannot read {path}: not UTF-8 at byte offset {exc.start}") from exc
 
 
 def _load_language(args):

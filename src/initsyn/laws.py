@@ -39,11 +39,11 @@ from __future__ import annotations
 
 import random
 import weakref
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable
 
 from .objtypes import (
+    Frozen,
     ObjType,
     TVar,
     TypeExpr,
@@ -79,12 +79,13 @@ def _mix(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-@dataclass(frozen=True, slots=True)
-class GenConfig:
+class GenConfig(Frozen):
+    __slots__ = __match_args__ = ("seed", "max_depth", "cases", "retries")
+    _defaults = {"max_depth": 6, "cases": 1000, "retries": 16}
     seed: int
-    max_depth: int = 6
-    cases: int = 1000
-    retries: int = 16
+    max_depth: int
+    cases: int
+    retries: int
 
     def __post_init__(self) -> None:
         if self.cases < 1:
@@ -120,7 +121,7 @@ class _Candidate:
     without building it (see ``_Generator.gen``).
     """
 
-    # a plain slotted class: a dataclass would cost a millisecond at import
+    # a plain slotted record, not a value: it is never compared or hashed
     __slots__ = ("name", "family", "bind", "args")
 
     def __init__(self, name: str, family: bool, bind: Callable, args: tuple):
@@ -293,6 +294,9 @@ def _match(expr, goal: ObjType, binding: list) -> bool:
     return all(_match(e, g, binding) for e, g in zip(expr.args, goal.args))
 
 
+# _below, _choice and _order have no caller here: they are the reference to which
+# tests/test_laws.py::test_draw_helpers_draw_as_the_library holds the inline
+# draws of _Generator.gen
 def _below(getrandbits: Callable[[int], int], n: int) -> int:
     """``Random._randbelow(n)``, for ``n > 0``, by the same ``getrandbits``
     calls: ``random.randint(0, n - 1)`` and ``random.choice`` of ``n``
@@ -313,8 +317,8 @@ def _choice(getrandbits: Callable[[int], int], seq: list):
 
 def _order(getrandbits: Callable[[int], int], n: int) -> list[int]:
     """The permutation ``random.sample(range(n), n)`` returns, by the same
-    draws; each index is drawn as ``_below`` draws it, inline, since this
-    runs at every node."""
+    draws; each index is drawn as ``_below`` draws it.  ``_Generator.gen``
+    draws its candidate order by this loop."""
     rest = list(range(n))
     order = []
     for i in range(n, 0, -1):
@@ -534,8 +538,8 @@ def _case_term(
 # Reports
 
 
-@dataclass(frozen=True, slots=True)
-class LawReport:
+class LawReport(Frozen):
+    __slots__ = __match_args__ = ("law", "cases_run", "cases_skipped", "counterexample", "seed")
     law: str
     cases_run: int
     cases_skipped: int

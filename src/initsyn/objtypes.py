@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import weakref
 from _weakref import _remove_dead_weakref
-from dataclasses import FrozenInstanceError, dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:
@@ -32,33 +31,77 @@ _INTERNED: dict[tuple, weakref.ref] = {}
 
 
 class Frozen:
-    """Base of the slotted immutable values (``ObjType``, ``Var`` and
-    ``Con``), whose fields are their ``__match_args__``: assignment and
-    deletion raise ``FrozenInstanceError``, pickling and copying call the
-    class on the fields, and the ``repr`` is the dataclass one.  Each class
-    keeps its own ``__new__``, ``__eq__`` and ``__hash__``."""
+    """Base of every immutable value class.  A class's fields are its
+    ``__match_args__``, each in a slot of that name; the class declares
+    them, the defaults of trailing fields in ``_defaults`` and any work at
+    construction in ``__post_init__``.  Its other slots are derived caches.
+    From the fields come ``==`` (same class, equal fields), ``hash`` (of
+    the field tuple), ``repr``, pickling and copying (which call the class
+    on the fields) and immutability (``FrozenInstanceError``).  A class
+    without its own ``__new__`` gets an ``__init__`` that takes the fields
+    by position or name, sets their slots through the slot descriptors and
+    calls ``__post_init__``, if any."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls) -> None:
+        if "__new__" in cls.__dict__:
+            return
+        fields, defaults = cls.__match_args__, cls.__dict__.get("_defaults", {})
+        env = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
+        env["_defaults"] = defaults
+        params = ", ".join(f"{f}=_defaults[{f!r}]" if f in defaults else f for f in fields)
+        body = "".join(f"    _set_{f}(self, {f})\n" for f in fields)
+        post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+        exec(f"def __init__(self, {params}):\n{body}{post}", env)
+        env["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = env["__init__"]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
     def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        _frozen(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        _frozen(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return (type(self), tuple([getattr(self, f) for f in self.__match_args__]))
+        return (type(self), self._values())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
         return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True, slots=True)
-class TVar:
-    """The k-th type parameter, written $k.  Indices are 1-based."""
+def _frozen(message: str):
+    from dataclasses import FrozenInstanceError  # a slow import, so only here
 
+    raise FrozenInstanceError(message)
+
+
+class TVar(Frozen):
+    """The k-th type parameter, written $k; indices are 1-based.  ``==`` and
+    ``hash`` are written out for speed: interning hashes and compares leaves."""
+
+    __slots__ = __match_args__ = ("index",)
     index: int
+
+    def __eq__(self, other):
+        if other.__class__ is not TVar:
+            return NotImplemented
+        return self.index == other.index
+
+    def __hash__(self) -> int:
+        return hash((self.index,))
 
     def __str__(self) -> str:
         return f"${self.index}"
@@ -86,6 +129,10 @@ class ObjType(Frozen):
 
     name: str
     args: tuple[TypeExpr, ...]
+
+    # identity, and the C-level hash that every dict and set lookup of a type runs
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __new__(cls, name: str, args: tuple[TypeExpr, ...] = ()) -> ObjType:
         if type(args) is not tuple:
@@ -246,8 +293,7 @@ def type_function(
     return fn if fn is not None else lambda env: fixed
 
 
-@dataclass(frozen=True)
-class TypeTranslation:
+class TypeTranslation(Frozen):
     """Per-constructor target templates presenting a type homomorphism.
 
     ``templates[c]`` is a target type expression whose variables $1..$m
@@ -255,6 +301,7 @@ class TypeTranslation:
     (m being the declared argument count of ``c``).
     """
 
+    __slots__ = __match_args__ = ("source", "target", "templates")
     source: TypeSignature
     target: TypeSignature
     templates: dict[str, TypeExpr]

@@ -13,9 +13,7 @@ is another name for ``ObjType``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .objtypes import ObjType, TVar, TypeExpr, type_expr_errors
+from .objtypes import Frozen, ObjType, TVar, TypeExpr, type_expr_errors
 
 
 # ---------------------------------------------------------------------------
@@ -38,10 +36,10 @@ def min_degree(e: TypeExpr) -> int:
 # Signatures
 
 
-@dataclass(frozen=True)
-class TypeSignature:
+class TypeSignature(Frozen):
     """Named family of type constructors with their argument counts."""
 
+    __slots__ = __match_args__ = ("name", "constructors")
     name: str
     constructors: dict[str, int]
 
@@ -49,16 +47,15 @@ class TypeSignature:
         return self.constructors.get(name)
 
 
-@dataclass(frozen=True, slots=True)
-class ArgSpec:
+class ArgSpec(Frozen):
     """One argument of a term arity: binder types, then the body type."""
 
+    __slots__ = __match_args__ = ("binders", "body")
     binders: tuple[TypeExpr, ...]
     body: TypeExpr
 
 
-@dataclass(frozen=True, slots=True)
-class TermArity:
+class TermArity(Frozen):
     """A term constructor shape.
 
     ``degree`` is the number of type parameters; ``family_index`` marks an
@@ -67,61 +64,46 @@ class TermArity:
     ``args`` tuple is a constant.
     """
 
+    __slots__ = __match_args__ = ("name", "degree", "args", "result", "family_index")
+    _defaults = {"family_index": False}
     name: str
     degree: int
     args: tuple[ArgSpec, ...]
     result: TypeExpr
-    family_index: bool = False
+    family_index: bool
 
 
-@dataclass(frozen=True)
-class TypedSignature:
+class TypedSignature(Frozen):
     """A type signature plus term arities over it.
 
     ``atoms`` is sugar: each atom name contributes one extra nullary type
     constructor (kept separate from ``types`` so signature files print the
-    way they were written).  ``binder_counts`` maps each arity name to the
-    number of binders of each of its arguments, which is all a traversal
-    that only moves variables needs to know.
+    way they were written); ``all_types`` is ``types`` with the atoms
+    folded in, for type checks.  ``binder_counts`` maps each arity name to
+    the number of binders of each of its arguments, which is all a
+    traversal that only moves variables needs to know.  It is weakly
+    referenceable.
     """
 
+    __match_args__ = ("types", "terms", "atoms")
+    __slots__ = __match_args__ + ("_arities", "binder_counts", "all_types", "__weakref__")
+    _defaults = {"atoms": ()}
     types: TypeSignature
     terms: tuple[TermArity, ...]
-    atoms: tuple[str, ...] = ()
-    _arities: dict[str, TermArity] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    binder_counts: dict[str, tuple[int, ...]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    _all_types: "TypeSignature | None" = field(
-        init=False, repr=False, compare=False, default=None
-    )
+    atoms: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        index = {a.name: a for a in self.terms}
         merged = dict(self.types.constructors)
         for atom in self.atoms:
             merged.setdefault(atom, 0)
-        object.__setattr__(self, "_arities", index)
-        object.__setattr__(
-            self,
-            "binder_counts",
-            {a.name: tuple(len(spec.binders) for spec in a.args) for a in self.terms},
-        )
-        object.__setattr__(
-            self, "_all_types", TypeSignature(self.types.name, merged)
-        )
+        counts = {a.name: tuple(len(spec.binders) for spec in a.args) for a in self.terms}
+        object.__setattr__(self, "_arities", {a.name: a for a in self.terms})
+        object.__setattr__(self, "binder_counts", counts)
+        object.__setattr__(self, "all_types", TypeSignature(self.types.name, merged))
 
     @property
     def name(self) -> str:
         return self.types.name
-
-    @property
-    def all_types(self) -> TypeSignature:
-        """Type signature with atoms folded in; use this for type checks."""
-        assert self._all_types is not None
-        return self._all_types
 
     def arity(self, name: str) -> TermArity | None:
         return self._arities.get(name)
@@ -155,8 +137,8 @@ class TypedSignature:
 # Validation
 
 
-@dataclass(frozen=True, slots=True)
-class ValidationReport:
+class ValidationReport(Frozen):
+    __slots__ = __match_args__ = ("entries",)
     entries: tuple[str, ...]
 
     @property

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import gc
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .objtypes import Frozen, ObjType, eval_type_expr
@@ -89,9 +88,9 @@ class TypeCheckError(Exception):
 class Var(Frozen):
     """The variable at context position ``index``.
 
-    Immutable and compared by value, as a frozen dataclass is: ``==`` and
-    ``hash`` see the index; the rest of the frozen-value protocol comes
-    from ``objtypes.Frozen``.
+    Immutable and compared by value, as every ``objtypes.Frozen`` is; its
+    ``==``, ``hash`` and ``__new__`` are written out for speed, and the
+    rest of the value protocol comes from ``Frozen``.
     """
 
     __slots__ = ("index",)
@@ -123,9 +122,9 @@ class Con(Frozen):
     type expressions (see ``translate``).
 
     Immutable and compared by value, like ``Var``: ``==`` compares the four
-    fields and ``hash`` is that of their tuple.  ``__new__`` sets the slots
-    through their descriptors, which costs about half of a frozen
-    dataclass ``__init__``; every rebuilt node pays it.
+    fields and ``hash`` is that of their tuple, written out for speed.
+    ``__new__`` sets the slots through their descriptors, as the
+    ``__init__`` that ``Frozen`` builds does; every rebuilt node pays it.
     """
 
     __slots__ = ("name", "lit", "inst", "args")
@@ -319,10 +318,10 @@ def check(sig: TypedSignature, ctx: Context, term: Term, ty: ObjType) -> None:
         raise TypeCheckError(f"expected {ty}, found {actual}")
 
 
-@dataclass(frozen=True, slots=True)
-class Judgement:
+class Judgement(Frozen):
     """A term packaged with the data that typechecks it."""
 
+    __slots__ = __match_args__ = ("sig", "ctx", "term", "ty")
     sig: TypedSignature
     ctx: Context
     term: Term
@@ -413,10 +412,10 @@ def rename(sig: TypedSignature, term: Term, f: Callable[[int], int]) -> Term:
     return _map(sig, term, on_var)
 
 
-@dataclass(frozen=True, slots=True)
-class Substitution:
+class Substitution(Frozen):
     """A map from a domain context into terms over a codomain context."""
 
+    __slots__ = __match_args__ = ("domain", "codomain", "images")
     domain: Context
     codomain: Context
     images: tuple[Term, ...]

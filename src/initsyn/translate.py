@@ -35,10 +35,10 @@ that ``validate_translation`` did not compile is checked on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .objtypes import (
+    Frozen,
     ObjType,
     TVar,
     TypeExpr,
@@ -65,18 +65,18 @@ STAB = "__stab"
 # Templates
 
 
-@dataclass(frozen=True, slots=True)
-class TplMeta:
+class TplMeta(Frozen):
     """Placeholder for the translated j-th source argument (1-based)."""
 
+    __slots__ = __match_args__ = ("index",)
     index: int
 
     def __str__(self) -> str:
         return f"?{self.index}"
 
 
-@dataclass(frozen=True, slots=True)
-class TplMacro:
+class TplMacro(Frozen):
+    __slots__ = __match_args__ = ("name",)
     name: str
 
     def __str__(self) -> str:
@@ -90,24 +90,28 @@ TplCon = Con
 Template = Var | Con | TplMeta | TplMacro
 
 
-@dataclass(frozen=True)
-class Translation:
+class Translation(Frozen):
     """A serializable representation of the source language in the target."""
 
+    __match_args__ = ("name", "source", "target", "type_map", "term_map", "macros")
+    __slots__ = __match_args__ + ("_compiled",)
+    _defaults = {"macros": None}
     name: str
     source: TypedSignature
     target: TypedSignature
     type_map: TypeTranslation
     term_map: dict[str, Template]
-    macros: dict[str, Term] = field(default_factory=dict)
+    macros: dict[str, Term]
     # arity name -> (template, arity, compiled template); see instantiate_template
-    _compiled: dict[str, tuple] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _compiled: dict[str, tuple]
+
+    def __post_init__(self) -> None:
+        if self.macros is None:
+            object.__setattr__(self, "macros", {})
+        object.__setattr__(self, "_compiled", {})
 
 
-@dataclass(frozen=True)
-class OpaqueRepresentation:
+class OpaqueRepresentation(Frozen):
     """Library-level representation with arbitrary per-arity callbacks.
 
     ``ops[name]`` receives the translated instantiation, the translated
@@ -116,6 +120,7 @@ class OpaqueRepresentation:
     the translated result type, since nothing else constrains a callback.
     """
 
+    __slots__ = __match_args__ = ("name", "source", "target", "type_map", "ops")
     name: str
     source: TypedSignature
     target: TypedSignature
@@ -269,10 +274,10 @@ def _opaque_inst(target: TypedSignature, n: int) -> tuple[ObjType, ...]:
     return tuple(ObjType(f"__o{k}") for k in range(1, n + 1))
 
 
-@dataclass(frozen=True, slots=True)
-class _ArityImages:
+class _ArityImages(Frozen):
     """Translated shapes of one source arity at a fixed instantiation."""
 
+    __slots__ = __match_args__ = ("binders", "bodies", "result")
     binders: tuple[tuple[ObjType, ...], ...]
     bodies: tuple[ObjType, ...]
     result: ObjType

@@ -308,3 +308,24 @@ def test_memory_error_exits_2(tmp_path, monkeypatch):
     code, out, err = run(["translate", "--using", "pcf2ulc-turing", str(path)])
     assert (code, out) == (2, "")
     assert err == "error: input too deep or too large (MemoryError)\n"
+
+
+@pytest.mark.parametrize("which", ["term", "xlat", "sig"])
+def test_a_file_that_is_not_utf8_exits_2_naming_it(tmp_path, which):
+    texts = {
+        "term": "context ; (c)",
+        "xlat": print_translation(identity_translation(get_language("ULC"))),
+        "sig": "language Mini types { A : 0 } terms { c [0] : () -> A }",
+    }
+    paths = {name: tmp_path / f"f.{name}" for name in texts}
+    for name, text in texts.items():
+        data = text.encode()
+        paths[name].write_bytes(data[:11] + b"\xff" + data[11:] if name == which else data)
+    argv = {
+        "term": ["check", "--lang", "PCF", paths["term"]],
+        "xlat": ["translate", "--xlat", paths["xlat"], paths["term"]],
+        "sig": ["check", "--sig", paths["sig"], paths["term"]],
+    }[which]
+    code, out, err = run([str(a) for a in argv])
+    assert code == 2 and out == ""
+    assert err == f"error: cannot read {paths[which]}: not UTF-8 at byte offset 11\n"

@@ -1,0 +1,196 @@
+"""The value-class contract: every immutable value class of the package
+behaves as the frozen dataclass with the same fields would, and importing
+the package stays free of the modules such dataclasses pull in."""
+
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+import weakref
+from pathlib import Path
+
+import pytest
+
+from initsyn.laws import GenConfig, LawReport
+from initsyn.objtypes import Frozen, ObjType, TVar, TypeTranslation
+from initsyn.signatures import ArgSpec, TermArity, TypedSignature, TypeSignature, ValidationReport
+from initsyn.terms import Con, Judgement, Substitution, Var
+from initsyn.translate import OpaqueRepresentation, TplMacro, TplMeta, Translation, _ArityImages
+
+A, B = ObjType("A"), ObjType("B")
+TS = TypeSignature("X", {"A": 0, "B": 0})
+ARITY = TermArity("c", 0, (), A)
+SIG = TypedSignature(TS, (ARITY,))
+TT = TypeTranslation(TS, TS, {})
+C = Con("c", None, (), ())
+
+# class -> (its fields as the reference dataclass declares them, a
+# positional value for each field, ending in the defaults, and another
+# value differing in some field)
+CASES = {
+    TVar: (["index"], (1,), (2,)),
+    TypeTranslation: (["source", "target", "templates"], (TS, TS, {}), (TS, TS, {"A": A})),
+    TypeSignature: (["name", "constructors"], ("X", {"A": 0}), ("Y", {"A": 0})),
+    ArgSpec: (["binders", "body"], ((A,), B), ((), B)),
+    TermArity: (
+        ["name", "degree", "args", "result", ("family_index", bool, False)],
+        ("c", 0, (), A, False),
+        ("c", 0, (), A, True),
+    ),
+    TypedSignature: (["types", "terms", ("atoms", tuple, ())], (TS, (ARITY,), ()), (TS, ())),
+    ValidationReport: (["entries"], (("x",),), ((),)),
+    Judgement: (["sig", "ctx", "term", "ty"], (SIG, (), C, A), (SIG, (B,), C, A)),
+    Substitution: (
+        ["domain", "codomain", "images"],
+        ((A,), (A,), (Var(0),)),
+        ((A,), (A, A), (Var(1),)),
+    ),
+    TplMeta: (["index"], (1,), (2,)),
+    TplMacro: (["name"], ("M",), ("N",)),
+    Translation: (
+        [
+            "name",
+            "source",
+            "target",
+            "type_map",
+            "term_map",
+            ("macros", dict, dataclasses.field(default_factory=dict)),
+        ],
+        ("x", SIG, SIG, TT, {}, {}),
+        ("x", SIG, SIG, TT, {"c": C}),
+    ),
+    OpaqueRepresentation: (
+        ["name", "source", "target", "type_map", "ops"],
+        ("o", SIG, SIG, TT, {}),
+        ("p", SIG, SIG, TT, {}),
+    ),
+    _ArityImages: (["binders", "bodies", "result"], (((),), (A,), A), (((),), (A,), B)),
+    GenConfig: (
+        ["seed", ("max_depth", int, 6), ("cases", int, 1000), ("retries", int, 16)],
+        (1, 6, 1000, 16),
+        (2,),
+    ),
+    LawReport: (
+        ["law", "cases_run", "cases_skipped", "counterexample", "seed"],
+        ("l", 3, 0, None, 5),
+        ("l", 3, 0, "x", 5),
+    ),
+}
+
+
+def _reference(cls):
+    fields, _, _ = CASES[cls]
+    return dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
+
+
+def _raises(make):
+    try:
+        make()
+    except TypeError:
+        return TypeError
+    return None
+
+
+@pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
+def test_value_class_behaves_as_the_frozen_dataclass(cls):
+    ref_cls = _reference(cls)
+    _, values, other_values = CASES[cls]
+    names = [f.name for f in dataclasses.fields(ref_cls)]
+    required = sum(
+        f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        for f in dataclasses.fields(ref_cls)
+    )
+    assert cls.__match_args__ == ref_cls.__match_args__ == tuple(names)
+
+    obj, ref = cls(*values), ref_cls(*values)
+    assert repr(obj) == repr(ref)
+    assert cls(**dict(zip(names, values))) == obj
+    assert repr(cls(*values[:required])) == repr(ref_cls(*values[:required]))
+    assert cls(*values[:required]) == obj
+    for bad in (
+        lambda c: c(*values[: required - 1]),
+        lambda c: c(*values, None),
+        lambda c: c(*values, bogus=1),
+        lambda c: c(*values, **{names[0]: values[0]}),
+    ):
+        assert _raises(lambda: bad(cls)) is _raises(lambda: bad(ref_cls)) is TypeError
+
+    other = cls(*other_values)
+    assert (obj == cls(*values)) is True and (obj != cls(*values)) is False
+    assert (obj == other) is (ref == ref_cls(*other_values)) is False
+    assert obj != other and obj != ref and ref != obj and obj != values
+    twin_cls = type("Twin", (Frozen,), {"__slots__": tuple(names), "__match_args__": tuple(names)})
+    assert obj != twin_cls(*values) and twin_cls(*values) != obj
+    try:
+        expected = hash(ref)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(obj)
+    else:
+        assert hash(obj) == expected == hash(values)
+
+    for name in (*names, "unknown"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
+    assert tuple(getattr(obj, f) for f in names) == values
+
+    for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+        assert type(twin) is cls and twin == obj and repr(twin) == repr(obj)
+
+
+def test_derived_caches_stay_out_of_equality_hash_and_repr():
+    sig = TypedSignature(TS, (ARITY,))
+    sig._arities["d"] = ARITY
+    sig.binder_counts["d"] = (1,)
+    assert sig == SIG and repr(sig) == repr(SIG)
+    assert repr(sig) == repr(_reference(TypedSignature)(TS, (ARITY,)))
+    assert weakref.ref(sig)() is sig
+
+    x = Translation("x", SIG, SIG, TT, {})
+    x._compiled["c"] = (C, ARITY, None)
+    assert x == Translation("x", SIG, SIG, TT, {})
+    assert repr(x) == repr(_reference(Translation)("x", SIG, SIG, TT, {}))
+    assert x.macros == {} and x.macros is not Translation("x", SIG, SIG, TT, {}).macros
+
+
+def test_construction_time_checks_still_run():
+    with pytest.raises(ValueError):
+        GenConfig(1, cases=0)
+    with pytest.raises(Exception, match="expected B"):
+        Judgement(SIG, (), C, B)
+    assert pickle.loads(pickle.dumps(SIG)).arity("c") == ARITY
+
+
+def test_types_keep_identity_equality_and_the_builtin_hash():
+    assert ObjType.__eq__ is object.__eq__ and ObjType.__hash__ is object.__hash__
+    t = ObjType("arr", (A, B))
+    assert hash(t) == object.__hash__(t) and t == ObjType("arr", (A, B))
+    assert Var.__eq__ is not object.__eq__ and Con.__hash__ is not object.__hash__
+
+
+def test_import_brings_in_no_heavy_module():
+    """``import initsyn, initsyn.cli`` in a fresh interpreter adds none of
+    the modules that ``dataclasses`` would bring to start-up."""
+    env = dict(
+        os.environ,
+        PYTHONDONTWRITEBYTECODE="1",
+        PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+    )
+
+    def modules(code: str) -> set[str]:
+        out = subprocess.run(
+            [sys.executable, "-c", f"{code}import sys; print(' '.join(sys.modules))"],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        return set(out.split())
+
+    added = modules("import initsyn, initsyn.cli; ") - modules("")
+    assert "initsyn.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis"}
