@@ -1,5 +1,9 @@
 """Initial typed syntax from declared signatures, and type-safe
-translations between languages over different type systems."""
+translations between languages over different type systems.
+
+The law checker, ``laws``, loads on first use: ``import initsyn`` leaves
+it out, and reading ``initsyn.laws`` or one of the names it exports here
+(``gen_term``, ``check_monad_laws``, ...) imports it."""
 
 from .signatures import (
     ArgSpec,
@@ -65,16 +69,37 @@ from .surface import (
     print_translation,
     translation_header,
 )
-from .laws import (
-    GenConfig,
-    GenFailure,
-    LawReport,
-    check_agreement,
-    check_monad_laws,
-    check_translation_laws,
-    gen_context,
-    gen_substitution,
-    gen_term,
+
+_LAWS_NAMES = (
+    "GenConfig",
+    "GenFailure",
+    "LawReport",
+    "check_agreement",
+    "check_monad_laws",
+    "check_translation_laws",
+    "gen_context",
+    "gen_substitution",
+    "gen_term",
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]
+__all__ += ["laws", *_LAWS_NAMES]
+
+
+def __getattr__(name: str):
+    """Import ``laws`` when it or one of its names is first read, and bind
+    them all here, so that later reads find them without this call."""
+    if name != "laws" and name not in _LAWS_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # not ``from . import laws``: its check for the name would call this again
+    import importlib
+
+    laws = importlib.import_module(".laws", __name__)
+    for law_name in _LAWS_NAMES:
+        globals()[law_name] = getattr(laws, law_name)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    """Lists the names of ``laws`` too, before it loads."""
+    return sorted(set(globals()) | set(__all__))

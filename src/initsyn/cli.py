@@ -12,7 +12,6 @@ import functools
 import sys
 
 from .languages import get_language, get_translation, list_builtins, load_translation
-from .laws import GenConfig, check_monad_laws, check_translation_laws
 from .objtypes import translate_type
 from .surface import SourceError, parse_signature, print_signature, print_term
 
@@ -100,6 +99,9 @@ def cmd_translate(args) -> int:
 
 
 def cmd_laws(args) -> int:
+    # imported here so that the other commands start without the law checker
+    from .laws import GenConfig, check_monad_laws, check_translation_laws
+
     try:
         cfg = GenConfig(seed=args.seed, max_depth=args.depth, cases=args.cases)
     except ValueError as exc:

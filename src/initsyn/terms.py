@@ -89,19 +89,15 @@ class Var(Frozen):
     """The variable at context position ``index``.
 
     Immutable and compared by value, as every ``objtypes.Frozen`` is; its
-    ``==``, ``hash`` and ``__new__`` are written out for speed, and the
-    rest of the value protocol comes from ``Frozen``.
+    ``==`` and ``hash`` are written out for speed, and the rest of the
+    value protocol, the slot-setting ``__init__`` included, comes from
+    ``Frozen``.
     """
 
     __slots__ = ("index",)
     __match_args__ = ("index",)
 
     index: int
-
-    def __new__(cls, index: int) -> Var:
-        obj = _new(cls)
-        _set_index(obj, index)
-        return obj
 
     def __eq__(self, other):
         if other.__class__ is not Var:
@@ -123,8 +119,8 @@ class Con(Frozen):
 
     Immutable and compared by value, like ``Var``: ``==`` compares the four
     fields and ``hash`` is that of their tuple, written out for speed.
-    ``__new__`` sets the slots through their descriptors, as the
-    ``__init__`` that ``Frozen`` builds does; every rebuilt node pays it.
+    The ``__init__`` that ``Frozen`` builds sets the slots through their
+    descriptors; every rebuilt node pays it.
     """
 
     __slots__ = ("name", "lit", "inst", "args")
@@ -134,20 +130,6 @@ class Con(Frozen):
     lit: int | None
     inst: tuple[ObjType, ...]
     args: tuple[Term, ...]
-
-    def __new__(
-        cls,
-        name: str,
-        lit: int | None,
-        inst: tuple[ObjType, ...],
-        args: tuple[Term, ...],
-    ) -> Con:
-        obj = _new(cls)
-        _set_name(obj, name)
-        _set_lit(obj, lit)
-        _set_inst(obj, inst)
-        _set_args(obj, args)
-        return obj
 
     def __eq__(self, other):
         if other.__class__ is not Con:
@@ -221,12 +203,6 @@ class Con(Frozen):
 
 
 _SHARED_END = object()  # on the printer's stack: a shared node's text ends
-_new = object.__new__
-_set_index = Var.index.__set__
-_set_name = Con.name.__set__
-_set_lit = Con.lit.__set__
-_set_inst = Con.inst.__set__
-_set_args = Con.args.__set__
 
 Term = Var | Con
 

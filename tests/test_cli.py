@@ -254,6 +254,15 @@ def test_consecutive_calls_print_what_fresh_runs_print(tmp_path):
     assert in_process == [_fresh_run(argv) for argv in calls]
 
 
+def test_laws_runs_as_a_fresh_command():
+    """``laws`` imports the law checker itself, since ``initsyn.cli`` no
+    longer loads it at import."""
+    argv = ["laws", "--lang", "ULC", "--seed", "5", "--cases", "20"]
+    code, out, _ = _fresh_run(argv)
+    assert code == 0
+    assert out == run(argv)[1]
+
+
 def test_too_deep_input_exits_2_without_traceback(tmp_path):
     """``nats{1000}`` parses, but its translation nests deeper than the
     recursive kernel follows at the default recursion limit; the CLI

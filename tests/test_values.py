@@ -1,9 +1,11 @@
 """The value-class contract: every immutable value class of the package
 behaves as the frozen dataclass with the same fields would, and importing
-the package stays free of the modules such dataclasses pull in."""
+the package stays free of the modules such dataclasses pull in and of the
+law checker, while keeping every public name."""
 
 import copy
 import dataclasses
+import json
 import os
 import pickle
 import subprocess
@@ -172,25 +174,70 @@ def test_types_keep_identity_equality_and_the_builtin_hash():
     assert Var.__eq__ is not object.__eq__ and Con.__hash__ is not object.__hash__
 
 
-def test_import_brings_in_no_heavy_module():
-    """``import initsyn, initsyn.cli`` in a fresh interpreter adds none of
-    the modules that ``dataclasses`` would bring to start-up."""
+def _fresh(code: str) -> str:
+    """The stdout of ``code`` run in a new interpreter, from source."""
     env = dict(
         os.environ,
         PYTHONDONTWRITEBYTECODE="1",
         PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
     )
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
+def test_import_brings_in_no_heavy_module():
+    """``import initsyn, initsyn.cli`` in a fresh interpreter adds none of
+    the modules that ``dataclasses`` would bring to start-up, and not the
+    law checker, which loads on first use."""
 
     def modules(code: str) -> set[str]:
-        out = subprocess.run(
-            [sys.executable, "-c", f"{code}import sys; print(' '.join(sys.modules))"],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-        return set(out.split())
+        return set(_fresh(f"{code}import sys; print(' '.join(sys.modules))").split())
 
     added = modules("import initsyn, initsyn.cli; ") - modules("")
     assert "initsyn.cli" in added
-    assert not added & {"dataclasses", "inspect", "ast", "dis"}
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "initsyn.laws"}
+
+
+# ``sorted(initsyn.__all__)`` when every module was imported eagerly
+PUBLIC_NAMES = [
+    "ArgSpec", "Con", "Context", "GenConfig", "GenFailure", "Judgement", "LawReport",
+    "ObjType", "OpaqueRepresentation", "SourceError", "Substitution", "TApp", "TVar",
+    "Template", "Term", "TermArity", "TplCon", "TplMacro", "TplMeta", "TplVar",
+    "Translation", "TypeCheckError", "TypeExpr", "TypeSignature", "TypeTranslation",
+    "TypedSignature", "ValidationReport", "Var", "check", "check_agreement",
+    "check_monad_laws", "check_translation_laws", "context_extend", "eta",
+    "eval_type_expr", "gen_context", "gen_substitution", "gen_term", "get_language",
+    "get_translation", "ground_types", "identity_substitution", "identity_translation",
+    "infer", "instantiate_template", "languages", "laws", "list_builtins",
+    "load_translation", "min_degree", "objtypes", "parse_signature", "parse_term",
+    "parse_translation", "print_signature", "print_term", "print_termfile",
+    "print_translation", "rename", "retype_context", "retype_inst", "signatures",
+    "substitute", "surface", "terms", "translate", "translate_term", "translate_type",
+    "translate_type_expr", "translation_header", "validate_signature",
+    "validate_translation", "weaken",
+]
+
+
+def test_the_law_checker_loads_on_first_use():
+    """In a fresh interpreter the package keeps every public name: reading a
+    name of ``laws`` imports it and gives that module's object, every name
+    in ``__all__`` is listed by ``dir`` before that and can be read, and an
+    unknown name is still an ``AttributeError`` that names it."""
+    out = _fresh(
+        "import json, sys, initsyn\n"
+        "listed = set(initsyn.__all__) <= set(dir(initsyn))\n"
+        "before = 'initsyn.laws' in sys.modules\n"
+        "same = initsyn.gen_term is initsyn.laws.gen_term\n"
+        "missing = [n for n in initsyn.__all__ if not hasattr(initsyn, n)]\n"
+        "try:\n"
+        "    initsyn.nope\n"
+        "    error = None\n"
+        "except AttributeError as exc:\n"
+        "    error = str(exc)\n"
+        "print(json.dumps([listed, before, same, sorted(initsyn.__all__), missing, error]))\n"
+    )
+    listed, before, same, names, missing, error = json.loads(out)
+    assert (listed, before, same, missing) == (True, False, True, [])
+    assert names == PUBLIC_NAMES
+    assert error is not None and "'nope'" in error
