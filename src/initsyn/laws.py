@@ -59,12 +59,14 @@ from .terms import (
     Con,
     Context,
     Substitution,
+    VAR_TABLE_SIZE,
     Term,
     Var,
     identity_substitution,
     infer,
     paused_gc,
     substitute,
+    var_table,
 )
 from .translate import Representation, retype_context, translate_term
 
@@ -346,6 +348,7 @@ class _Generator:
         self.pool = pool
         self.pool_bits = len(pool), len(pool).bit_length()
         self.budget = _DEADEND_BUDGET
+        self.vars = var_table()
 
     def gen(self, goal: ObjType, ctx: Context, depth: int) -> Term | None:
         """Uniform choice among fitting candidates, falling back to the
@@ -370,8 +373,8 @@ class _Generator:
         # the arguments get constants and context variables only
         leaf_level = depth <= 2
         for cand in order:
-            if type(cand) is int:
-                return Var(cand)
+            if type(cand) is int:  # a context index
+                return self.vars[cand] if 0 <= cand < VAR_TABLE_SIZE else Var(cand)
             cand, inst = cand
             if inst is None:
                 inst = cand.bind(goal)

@@ -11,6 +11,12 @@ Weakening, renaming and substitution are one traversal: it rebuilds the
 term and hands each variable, together with the number of binders above
 it, to a per-operation function.  Passing under a binder only bumps that
 count, so it costs the same whatever the width of the substitution.
+The traversal and ``infer`` cost one Python frame per node with
+arguments and none per leaf: a variable argument is handled in its
+parent's frame, and so, in the traversal, is an argument-free constant;
+nodes of one and two arguments, nearly all of them, need no loop.  A
+variable that weakening or renaming moves to an index below
+``VAR_TABLE_SIZE`` is taken from one shared table, not built anew.
 Results share every subterm an operation leaves unchanged: a variable
 that keeps its index, an argument-free constant and a node whose
 arguments all come back as the same objects are returned as they are, so
@@ -221,8 +227,10 @@ def infer(sig: TypedSignature, ctx: Context, term: Term) -> ObjType:
     Each distinct (arity, instantiation) pair is checked against its arity
     once per call, and its binder, argument and result types evaluated
     then, in a table that lives for the call; a later node of the same
-    pair checks only its family literal and its argument count.  The error
-    path is assembled only while an error propagates.
+    pair checks only its family literal and its argument count.  Each node
+    with arguments costs one Python frame, and a variable argument none;
+    nodes of one and two arguments, the common ones, check them without a
+    loop.  The error path is assembled only while an error propagates.
     """
     return _infer(sig, tuple(ctx), term, {})
 
@@ -244,7 +252,42 @@ def _infer(
     shape = shapes.get((term.name, term.inst))
     if shape is None or (term.lit is None) is shape[0] or len(args) != shape[1]:
         shape = _shape(sig, term, shapes)
+    n = len(args)
+    if n == 0:
+        return shape[4]
     binders, expected = shape[2], shape[3]
+    if n <= 2:  # the loop below, written out for its first two arguments
+        arg, inner = args[0], binders[0] + ctx  # () + ctx is ctx itself
+        if type(arg) is Var:
+            i = arg.index
+            if not 0 <= i < len(inner):
+                raise TypeCheckError(f"unbound index {i}", (0,))
+            actual = inner[i]
+        else:
+            try:
+                actual = _infer(sig, inner, arg, shapes)
+            except TypeCheckError as exc:
+                exc.path = (0,) + exc.path
+                raise
+        if actual is not expected[0]:
+            raise TypeCheckError(f"expected {expected[0]}, found {actual}", (0,))
+        if n == 1:
+            return shape[4]
+        arg, inner = args[1], binders[1] + ctx
+        if type(arg) is Var:
+            i = arg.index
+            if not 0 <= i < len(inner):
+                raise TypeCheckError(f"unbound index {i}", (1,))
+            actual = inner[i]
+        else:
+            try:
+                actual = _infer(sig, inner, arg, shapes)
+            except TypeCheckError as exc:
+                exc.path = (1,) + exc.path
+                raise
+        if actual is not expected[1]:
+            raise TypeCheckError(f"expected {expected[1]}, found {actual}", (1,))
+        return shape[4]
     for j, arg in enumerate(args):
         inner = binders[j] + ctx  # () + ctx is ctx itself
         if type(arg) is Var:
@@ -321,7 +364,12 @@ def _map(
     where ``d`` is the number of binders above ``v``.  A node whose
     arguments all come back as the same objects is returned itself, so the
     result shares every subterm that ``on_var`` leaves unchanged.  Each
-    level costs one Python frame, and a variable argument none."""
+    level costs one Python frame, and a leaf argument none: a variable goes
+    straight to ``on_var``, and an argument-free constant of an arity with
+    no arguments (``binders.get(name, 1)`` is ``()``; an unknown name
+    gives 1) is its own result.  Any other argument goes to ``go``, which
+    rejects a bad node with ``infer``'s message.  Nodes of one and two
+    arguments, the common ones, are rebuilt without a loop."""
     binders = sig.binder_counts
 
     def go(t: Con, depth: int) -> Term:
@@ -336,20 +384,37 @@ def _map(
             return t
         if n == 1:
             a, d = args[0], depth + counts[0]
-            b = on_var(a, d) if type(a) is Var else go(a, d)
+            if type(a) is Var:
+                b = on_var(a, d)
+            elif type(a) is Con and not a.args and not binders.get(a.name, 1):
+                return t  # its only argument is a constant
+            else:
+                b = go(a, d)
             return t if b is a else Con(t.name, t.lit, t.inst, (b,))
         if n == 2:
             a0, a1 = args
-            d0, d1 = depth + counts[0], depth + counts[1]
-            b0 = on_var(a0, d0) if type(a0) is Var else go(a0, d0)
-            b1 = on_var(a1, d1) if type(a1) is Var else go(a1, d1)
+            if type(a0) is Var:
+                b0 = on_var(a0, depth + counts[0])
+            elif type(a0) is Con and not a0.args and not binders.get(a0.name, 1):
+                b0 = a0
+            else:
+                b0 = go(a0, depth + counts[0])
+            if type(a1) is Var:
+                b1 = on_var(a1, depth + counts[1])
+            elif type(a1) is Con and not a1.args and not binders.get(a1.name, 1):
+                b1 = a1
+            else:
+                b1 = go(a1, depth + counts[1])
             if b0 is a0 and b1 is a1:
                 return t
             return Con(t.name, t.lit, t.inst, (b0, b1))
         new = []
         for a, k in zip(args, counts):
-            d = depth + k
-            new.append(on_var(a, d) if type(a) is Var else go(a, d))
+            if type(a) is Var:
+                a = on_var(a, depth + k)
+            elif type(a) is not Con or a.args or binders.get(a.name, 1):
+                a = go(a, depth + k)
+            new.append(a)
         if all(b is a for a, b in zip(args, new)):
             return t
         return Con(t.name, t.lit, t.inst, tuple(new))
@@ -360,30 +425,66 @@ def _map(
         del go  # it refers to itself: the cycle would hold on_var's tables
 
 
+VAR_TABLE_SIZE = 512  # a variable of a smaller index comes from one table
+_var_table: tuple[Var, ...] = ()
+
+
+def var_table() -> tuple[Var, ...]:
+    """``Var(i)`` for each ``0 <= i < VAR_TABLE_SIZE``, one object per
+    index, built on first use.  The kernel and the term generator take the
+    variables they make from here, as ``table[i] if 0 <= i <
+    VAR_TABLE_SIZE else Var(i)``: a lookup costs a fifth of a new ``Var``.
+    ``Var(i)`` still makes a new object."""
+    global _var_table
+    if not _var_table:
+        _var_table = tuple(map(Var, range(VAR_TABLE_SIZE)))
+    return _var_table
+
+
 @paused_gc
 def weaken(sig: TypedSignature, term: Term, cutoff: int, amount: int) -> Term:
     """Shift free indices >= ``cutoff`` up by ``amount``.
 
     Turns a term over A ++ B into one over A ++ C ++ B when len(A) is the
     cutoff and len(C) the amount; bound and low indices are untouched.
+    A negative cutoff or amount is a ValueError.
     """
+    if cutoff < 0:
+        raise ValueError(f"weaken: negative cutoff {cutoff}")
+    if amount < 0:
+        raise ValueError(f"weaken: negative amount {amount}")
     if amount == 0:
         return term
-    return _map(
-        sig, term, lambda v, d: Var(v.index + amount) if v.index >= d + cutoff else v
-    )
+    table = var_table()
+
+    def on_var(v: Var, d: int) -> Var:
+        i = v.index
+        if i < d + cutoff:
+            return v
+        i += amount
+        return table[i] if 0 <= i < VAR_TABLE_SIZE else Var(i)
+
+    return _map(sig, term, on_var)
 
 
 @paused_gc
 def rename(sig: TypedSignature, term: Term, f: Callable[[int], int]) -> Term:
     """Relabel free variables; under b binders, index i maps through
-    ``i if i < b else f(i - b) + b``."""
+    ``i if i < b else f(i - b) + b``.  A free variable that ``f`` maps
+    below 0 is a TypeCheckError."""
+    table = var_table()
 
     def on_var(v: Var, d: int) -> Var:
-        if v.index < d:
+        i = v.index
+        if i < d:
             return v
-        i = f(v.index - d) + d
-        return v if i == v.index else Var(i)
+        j = f(i - d)
+        if j < 0:
+            raise TypeCheckError(f"renaming maps free index {i - d} to {j}")
+        j += d
+        if j == i:
+            return v
+        return table[j] if 0 <= j < VAR_TABLE_SIZE else Var(j)
 
     return _map(sig, term, on_var)
 

@@ -199,6 +199,24 @@ def test_import_brings_in_no_heavy_module():
     assert not added & {"dataclasses", "inspect", "ast", "dis", "initsyn.laws"}
 
 
+def test_import_builds_at_most_512_shared_variables():
+    """``import initsyn`` makes at most 512 variables for the kernel's
+    shared table, counted as the table's length and as the live ``Var``
+    objects; the table holds ``Var(i)`` at ``i`` once it is used."""
+    out = _fresh(
+        "import gc, json, initsyn\n"
+        "from initsyn import terms\n"
+        "built = [len(terms._var_table), terms.VAR_TABLE_SIZE,\n"
+        "         sum(type(o) is terms.Var for o in gc.get_objects())]\n"
+        "table = terms.var_table()\n"
+        "right = all(v == terms.Var(i) for i, v in enumerate(table))\n"
+        "print(json.dumps(built + [len(table), right, table is terms.var_table()]))\n"
+    )
+    at_import, size, live, used, right, once = json.loads(out)
+    assert at_import <= 512 and live <= 512 and size <= 512
+    assert (used, right, once) == (size, True, True)
+
+
 # ``sorted(initsyn.__all__)`` when every module was imported eagerly
 PUBLIC_NAMES = [
     "ArgSpec", "Con", "Context", "GenConfig", "GenFailure", "Judgement", "LawReport",
