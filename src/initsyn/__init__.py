@@ -7,7 +7,6 @@ it out, and reading ``initsyn.laws`` or one of the names it exports here
 
 from .signatures import (
     ArgSpec,
-    TApp,
     TVar,
     TermArity,
     TypeExpr,
@@ -23,12 +22,10 @@ from .objtypes import (
     eval_type_expr,
     ground_types,
     translate_type,
-    translate_type_expr,
 )
 from .terms import (
     Con,
     Context,
-    Judgement,
     Substitution,
     Term,
     TypeCheckError,
@@ -45,10 +42,8 @@ from .terms import (
 from .translate import (
     OpaqueRepresentation,
     Template,
-    TplCon,
     TplMacro,
     TplMeta,
-    TplVar,
     Translation,
     identity_translation,
     instantiate_template,

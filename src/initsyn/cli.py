@@ -38,21 +38,24 @@ def _read(path: str) -> str:
         raise _Usage(f"cannot read {path}: not UTF-8 at byte offset {exc.start}") from exc
 
 
+def _builtin(kind: str, name: str):
+    """The builtin language or translation (``kind``) called ``name``."""
+    get = get_language if kind == "language" else get_translation
+    try:
+        return get(name)
+    except KeyError:
+        raise _Usage(f"unknown {kind} '{name}'")
+
+
 def _load_language(args):
     if args.lang is not None:
-        try:
-            return get_language(args.lang)
-        except KeyError:
-            raise _Usage(f"unknown language '{args.lang}'")
+        return _builtin("language", args.lang)
     return parse_signature(_read(args.sig))
 
 
 def _load_translation(args):
     if args.using is not None:
-        try:
-            return get_translation(args.using)
-        except KeyError:
-            raise _Usage(f"unknown translation '{args.using}'")
+        return _builtin("translation", args.using)
     text = _read(args.xlat)
     try:
         return load_translation(text)
@@ -66,11 +69,7 @@ def cmd_lang(args) -> int:
         print("languages:", " ".join(languages))
         print("translations:", " ".join(translations))
         return 0
-    try:
-        sig = get_language(args.name)
-    except KeyError:
-        raise _Usage(f"unknown language '{args.name}'")
-    print(print_signature(sig), end="")
+    print(print_signature(_builtin("language", args.name)), end="")
     return 0
 
 
@@ -106,22 +105,12 @@ def cmd_laws(args) -> int:
         cfg = GenConfig(seed=args.seed, max_depth=args.depth, cases=args.cases)
     except ValueError as exc:
         raise _Usage(str(exc))
-    reports = []
     if args.lang is not None:
-        try:
-            sig = get_language(args.lang)
-        except KeyError:
-            raise _Usage(f"unknown language '{args.lang}'")
-        reports.append(check_monad_laws(sig, cfg))
+        report = check_monad_laws(_builtin("language", args.lang), cfg)
     else:
-        try:
-            x = get_translation(args.translation)
-        except KeyError:
-            raise _Usage(f"unknown translation '{args.translation}'")
-        reports.append(check_translation_laws(x, cfg))
-    for report in reports:
-        print(report)
-    return 0 if all(r.passed for r in reports) else 1
+        report = check_translation_laws(_builtin("translation", args.translation), cfg)
+    print(report)
+    return 0 if report.passed else 1
 
 
 @functools.cache

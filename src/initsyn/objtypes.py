@@ -338,9 +338,6 @@ def translate_type(g: TypeTranslation, t: TypeExpr) -> TypeExpr:
     return _translate_type(g, t, {})
 
 
-translate_type_expr = translate_type  # type expressions are types
-
-
 def _translate_type(
     g: TypeTranslation, t: TypeExpr, memo: dict[ObjType, TypeExpr]
 ) -> TypeExpr:

@@ -7,8 +7,7 @@ type expressions; each argument of an arity carries a binder list (the
 types of the variables the constructor binds in that argument) and a body
 type; the arity also declares a result type.  Type expressions are the
 ``ObjType`` trees of ``objtypes`` with ``TVar`` leaves; ``TVar``,
-``TypeExpr`` and ``type_expr_errors`` are re-exported here, and ``TApp``
-is another name for ``ObjType``.
+``TypeExpr`` and ``type_expr_errors`` are re-exported here.
 """
 
 from __future__ import annotations
@@ -19,17 +18,22 @@ from .objtypes import Frozen, ObjType, TVar, TypeExpr, type_expr_errors
 # ---------------------------------------------------------------------------
 # Type expressions
 
-TApp = ObjType  # callers may build type expressions under this name
-
 
 def min_degree(e: TypeExpr) -> int:
-    """Largest $k occurring in ``e``; 0 for a closed expression."""
-    match e:
-        case TVar(index=k):
-            return k
-        case ObjType(args=args):
-            return max((min_degree(a) for a in args), default=0)
-    raise TypeError(f"not a type expression: {e!r}")
+    """Largest $k occurring in ``e``; 0 for a closed expression.  The walk
+    keeps its own stack, left to right, so depth costs no recursion."""
+    leaves, stack = [], [e]
+    while stack:
+        match stack.pop():
+            case TVar(index=k):
+                leaves.append(k)
+            case ObjType(args=()):
+                leaves.append(0)
+            case ObjType(args=args):
+                stack.extend(reversed(args))
+            case other:
+                raise TypeError(f"not a type expression: {other!r}")
+    return max(leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +122,9 @@ class TypedSignature(Frozen):
         ``degree`` type parameters and ``count`` arguments is not well
         formed, or ``None`` when it is.  The first failed check wins, in
         this order: a known arity, the literal, the type parameters, the
-        arguments.  Every term operation rejects a node with this."""
+        arguments.  ``infer`` and ``translate_term`` reject a node with
+        this; ``weaken``, ``rename`` and ``substitute`` check only the
+        arity name and the argument count, and give this when either fails."""
         ar = self._arities.get(name)
         if ar is None:
             return f"unknown arity '{name}'"

@@ -337,19 +337,6 @@ def check(sig: TypedSignature, ctx: Context, term: Term, ty: ObjType) -> None:
         raise TypeCheckError(f"expected {ty}, found {actual}")
 
 
-class Judgement(Frozen):
-    """A term packaged with the data that typechecks it."""
-
-    __slots__ = __match_args__ = ("sig", "ctx", "term", "ty")
-    sig: TypedSignature
-    ctx: Context
-    term: Term
-    ty: ObjType
-
-    def __post_init__(self) -> None:
-        check(self.sig, self.ctx, self.term, self.ty)
-
-
 def eta(ctx: Context, i: int) -> Term:
     """The i-th context variable as a term (the unit of the monad)."""
     if not 0 <= i < len(ctx):
@@ -368,8 +355,9 @@ def _map(
     straight to ``on_var``, and an argument-free constant of an arity with
     no arguments (``binders.get(name, 1)`` is ``()``; an unknown name
     gives 1) is its own result.  Any other argument goes to ``go``, which
-    rejects a bad node with ``infer``'s message.  Nodes of one and two
-    arguments, the common ones, are rebuilt without a loop."""
+    checks the arity name and argument count only (``infer``'s message); a
+    wrong family literal or number of type parameters passes.  Nodes of
+    one and two arguments, the common ones, are rebuilt without a loop."""
     binders = sig.binder_counts
 
     def go(t: Con, depth: int) -> Term:

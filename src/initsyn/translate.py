@@ -83,10 +83,6 @@ class TplMacro(Frozen):
         return f"<{self.name}>"
 
 
-# Every other template node is a term node; the old names stay importable.
-TplVar = Var
-TplCon = Con
-
 Template = Var | Con | TplMeta | TplMacro
 
 

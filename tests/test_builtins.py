@@ -13,7 +13,7 @@ from initsyn.languages import (
 )
 from initsyn.laws import GenConfig, _case_term
 from initsyn.objtypes import ObjType, translate_type
-from initsyn.signatures import TApp, TVar, TypedSignature, TypeSignature, validate_signature
+from initsyn.signatures import TVar, TypedSignature, TypeSignature, validate_signature
 from initsyn.surface import (
     parse_signature,
     parse_translation,
@@ -35,7 +35,7 @@ def test_pcf_rec_arity_shape():
     assert rec.result == TVar(1)
     assert len(rec.args) == 1
     assert rec.args[0].binders == ()
-    assert rec.args[0].body == TApp("arr", (TVar(1), TVar(1)))
+    assert rec.args[0].body == ObjType("arr", (TVar(1), TVar(1)))
 
 
 def test_ipc_is_cpc_without_excluded_middle():

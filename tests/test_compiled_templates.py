@@ -12,17 +12,15 @@ import pytest
 from initsyn import translate
 from initsyn.languages import _read, get_language, get_translation, list_builtins
 from initsyn.objtypes import ObjType, eval_type_expr, ground_types
-from initsyn.signatures import TApp, TVar
+from initsyn.signatures import TVar
 from initsyn.surface import parse_signature, parse_translation, translation_header
 from initsyn.terms import Con, TypeCheckError, Var, infer, weaken
 from initsyn.translate import (
     HOLE,
     ITER,
     STAB,
-    TplCon,
     TplMacro,
     TplMeta,
-    TplVar,
     Translation,
     build_stability_witness,
     identity_translation,
@@ -42,7 +40,7 @@ def reference_instantiate(x, ar, inst, translated_args, lit=None):
 
     def build(tpl, depth, hole):
         match tpl:
-            case TplVar(index=i):
+            case Var(index=i):
                 return Var(i)
             case TplMeta(index=j):
                 expected = binder_counts[j - 1]
@@ -135,11 +133,11 @@ def test_closed_templates_are_shared():
 def test_closed_stability_witness_is_shared():
     gg = get_translation("cpc2ipc-godel-gentzen")
     top_i = gg.source.arity("topI")
-    bot = TApp("bot")
-    nn_top = TApp("impl", (TApp("impl", (TApp("top"), bot)), bot))
-    body = TplCon("implE", None, (nn_top, bot), (TplVar(0), gg.term_map["topI"]))
-    witness_of = TplCon("implI", None, (TApp("impl", (nn_top, bot)), bot), (body,))
-    closed = TplCon(STAB, None, (nn_top,), (witness_of,))
+    bot = ObjType("bot")
+    nn_top = ObjType("impl", (ObjType("impl", (ObjType("top"), bot)), bot))
+    body = Con("implE", None, (nn_top, bot), (Var(0), gg.term_map["topI"]))
+    witness_of = Con("implI", None, (ObjType("impl", (nn_top, bot)), bot), (body,))
+    closed = Con(STAB, None, (nn_top,), (witness_of,))
     x = Translation(gg.name, gg.source, gg.target, gg.type_map, dict(gg.term_map, topI=closed))
     assert validate_translation(x).ok
     first = instantiate_template(x, top_i, (), ())
@@ -162,11 +160,11 @@ def test_rebuilt_translation_compiles_afresh():
 
 
 def _hole():
-    return TplCon(HOLE, None, (), ())
+    return Con(HOLE, None, (), ())
 
 
 def _con(name, *args, inst=()):
-    return TplCon(name, None, inst, args)
+    return Con(name, None, inst, args)
 
 
 # (translation, source arity, unvalidated template, its validate_translation entry)
@@ -193,25 +191,25 @@ _BROKEN = {
     "iter in non-family": (
         "pcf2ulc-turing",
         "tttt",
-        _con(ITER, TplVar(0), TplVar(0)),
+        _con(ITER, Var(0), Var(0)),
         "__iter in a template for a non-family arity",
     ),
     "iter of three": (
         "pcf2ulc-turing",
         "nats",
-        _con(ITER, TplVar(0), TplVar(0), TplVar(0)),
+        _con(ITER, Var(0), Var(0), Var(0)),
         "__iter takes exactly two sub-templates",
     ),
     "broken step": (
         "pcf2ulc-turing",
         "nats",
-        _con("abs", _con(ITER, _con("nope"), TplVar(0))),
+        _con("abs", _con(ITER, _con("nope"), Var(0))),
         "unknown target arity 'nope'",
     ),
     "hole under binder": (  # the base is checked before the step
         "pcf2ulc-turing",
         "nats",
-        _con(ITER, _con("abs", _hole()), TplVar(0)),
+        _con(ITER, _con("abs", _hole()), Var(0)),
         "unbound template variable #0",
     ),
     "type variable out of range": (
@@ -256,7 +254,7 @@ def test_named_errors_keep_their_messages():
     cases = {
         TplMeta(2): "arity 'rec': Meta(2) out of range; arity has 1 arguments",
         _hole(): "arity 'rec': __hole outside __iter",
-        _con(ITER, TplVar(0), TplVar(0)): (
+        _con(ITER, Var(0), Var(0)): (
             "arity 'rec': __iter in a template for a non-family arity"
         ),
         _con("nope"): "arity 'rec': unknown target arity 'nope'",

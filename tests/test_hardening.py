@@ -9,13 +9,11 @@ import pytest
 from initsyn.languages import get_language, get_translation
 from initsyn.laws import GenConfig, _case_term, check_monad_laws
 from initsyn.objtypes import ObjType, TypeTranslation, translate_type
-from initsyn.signatures import ArgSpec, TApp, TVar, TermArity, TypeSignature, TypedSignature
+from initsyn.signatures import ArgSpec, TVar, TermArity, TypeSignature, TypedSignature
 from initsyn.surface import parse_signature, parse_term, print_termfile
 from initsyn.terms import Con, TypeCheckError, Var, infer
 from initsyn.translate import (
-    TplCon,
     TplMeta,
-    TplVar,
     Translation,
     retype_context,
     translate_term,
@@ -38,8 +36,8 @@ def _stlc_to_stlc(term_map) -> Translation:
 
 def _stlc_identity_templates():
     return {
-        "abs": TplCon("abs", None, (TVar(1), TVar(2)), (TplMeta(1),)),
-        "app": TplCon("app", None, (TVar(1), TVar(2)), (TplMeta(1), TplMeta(2))),
+        "abs": Con("abs", None, (TVar(1), TVar(2)), (TplMeta(1),)),
+        "app": Con("app", None, (TVar(1), TVar(2)), (TplMeta(1), TplMeta(2))),
     }
 
 
@@ -50,7 +48,7 @@ class TestValidatorSoundness:
     def test_swapped_parameters_in_binder_rejected(self):
         tm = _stlc_identity_templates()
         # binder becomes $2 where the translated source binder is $1
-        tm["abs"] = TplCon("abs", None, (TVar(2), TVar(1)), (TplMeta(1),))
+        tm["abs"] = Con("abs", None, (TVar(2), TVar(1)), (TplMeta(1),))
         report = validate_translation(_stlc_to_stlc(tm))
         assert any("binder context mismatch" in e for e in report.entries)
 
@@ -59,28 +57,28 @@ class TestValidatorSoundness:
         # curried template binds the second parameter in the outer lambda
         ts = TypeSignature("Two", {"o": 0, "arr": 2})
         v1, v2, v3 = TVar(1), TVar(2), TVar(3)
-        o = TApp("o")
+        o = ObjType("o")
         sig = TypedSignature(
             types=ts,
             terms=(
-                TermArity("lam", 2, (ArgSpec((v1,), v2),), TApp("arr", (v1, v2))),
+                TermArity("lam", 2, (ArgSpec((v1,), v2),), ObjType("arr", (v1, v2))),
                 TermArity(
                     "lam2",
                     3,
                     (ArgSpec((v1, v2), v3),),
-                    TApp("arr", (v2, TApp("arr", (v1, v3)))),
+                    ObjType("arr", (v2, ObjType("arr", (v1, v3)))),
                 ),
             ),
         )
         from initsyn.objtypes import identity_type_translation
 
         good = {
-            "lam": TplCon("lam", None, (v1, v2), (TplMeta(1),)),
-            "lam2": TplCon(
+            "lam": Con("lam", None, (v1, v2), (TplMeta(1),)),
+            "lam2": Con(
                 "lam",
                 None,
-                (v2, TApp("arr", (v1, v3))),
-                (TplCon("lam", None, (v1, v3), (TplMeta(1),)),),
+                (v2, ObjType("arr", (v1, v3))),
+                (Con("lam", None, (v1, v3), (TplMeta(1),)),),
             ),
         }
         x = Translation(
@@ -90,11 +88,11 @@ class TestValidatorSoundness:
 
         # swapping the nesting order breaks which parameter is innermost
         swapped = dict(good)
-        swapped["lam2"] = TplCon(
+        swapped["lam2"] = Con(
             "lam",
             None,
-            (v1, TApp("arr", (v2, v3))),
-            (TplCon("lam", None, (v2, v3), (TplMeta(1),)),),
+            (v1, ObjType("arr", (v2, v3))),
+            (Con("lam", None, (v2, v3), (TplMeta(1),)),),
         )
         report = validate_translation(
             Translation("swapped", sig, sig, identity_type_translation(sig.all_types), swapped)
@@ -103,16 +101,16 @@ class TestValidatorSoundness:
 
         # a foreign binder wedged between the expected two is also caught
         wedged = dict(good)
-        wedged["lam2"] = TplCon(
+        wedged["lam2"] = Con(
             "lam",
             None,
-            (v2, TApp("arr", (o, TApp("arr", (v1, v3))))),
+            (v2, ObjType("arr", (o, ObjType("arr", (v1, v3))))),
             (
-                TplCon(
+                Con(
                     "lam",
                     None,
-                    (o, TApp("arr", (v1, v3))),
-                    (TplCon("lam", None, (v1, v3), (TplMeta(1),)),),
+                    (o, ObjType("arr", (v1, v3))),
+                    (Con("lam", None, (v1, v3), (TplMeta(1),)),),
                 ),
             ),
         )
@@ -124,13 +122,13 @@ class TestValidatorSoundness:
     def test_instantiation_dependent_template_rejected(self):
         # needs $1 = $2 to typecheck: fine at equal instantiations only
         tm = _stlc_identity_templates()
-        tm["app"] = TplCon("app", None, (TVar(2), TVar(2)), (TplMeta(1), TplMeta(2)))
+        tm["app"] = Con("app", None, (TVar(2), TVar(2)), (TplMeta(1), TplMeta(2)))
         report = validate_translation(_stlc_to_stlc(tm))
         assert not report.ok
 
     def test_template_variable_escaping_into_ambient_context_rejected(self):
         tm = _stlc_identity_templates()
-        tm["app"] = TplVar(0)  # would capture whatever the context holds
+        tm["app"] = Var(0)  # would capture whatever the context holds
         report = validate_translation(_stlc_to_stlc(tm))
         assert any("unbound template variable" in e for e in report.entries)
 
@@ -158,20 +156,20 @@ class TestUnitypedValidationExactness:
         # concrete binder cannot stand for an arbitrary parameter image
         src = get_language("STLC")
         tgt_types = TypeSignature("Two", {"*": 0, "o": 0, "arr": 2})
-        star = TApp("*")
+        star = ObjType("*")
         tgt = TypedSignature(
             types=tgt_types,
             terms=(
-                TermArity("abs", 2, (ArgSpec((TVar(1),), TVar(2)),), TApp("arr", (TVar(1), TVar(2)))),
-                TermArity("app", 2, (ArgSpec((), TApp("arr", (TVar(1), TVar(2)))), ArgSpec((), TVar(1))), TVar(2)),
+                TermArity("abs", 2, (ArgSpec((TVar(1),), TVar(2)),), ObjType("arr", (TVar(1), TVar(2)))),
+                TermArity("app", 2, (ArgSpec((), ObjType("arr", (TVar(1), TVar(2)))), ArgSpec((), TVar(1))), TVar(2)),
             ),
         )
         type_map = TypeTranslation(
             src.all_types, tgt.all_types, {"*": star, "arr": star}
         )
         term_map = {
-            "abs": TplCon("abs", None, (star, star), (TplMeta(1),)),
-            "app": TplCon("app", None, (star, star), (TplMeta(1), TplMeta(2))),
+            "abs": Con("abs", None, (star, star), (TplMeta(1),)),
+            "app": Con("app", None, (star, star), (TplMeta(1), TplMeta(2))),
         }
         x = Translation("collapse", src, tgt, type_map, term_map)
         report = validate_translation(x)

@@ -7,9 +7,9 @@ import pytest
 
 import initsyn
 from initsyn.languages import get_language, list_builtins
+from initsyn.objtypes import ObjType
 from initsyn.signatures import (
     ArgSpec,
-    TApp,
     TVar,
     TermArity,
     TypeSignature,
@@ -20,7 +20,7 @@ from initsyn.signatures import (
 
 
 def arr(a, b):
-    return TApp("arr", (a, b))
+    return ObjType("arr", (a, b))
 
 
 def test_builtin_signatures_validate():
@@ -41,7 +41,7 @@ def test_variable_exceeding_degree_is_reported():
 def test_wrong_argument_count_is_reported():
     sig = TypedSignature(
         types=TypeSignature("L", {"arr": 2, "Nat": 0}),
-        terms=(TermArity("c", 0, (), TApp("arr", (TApp("Nat"),))),),
+        terms=(TermArity("c", 0, (), ObjType("arr", (ObjType("Nat"),))),),
     )
     report = validate_signature(sig)
     assert any("arr expects 2 arguments" in e for e in report.entries)
@@ -51,8 +51,8 @@ def test_unknown_constructor_and_duplicates():
     sig = TypedSignature(
         types=TypeSignature("L", {"Nat": 0}),
         terms=(
-            TermArity("c", 0, (), TApp("Mystery")),
-            TermArity("c", 0, (), TApp("Nat")),
+            TermArity("c", 0, (), ObjType("Mystery")),
+            TermArity("c", 0, (), ObjType("Nat")),
         ),
         atoms=("Nat",),
     )
@@ -65,7 +65,7 @@ def test_unknown_constructor_and_duplicates():
 def test_reserved_names_rejected():
     sig = TypedSignature(
         types=TypeSignature("L", {"__x": 0}),
-        terms=(TermArity("__iter", 0, (), TApp("__x")),),
+        terms=(TermArity("__iter", 0, (), ObjType("__x")),),
     )
     entries = validate_signature(sig).entries
     assert any("'__x': name is reserved" in e for e in entries)
@@ -74,8 +74,25 @@ def test_reserved_names_rejected():
 
 def test_min_degree():
     assert min_degree(arr(TVar(1), TVar(2))) == 2
-    assert min_degree(TApp("Nat")) == 0
+    assert min_degree(ObjType("Nat")) == 0
     assert min_degree(arr(arr(TVar(1), TVar(1)), TVar(2))) == 2
+
+
+def test_min_degree_at_depth_10000_under_the_default_recursion_limit():
+    """The walk keeps its own stack: a 10 000-deep ``arr($1,Nat)`` chain
+    has degree 1, and a non-expression at its bottom is still named."""
+    deep, bad = TVar(1), "junk"
+    for _ in range(10_000):
+        deep, bad = arr(deep, ObjType("Nat")), arr(bad, ObjType("Nat"))
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        assert min_degree(deep) == 1
+        assert min_degree(arr(ObjType("Nat"), deep)) == 1
+        with pytest.raises(TypeError, match="^not a type expression: 'junk'$"):
+            min_degree(bad)
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def test_min_degree_bounded_by_declared_degree_on_builtins():

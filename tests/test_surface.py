@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from initsyn.languages import get_language, get_translation, list_builtins
 from initsyn.laws import GenConfig, _case_term
 from initsyn.objtypes import ObjType
-from initsyn.signatures import ArgSpec, TApp, TVar
+from initsyn.signatures import ArgSpec, TVar
 from initsyn.surface import (
     SourceError,
     _tokenize,
@@ -21,7 +21,7 @@ from initsyn.surface import (
     print_translation,
 )
 from initsyn.terms import Con, TypeCheckError, Var, infer
-from initsyn.translate import TplCon, TplMacro, TplMeta, translate_term
+from initsyn.translate import TplMacro, TplMeta, translate_term
 
 
 class TestParseSignature:
@@ -35,7 +35,7 @@ class TestParseSignature:
         ar = sig.arity("abs")
         assert ar.degree == 2
         assert ar.args == (ArgSpec((TVar(1),), TVar(2)),)
-        assert ar.result == TApp("arr", (TVar(1), TVar(2)))
+        assert ar.result == ObjType("arr", (TVar(1), TVar(2)))
 
     def test_pcf_rec_line(self):
         text = """
@@ -357,7 +357,7 @@ class TestParseTranslation:
         turing = get_translation("pcf2ulc-turing")
         text = print_translation(turing)
         x = parse_translation(text, pcf, ulc)
-        assert x.term_map["rec"] == TplCon(
+        assert x.term_map["rec"] == Con(
             "app", None, (), (TplMacro("Theta"), TplMeta(1))
         )
 

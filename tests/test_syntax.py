@@ -7,7 +7,6 @@ from initsyn.laws import GenConfig, gen_context, gen_substitution, gen_term, _si
 from initsyn.objtypes import ObjType
 from initsyn.terms import (
     Con,
-    Judgement,
     Substitution,
     TypeCheckError,
     Var,
@@ -205,13 +204,6 @@ class TestContextExtend:
     def test_empty_binders(self):
         ctx = (NAT, BOOL)
         assert context_extend(ctx, (NAT,), ()) == ctx
-
-
-def test_judgement_enforces_welltypedness():
-    pcf = get_language("PCF")
-    Judgement(pcf, (NAT,), Var(0), NAT)
-    with pytest.raises(TypeCheckError):
-        Judgement(pcf, (NAT,), Var(0), BOOL)
 
 
 def test_substitution_validate():

@@ -5,14 +5,12 @@ import pytest
 from initsyn.languages import get_language, get_translation
 from initsyn.laws import GenConfig, GenFailure, gen_term, _case_term
 from initsyn.objtypes import ObjType, ground_types, translate_type
-from initsyn.signatures import TApp, TVar
+from initsyn.signatures import TVar
 from initsyn.surface import print_term
 from initsyn.terms import Con, TypeCheckError, Var, context_extend, infer
 from initsyn.translate import (
     OpaqueRepresentation,
-    TplCon,
     TplMeta,
-    TplVar,
     Translation,
     build_stability_witness,
     identity_translation,
@@ -77,7 +75,7 @@ class TestValidation:
     def test_wrong_result_type(self):
         x = get_translation("cpc2ipc-godel-gentzen")
         broken = dict(x.term_map)
-        broken["topI"] = TplCon("topI", None, (), ())
+        broken["topI"] = Con("topI", None, (), ())
         bad = Translation(x.name, x.source, x.target, x.type_map, broken, x.macros)
         report = validate_translation(bad)
         assert any("arity 'topI'" in e for e in report.entries)
@@ -92,14 +90,14 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "lit, inst, args",
-        [(7, (), ()), (None, (TApp("Foo"),), ()), (None, (), (TplVar(0),))],
+        [(7, (), ()), (None, (ObjType("Foo"),), ()), (None, (), (Var(0),))],
     )
     def test_hole_with_a_payload_rejected(self, lit, inst, args):
         x = get_translation("pcf2ulc-turing")
-        hole = TplCon("__hole", lit, inst, args)
-        step = TplCon("app", None, (), (TplVar(1), hole))
-        body = TplCon("__iter", None, (), (step, TplVar(0)))
-        nats = TplCon("abs", None, (), (TplCon("abs", None, (), (body,)),))
+        hole = Con("__hole", lit, inst, args)
+        step = Con("app", None, (), (Var(1), hole))
+        body = Con("__iter", None, (), (step, Var(0)))
+        nats = Con("abs", None, (), (Con("abs", None, (), (body,)),))
         broken = dict(x.term_map, nats=nats)
         bad = Translation(x.name, x.source, x.target, x.type_map, broken, x.macros)
         assert validate_translation(bad).entries == (
@@ -115,25 +113,23 @@ class TestValidation:
         assert any("__iter" in e for e in report.entries)
 
     def test_stab_rejects_unstable_types(self):
-        from initsyn.signatures import TApp
         from initsyn.translate import STAB
 
         x = get_translation("cpc2ipc-godel-gentzen")
         orig = x.term_map["orE"]
-        assert isinstance(orig, TplCon) and orig.name == STAB
+        assert isinstance(orig, Con) and orig.name == STAB
         broken = dict(x.term_map)
-        broken["orE"] = TplCon(STAB, None, (TApp("or", (TVar(1), TVar(2))),), orig.args)
+        broken["orE"] = Con(STAB, None, (ObjType("or", (TVar(1), TVar(2))),), orig.args)
         bad = Translation(x.name, x.source, x.target, x.type_map, broken, x.macros)
         report = validate_translation(bad)
         assert any("not double-negation stable" in e for e in report.entries)
 
     def test_stab_requires_stable_type_templates(self):
         from initsyn.objtypes import TypeTranslation
-        from initsyn.signatures import TApp
 
         x = get_translation("cpc2ipc-godel-gentzen")
         weak = dict(x.type_map.templates)
-        weak["or"] = TApp("or", (TVar(1), TVar(2)))  # or-images no longer stable
+        weak["or"] = ObjType("or", (TVar(1), TVar(2)))  # or-images no longer stable
         bad = Translation(
             x.name,
             x.source,

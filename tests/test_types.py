@@ -19,9 +19,8 @@ from initsyn.objtypes import (
     eval_type_expr,
     ground_types,
     translate_type,
-    translate_type_expr,
 )
-from initsyn.signatures import TApp, TVar
+from initsyn.signatures import TVar
 from initsyn.terms import Con, Var
 from initsyn.translate import identity_translation, retype_context
 
@@ -39,20 +38,19 @@ def imp(a, b):
 
 
 def test_eval_type_expr():
-    e = TApp("arr", (TVar(1), TVar(2)))
+    e = ObjType("arr", (TVar(1), TVar(2)))
     assert eval_type_expr([NAT, BOOL], e) == arr(NAT, BOOL)
-    assert eval_type_expr([NAT], TApp("Bool")) == BOOL
-    nested = TApp("arr", (TApp("arr", (TVar(1), TVar(1))), TVar(2)))
+    assert eval_type_expr([NAT], ObjType("Bool")) == BOOL
+    nested = ObjType("arr", (ObjType("arr", (TVar(1), TVar(1))), TVar(2)))
     assert eval_type_expr([BOOL, NAT], nested) == arr(arr(BOOL, BOOL), NAT)
 
 
 def test_type_expressions_are_types():
-    assert TApp is ObjType
     assert get_language("PCF").arity("Succ").result is arr(NAT, NAT)
-    for e in (NAT, arr(NAT, arr(BOOL, NAT)), TApp("arr", (TApp("Nat"), TApp("Bool")))):
+    for e in (NAT, arr(NAT, arr(BOOL, NAT)), ObjType("arr", (ObjType("Nat"), ObjType("Bool")))):
         assert compile_type_expr(e, 2)[0] is e
         assert eval_type_expr((), e) is e
-    assert str(TApp("arr", (TVar(1), arr(TVar(2), NAT)))) == "arr($1,arr($2,Nat))"
+    assert str(ObjType("arr", (TVar(1), arr(TVar(2), NAT)))) == "arr($1,arr($2,Nat))"
 
 
 def test_eval_out_of_range():
@@ -81,23 +79,23 @@ def test_constant_type_map_collapses_everything():
 
 def test_translate_type_expr_clauses():
     g = get_translation("cpc2ipc-godel-gentzen").type_map
-    bot = TApp("bot")
-    got = translate_type_expr(g, TApp("or", (TVar(1), TVar(2))))
-    want = TApp(
+    bot = ObjType("bot")
+    got = translate_type(g, ObjType("or", (TVar(1), TVar(2))))
+    want = ObjType(
         "impl",
         (
-            TApp(
+            ObjType(
                 "and",
-                (TApp("impl", (TVar(1), bot)), TApp("impl", (TVar(2), bot))),
+                (ObjType("impl", (TVar(1), bot)), ObjType("impl", (TVar(2), bot))),
             ),
             bot,
         ),
     )
     assert got == want
-    assert translate_type_expr(g, TVar(1)) == TVar(1)
+    assert translate_type(g, TVar(1)) == TVar(1)
     # hand-applied clauses with bot mapped to its double negation
-    nn_bot = TApp("impl", (TApp("impl", (bot, bot)), bot))
-    assert translate_type_expr(g, TApp("impl", (TVar(1), bot))) == TApp(
+    nn_bot = ObjType("impl", (ObjType("impl", (bot, bot)), bot))
+    assert translate_type(g, ObjType("impl", (TVar(1), bot))) == ObjType(
         "impl", (TVar(1), nn_bot)
     )
 
@@ -139,9 +137,9 @@ def _random_expr(rng, sig_constructors, degree, depth):
         name, count = rng.choice(
             [(n, c) for n, c in sig_constructors.items() if c == 0]
         )
-        return TApp(name)
+        return ObjType(name)
     name, count = rng.choice(list(sig_constructors.items()))
-    return TApp(
+    return ObjType(
         name,
         tuple(
             _random_expr(rng, sig_constructors, degree, depth - 1)
@@ -160,7 +158,7 @@ def test_commutation_square_on_random_open_expressions():
         env = [_random_type(rng, leaves, 2) for _ in range(degree)]
         e = _random_expr(rng, constructors, degree, 3)
         lhs = eval_type_expr(
-            [translate_type(g, t) for t in env], translate_type_expr(g, e)
+            [translate_type(g, t) for t in env], translate_type(g, e)
         )
         rhs = translate_type(g, eval_type_expr(env, e))
         assert lhs == rhs

@@ -1,8 +1,10 @@
 """The value-class contract: every immutable value class of the package
 behaves as the frozen dataclass with the same fields would, and importing
 the package stays free of the modules such dataclasses pull in and of the
-law checker, while keeping every public name."""
+law checker, while keeping every public name, each the only name of its
+thing."""
 
+import ast
 import copy
 import dataclasses
 import json
@@ -15,10 +17,11 @@ from pathlib import Path
 
 import pytest
 
+import initsyn
 from initsyn.laws import GenConfig, LawReport
 from initsyn.objtypes import Frozen, ObjType, TVar, TypeTranslation
 from initsyn.signatures import ArgSpec, TermArity, TypedSignature, TypeSignature, ValidationReport
-from initsyn.terms import Con, Judgement, Substitution, Var
+from initsyn.terms import Con, Substitution, Var
 from initsyn.translate import OpaqueRepresentation, TplMacro, TplMeta, Translation, _ArityImages
 
 A, B = ObjType("A"), ObjType("B")
@@ -43,7 +46,6 @@ CASES = {
     ),
     TypedSignature: (["types", "terms", ("atoms", tuple, ())], (TS, (ARITY,), ()), (TS, ())),
     ValidationReport: (["entries"], (("x",),), ((),)),
-    Judgement: (["sig", "ctx", "term", "ty"], (SIG, (), C, A), (SIG, (B,), C, A)),
     Substitution: (
         ["domain", "codomain", "images"],
         ((A,), (A,), (Var(0),)),
@@ -162,8 +164,6 @@ def test_derived_caches_stay_out_of_equality_hash_and_repr():
 def test_construction_time_checks_still_run():
     with pytest.raises(ValueError):
         GenConfig(1, cases=0)
-    with pytest.raises(Exception, match="expected B"):
-        Judgement(SIG, (), C, B)
     assert pickle.loads(pickle.dumps(SIG)).arity("c") == ARITY
 
 
@@ -219,20 +219,19 @@ def test_import_builds_at_most_512_shared_variables():
 
 # ``sorted(initsyn.__all__)`` when every module was imported eagerly
 PUBLIC_NAMES = [
-    "ArgSpec", "Con", "Context", "GenConfig", "GenFailure", "Judgement", "LawReport",
-    "ObjType", "OpaqueRepresentation", "SourceError", "Substitution", "TApp", "TVar",
-    "Template", "Term", "TermArity", "TplCon", "TplMacro", "TplMeta", "TplVar",
-    "Translation", "TypeCheckError", "TypeExpr", "TypeSignature", "TypeTranslation",
-    "TypedSignature", "ValidationReport", "Var", "check", "check_agreement",
-    "check_monad_laws", "check_translation_laws", "context_extend", "eta",
-    "eval_type_expr", "gen_context", "gen_substitution", "gen_term", "get_language",
-    "get_translation", "ground_types", "identity_substitution", "identity_translation",
-    "infer", "instantiate_template", "languages", "laws", "list_builtins",
-    "load_translation", "min_degree", "objtypes", "parse_signature", "parse_term",
-    "parse_translation", "print_signature", "print_term", "print_termfile",
-    "print_translation", "rename", "retype_context", "retype_inst", "signatures",
-    "substitute", "surface", "terms", "translate", "translate_term", "translate_type",
-    "translate_type_expr", "translation_header", "validate_signature",
+    "ArgSpec", "Con", "Context", "GenConfig", "GenFailure", "LawReport", "ObjType",
+    "OpaqueRepresentation", "SourceError", "Substitution", "TVar", "Template", "Term",
+    "TermArity", "TplMacro", "TplMeta", "Translation", "TypeCheckError", "TypeExpr",
+    "TypeSignature", "TypeTranslation", "TypedSignature", "ValidationReport", "Var",
+    "check", "check_agreement", "check_monad_laws", "check_translation_laws",
+    "context_extend", "eta", "eval_type_expr", "gen_context", "gen_substitution",
+    "gen_term", "get_language", "get_translation", "ground_types",
+    "identity_substitution", "identity_translation", "infer", "instantiate_template",
+    "languages", "laws", "list_builtins", "load_translation", "min_degree", "objtypes",
+    "parse_signature", "parse_term", "parse_translation", "print_signature",
+    "print_term", "print_termfile", "print_translation", "rename", "retype_context",
+    "retype_inst", "signatures", "substitute", "surface", "terms", "translate",
+    "translate_term", "translate_type", "translation_header", "validate_signature",
     "validate_translation", "weaken",
 ]
 
@@ -259,3 +258,24 @@ def test_the_law_checker_loads_on_first_use():
     assert (listed, before, same, missing) == (True, False, True, [])
     assert names == PUBLIC_NAMES
     assert error is not None and "'nope'" in error
+
+
+def test_no_public_name_is_a_second_name():
+    """No module binds a public name to another bare name (``X = Y``): each
+    thing has one name.  Private bindings and imports are not checked."""
+    aliases = []
+    for path in sorted(Path(initsyn.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            if isinstance(node.value, ast.Name):
+                aliases += [
+                    f"{path.name}:{node.lineno}: {t.id} = {node.value.id}"
+                    for t in targets
+                    if isinstance(t, ast.Name) and not t.id.startswith("_")
+                ]
+    assert aliases == []
