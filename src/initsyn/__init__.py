@@ -48,7 +48,6 @@ from .translate import (
     identity_translation,
     instantiate_template,
     retype_context,
-    retype_inst,
     translate_term,
     validate_translation,
 )

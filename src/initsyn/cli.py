@@ -1,14 +1,16 @@
 """Command line entry point.
 
 Exit codes: 0 success, 1 domain failure (type error, law counterexample),
-2 usage or I/O problems (unknown names, missing files, bad flags) and
-input nested too deeply or too large to process.
+2 usage or I/O problems (unknown names, missing files, bad flags, an
+output pipe closed early) and input nested too deeply or too large to
+process.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .languages import get_language, get_translation, list_builtins, load_translation
@@ -164,6 +166,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except BrokenPipeError:
+        # the reader is gone: what is left to flush at exit goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

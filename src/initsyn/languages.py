@@ -20,7 +20,6 @@ from importlib.resources import files
 
 from .signatures import TypedSignature
 from .surface import parse_signature, parse_translation, translation_header
-from .terms import Term
 from .translate import Translation
 
 _DATA = files(__package__) / "data"
@@ -55,18 +54,6 @@ def load_translation(text: str) -> Translation:
 @lru_cache(maxsize=None)
 def get_translation(name: str) -> Translation:
     return load_translation(_read(name, ".xlat", "translation"))
-
-
-def turing_combinator() -> Term:
-    """(lambda x. lambda y. y (x x y)) applied to itself: the ``Theta``
-    macro of pcf2ulc-turing."""
-    return get_translation("pcf2ulc-turing").macros["Theta"]
-
-
-def curry_combinator() -> Term:
-    """lambda f. (lambda x. f (x x)) (lambda x. f (x x)): the ``Y`` macro
-    of pcf2ulc-curry."""
-    return get_translation("pcf2ulc-curry").macros["Y"]
 
 
 def list_builtins() -> tuple[tuple[str, ...], tuple[str, ...]]:

@@ -20,6 +20,7 @@ and leaves the table.
 from __future__ import annotations
 
 import weakref
+from itertools import product
 from _weakref import _remove_dead_weakref
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
@@ -375,18 +376,9 @@ def ground_types(ts: TypeSignature, max_depth: int = 2) -> list[ObjType]:
             if count == 0:
                 layer.append(ObjType(name))
             else:
-                layer.extend(
-                    ObjType(name, combo) for combo in _tuples(pool, count)
-                )
+                layer.extend(ObjType(name, combo) for combo in product(pool, repeat=count))
         layer = sorted(set(layer), key=type_key)
     return layer
-
-
-def _tuples(pool: list[ObjType], n: int) -> list[tuple[ObjType, ...]]:
-    if n == 0:
-        return [()]
-    shorter = _tuples(pool, n - 1)
-    return [rest + (t,) for rest in shorter for t in pool]
 
 
 def is_unityped(ts: TypeSignature) -> bool:

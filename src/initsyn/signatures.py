@@ -47,9 +47,6 @@ class TypeSignature(Frozen):
     name: str
     constructors: dict[str, int]
 
-    def arity_of(self, name: str) -> int | None:
-        return self.constructors.get(name)
-
 
 class ArgSpec(Frozen):
     """One argument of a term arity: binder types, then the body type."""
@@ -113,7 +110,7 @@ class TypedSignature(Frozen):
         return self._arities.get(name)
 
     def type_arity(self, name: str) -> int | None:
-        return self.all_types.arity_of(name)
+        return self.all_types.constructors.get(name)
 
     def node_error(
         self, name: str, lit: int | None, degree: int, count: int

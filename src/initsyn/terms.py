@@ -49,8 +49,8 @@ import functools
 import gc
 from typing import Callable, Sequence
 
-from .objtypes import Frozen, ObjType, eval_type_expr
-from .signatures import TypedSignature
+from .objtypes import Frozen, ObjType, TypeExpr, eval_type_expr
+from .signatures import TermArity, TypedSignature
 
 Context = tuple[ObjType, ...]
 
@@ -320,14 +320,21 @@ def _shape(sig: TypedSignature, term: Con, shapes: dict[tuple, tuple]) -> tuple:
     shape = shapes[name, inst] = (
         bool(ar.family_index),
         len(ar.args),
-        tuple(
-            tuple(eval_type_expr(inst, b) for b in spec.binders)
-            for spec in ar.args
-        ),
-        tuple(eval_type_expr(inst, spec.body) for spec in ar.args),
-        eval_type_expr(inst, ar.result),
+        *_arity_types(ar, functools.partial(eval_type_expr, inst)),
     )
     return shape
+
+
+def _arity_types(ar: TermArity, image: Callable[[TypeExpr], ObjType]) -> tuple:
+    """``ar``'s binder types for each argument, its argument types and its
+    result type, each type expression mapped by ``image``.  Typing is this
+    with ``image`` evaluating at the instantiation; a type translation
+    carries an arity along by translating first."""
+    return (
+        tuple([tuple(map(image, spec.binders)) for spec in ar.args]),
+        tuple([image(spec.body) for spec in ar.args]),
+        image(ar.result),
+    )
 
 
 def check(sig: TypedSignature, ctx: Context, term: Term, ty: ObjType) -> None:

@@ -54,7 +54,7 @@ from .objtypes import (
     type_function,
 )
 from .signatures import TypedSignature, TermArity, ValidationReport
-from .terms import Con, Context, Term, TypeCheckError, Var, infer, paused_gc, weaken
+from .terms import Con, Context, Term, TypeCheckError, Var, _arity_types, infer, paused_gc, weaken
 
 ITER = "__iter"
 HOLE = "__hole"
@@ -134,10 +134,6 @@ Representation = Translation | OpaqueRepresentation
 def retype_context(g: TypeTranslation, ctx: Context) -> Context:
     """Translate a context pointwise; positions are preserved."""
     return _retype(g, ctx, {})
-
-
-def retype_inst(g: TypeTranslation, inst: tuple[ObjType, ...]) -> tuple[ObjType, ...]:
-    return _retype(g, inst, {})
 
 
 def _retype(
@@ -270,26 +266,11 @@ def _opaque_inst(target: TypedSignature, n: int) -> tuple[ObjType, ...]:
     return tuple(ObjType(f"__o{k}") for k in range(1, n + 1))
 
 
-class _ArityImages(Frozen):
-    """Translated shapes of one source arity at a fixed instantiation."""
-
-    __slots__ = __match_args__ = ("binders", "bodies", "result")
-    binders: tuple[tuple[ObjType, ...], ...]
-    bodies: tuple[ObjType, ...]
-    result: ObjType
-
-
-def _arity_images(
-    x: Representation, ar: TermArity, inst: tuple[ObjType, ...]
-) -> _ArityImages:
+def _arity_images(x: Representation, ar: TermArity, inst: tuple[ObjType, ...]) -> tuple:
+    """``terms._arity_types`` of ``ar`` carried along ``x``'s type map, at
+    the translated instantiation ``inst``."""
     g, memo = x.type_map, {}
-
-    def image(e: TypeExpr) -> ObjType:
-        return eval_type_expr(inst, _translate_type(g, e, memo))
-
-    binders = tuple(tuple(image(b) for b in spec.binders) for spec in ar.args)
-    bodies = tuple(image(spec.body) for spec in ar.args)
-    return _ArityImages(binders, bodies, image(ar.result))
+    return _arity_types(ar, lambda e: eval_type_expr(inst, _translate_type(g, e, memo)))
 
 
 def _template_scope(x: Translation) -> tuple[dict[str, ObjType], list[str], bool]:
@@ -412,7 +393,7 @@ def _compile(
     """
     target = x.target
     inst0 = _opaque_inst(target, ar.degree)
-    images = _arity_images(x, ar, inst0)
+    meta_binders, meta_types, result_type = _arity_images(x, ar, inst0)
 
     def type_expr(e: TypeExpr) -> _Compiled:
         error = next(type_expr_errors(target.all_types.constructors, e, ar.degree), None)
@@ -435,13 +416,13 @@ def _compile(
                 raise TypeCheckError(
                     f"Meta({j}) out of range; arity has {len(ar.args)} arguments"
                 )
-            expected = images.binders[j - 1]
+            expected = meta_binders[j - 1]
             if ctx[: len(expected)] != expected:
                 raise TypeCheckError(f"binder context mismatch at Meta({j})")
             outer, amount = len(expected), len(ctx) - len(expected)
             if amount == 0:
-                return images.bodies[j - 1], (None, lambda inst, args, lit, hole: args[j - 1])
-            return images.bodies[j - 1], (
+                return meta_types[j - 1], (None, lambda inst, args, lit, hole: args[j - 1])
+            return meta_types[j - 1], (
                 None,
                 lambda inst, args, lit, hole: weaken(target, args[j - 1], outer, amount),
             )
@@ -486,15 +467,13 @@ def _compile(
             raise TypeCheckError(
                 f"'{name}' expects {len(tar.args)} arguments, got {len(tpl.args)}"
             )
+        binders, bodies, result = _arity_types(tar, lambda e: eval_type_expr(node_inst, e))
         subs = []
-        for spec, sub in zip(tar.args, tpl.args):
-            inner = tuple(eval_type_expr(node_inst, b) for b in spec.binders) + ctx
-            expected = eval_type_expr(node_inst, spec.body)
-            actual, compiled = walk(sub, inner, hole)
+        for inner, expected, sub in zip(binders, bodies, tpl.args):
+            actual, compiled = walk(sub, inner + ctx, hole)
             if actual != expected:
                 raise TypeCheckError(f"expected {expected}, found {actual}")
             subs.append(compiled)
-        result = eval_type_expr(node_inst, tar.result)
 
         passthrough = tar.family_index and node_lit is None
         if not passthrough and all(fixed is not None for fixed, _ in types + subs):
@@ -505,8 +484,8 @@ def _compile(
         # (C [..] ?1 ... ?n), no ?j weakened: the translated arguments are the node's
         direct = not passthrough and len(tpl.args) == len(ar.args) and all(
             type(sub) is TplMeta and sub.index == j
-            and len(spec.binders) + len(ctx) == len(images.binders[j - 1])
-            for j, (spec, sub) in enumerate(zip(tar.args, tpl.args), 1)
+            and len(bs) + len(ctx) == len(meta_binders[j - 1])
+            for j, (bs, sub) in enumerate(zip(binders, tpl.args), 1)
         )
 
         def node(inst, args, lit, hole):
@@ -569,8 +548,8 @@ def _compile(
         return ty, (None, stab)
 
     ty, compiled = walk(tpl, (), None)
-    if ty != images.result:
-        raise TypeCheckError(f"template has type {ty}, expected {images.result}")
+    if ty != result_type:
+        raise TypeCheckError(f"template has type {ty}, expected {result_type}")
     return _function(compiled)
 
 
@@ -630,16 +609,17 @@ def translate_term(x: Representation, ctx: Context, term: Term) -> Term:
         if not opaque:
             args = tuple([a if type(a) is Var else go(a, ctx_t) for a in t.args])
             return instantiate_template(x, ar, inst_t, args, t.lit)
-        args = tuple([go(a, b + ctx_t) for a, b in zip(t.args, images.binders)])
+        binders, _, result_t = images
+        args = tuple([go(a, b + ctx_t) for a, b in zip(t.args, binders)])
         op = x.ops.get(t.name)
         if op is None:
             raise TypeCheckError(f"no operation for arity '{t.name}'")
         result = op(inst_t, ctx_t, args, t.lit)
         actual = infer(x.target, ctx_t, result)
-        if actual is not images.result:
+        if actual is not result_t:
             raise TypeCheckError(
                 f"operation for '{t.name}' returned a term of type "
-                f"{actual}, expected {images.result}"
+                f"{actual}, expected {result_t}"
             )
         return result
 

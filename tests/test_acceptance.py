@@ -7,13 +7,7 @@ per-criterion pass lines).
 import random
 import time
 
-from initsyn.languages import (
-    curry_combinator,
-    get_language,
-    get_translation,
-    list_builtins,
-    turing_combinator,
-)
+from initsyn.languages import get_language, get_translation, list_builtins
 from initsyn.laws import (
     GenConfig,
     _case_term,
@@ -87,8 +81,10 @@ def test_criterion_1_golden_translation():
 def test_criterion_2_golden_combinators():
     start = time.monotonic()
     ulc = get_language("ULC")
-    assert print_term(ulc, (), turing_combinator(), style="paper") == THETA
-    assert print_term(ulc, (), curry_combinator(), style="paper") == YCOMB
+    theta = get_translation("pcf2ulc-turing").macros["Theta"]
+    y = get_translation("pcf2ulc-curry").macros["Y"]
+    assert print_term(ulc, (), theta, style="paper") == THETA
+    assert print_term(ulc, (), y, style="paper") == YCOMB
     assert time.monotonic() - start < 1.0
     _report(2, "golden combinators")
 

@@ -225,14 +225,18 @@ def test_translate_rejects_a_hole_with_a_payload(tmp_path):
     )
 
 
-def _fresh_run(argv):
-    """``main`` in a new interpreter, as a user runs it."""
+def _fresh_env():
+    """The environment of a new interpreter that imports this tree's ``initsyn``."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+def _fresh_run(argv):
+    """``main`` in a new interpreter, as a user runs it."""
     done = subprocess.run(
         [sys.executable, "-m", "initsyn.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_fresh_env(), timeout=120,
     )
     return done.returncode, done.stdout, done.stderr
 
@@ -338,3 +342,27 @@ def test_a_file_that_is_not_utf8_exits_2_naming_it(tmp_path, which):
     code, out, err = run([str(a) for a in argv])
     assert code == 2 and out == ""
     assert err == f"error: cannot read {paths[which]}: not UTF-8 at byte offset 11\n"
+
+
+def test_output_pipe_closed_early_exits_2_without_traceback(tmp_path):
+    """A reader that stops after one byte, as ``| head -c 1`` does, ends the
+    command with exit 2 ("I/O trouble") and no traceback on stderr: neither
+    for the ``BrokenPipeError`` of the print nor for the flush at exit."""
+    term = "(nats{3})"
+    for _ in range(12):  # 4 096 leaves: the output is larger than a pipe buffer
+        term = (
+            "(app [Nat, Nat] (app [Nat, arr(Nat,Nat)] "
+            f"(app [Bool, arr(Nat,arr(Nat,Nat))] (CondN) (tttt)) {term}) {term})"
+        )
+    path = tmp_path / "wide.term"
+    path.write_text(f"context ; {term}\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "initsyn.cli", "translate", "--using", "pcf2ulc-turing", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_fresh_env(),
+    )
+    assert proc.stdout.read(1) == b"("
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert "Traceback" not in err and "Exception ignored" not in err

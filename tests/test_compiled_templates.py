@@ -25,7 +25,7 @@ from initsyn.translate import (
     build_stability_witness,
     identity_translation,
     instantiate_template,
-    retype_inst,
+    retype_context,
     translate_term,
     validate_translation,
 )
@@ -92,7 +92,7 @@ def test_every_arity_agrees_with_the_reference_walk(x):
     for ar in x.source.terms:
         lits = range(6) if ar.family_index else [None]
         for _ in range(8):
-            inst = retype_inst(x.type_map, tuple(rng.choice(pool) for _ in range(ar.degree)))
+            inst = retype_context(x.type_map, tuple(rng.choice(pool) for _ in range(ar.degree)))
             for lit in lits:
                 args = tuple(
                     rng.choice([Var(rng.randrange(4)), rng.choice(outputs)]) for _ in ar.args
@@ -114,7 +114,7 @@ def test_or_elimination_takes_the_stability_path():
     rng = random.Random(6)
     pool = ground_types(x.source.all_types, 2)
     for _ in range(40):
-        inst = retype_inst(x.type_map, tuple(rng.choice(pool) for _ in range(3)))
+        inst = retype_context(x.type_map, tuple(rng.choice(pool) for _ in range(3)))
         args = (Var(rng.randrange(3)), Var(rng.randrange(4)), Var(rng.randrange(5)))
         got = instantiate_template(x, orE, inst, args)
         assert got == reference_instantiate(x, orE, inst, args)

@@ -16,7 +16,6 @@ from initsyn.translate import (
     identity_translation,
     instantiate_template,
     retype_context,
-    retype_inst,
     translate_term,
     validate_translation,
 )
@@ -46,9 +45,10 @@ class TestRetyping:
         assert retype_context(g, (NAT, ObjType("arr", (NAT, BOOL)))) == (STAR, STAR)
 
     def test_retype_inst(self):
+        # Retyping an instantiation context: each entry is mapped in order.
         g = get_translation("cpc2ipc-godel-gentzen").type_map
-        assert retype_inst(g, ()) == ()
-        assert retype_inst(g, (P, BOT)) == (nn(P), nn(BOT))
+        assert retype_context(g, ()) == ()
+        assert retype_context(g, (P, BOT)) == (nn(P), nn(BOT))
 
 
 class TestValidation:

@@ -10,6 +10,7 @@ import dataclasses
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import weakref
@@ -22,7 +23,7 @@ from initsyn.laws import GenConfig, LawReport
 from initsyn.objtypes import Frozen, ObjType, TVar, TypeTranslation
 from initsyn.signatures import ArgSpec, TermArity, TypedSignature, TypeSignature, ValidationReport
 from initsyn.terms import Con, Substitution, Var
-from initsyn.translate import OpaqueRepresentation, TplMacro, TplMeta, Translation, _ArityImages
+from initsyn.translate import OpaqueRepresentation, TplMacro, TplMeta, Translation
 
 A, B = ObjType("A"), ObjType("B")
 TS = TypeSignature("X", {"A": 0, "B": 0})
@@ -70,7 +71,6 @@ CASES = {
         ("o", SIG, SIG, TT, {}),
         ("p", SIG, SIG, TT, {}),
     ),
-    _ArityImages: (["binders", "bodies", "result"], (((),), (A,), A), (((),), (A,), B)),
     GenConfig: (
         ["seed", ("max_depth", int, 6), ("cases", int, 1000), ("retries", int, 16)],
         (1, 6, 1000, 16),
@@ -230,7 +230,7 @@ PUBLIC_NAMES = [
     "languages", "laws", "list_builtins", "load_translation", "min_degree", "objtypes",
     "parse_signature", "parse_term", "parse_translation", "print_signature",
     "print_term", "print_termfile", "print_translation", "rename", "retype_context",
-    "retype_inst", "signatures", "substitute", "surface", "terms", "translate",
+    "signatures", "substitute", "surface", "terms", "translate",
     "translate_term", "translate_type", "translation_header", "validate_signature",
     "validate_translation", "weaken",
 ]
@@ -279,3 +279,38 @@ def test_no_public_name_is_a_second_name():
                     if isinstance(t, ast.Name) and not t.id.startswith("_")
                 ]
     assert aliases == []
+
+
+def _library_names() -> set[str]:
+    """The identifiers inside backticks in README's Library section."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    spans = re.findall(r"`([^`\n]+)`", section)
+    return {word for span in spans for word in re.findall(r"\w+", span)}
+
+
+def test_every_public_name_is_used_or_documented():
+    """Each public module-level function and class of ``src/initsyn/*.py``
+    and each name in ``initsyn.__all__`` is referred to in ``src/initsyn``
+    outside its own definition and ``__init__.py``, or named in backticks in
+    README's Library section, which says what it is kept for."""
+    defined, used = set(), set()
+    for path in sorted(Path(initsyn.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(top, "name", None)  # a reference inside it to itself is none
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("_"):
+                defined.add(own)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    refs = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    refs = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    refs = [node.module or "", *(a.name for a in node.names)]
+                else:
+                    continue
+                used.update(ref for ref in refs if ref != own)
+    unused = sorted((defined | set(initsyn.__all__)) - used - _library_names())
+    assert unused == [], unused
