@@ -20,7 +20,10 @@ and leaves the table.
 from __future__ import annotations
 
 import weakref
+from functools import partial
 from itertools import product
+from operator import itemgetter
+from types import FunctionType
 from _weakref import _remove_dead_weakref
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
@@ -249,40 +252,118 @@ def subterms(t: ObjType) -> list[ObjType]:
 def eval_type_expr(env: Sequence[ObjType], e: TypeExpr) -> ObjType:
     """Evaluate an open type expression: $k becomes ``env[k-1]``.  The
     environment may itself hold type expressions (substitution)."""
-    if type(e) is ObjType:
-        return ObjType(e.name, tuple([eval_type_expr(env, a) for a in e.args]))
-    if type(e) is TVar:
-        k = e.index
-        if not 1 <= k <= len(env):
+    if type(e) is TVar and 1 <= e.index <= len(env):
+        return env[e.index - 1]
+    if type(e) is ObjType and not e.args:
+        return e
+
+    def leaf(v: TVar) -> ObjType:
+        if not 1 <= v.index <= len(env):
             raise ValueError(
-                f"type variable ${k} out of range for environment of length {len(env)}"
+                f"type variable ${v.index} out of range for environment of length {len(env)}"
             )
-        return env[k - 1]
-    raise TypeError(f"not a type expression: {e!r}")
+        return env[v.index - 1]
+
+    return _fold(e, leaf, lambda t, args: ObjType(t.name, tuple(args)), {})
 
 
-def compile_type_expr(
-    e: TypeExpr, degree: int
-) -> tuple[ObjType | None, Callable[[Sequence[ObjType]], ObjType] | None]:
-    """``e`` compiled for environments of length ``degree``.
+def _fold(e: TypeExpr, leaf: Callable, node: Callable, done: dict):
+    """``e``'s value, ``leaf(v)`` at a variable and ``node(t, children's
+    values)`` at a compound ``t``, found once per distinct subexpression not
+    in ``done``, left to right, on an explicit stack: depth costs no recursion."""
+    stack: list = [e]
+    while stack:
+        t = stack.pop()
+        if t is _BUILD:  # the node below it has its children valued
+            t = stack.pop()
+            done[t] = node(t, [done[a] for a in t.args])
+        elif type(t) is ObjType:
+            if t not in done:
+                stack += (t, _BUILD, *reversed(t.args))
+        elif type(t) is TVar:
+            done[t] = leaf(t)
+        else:
+            raise TypeError(f"not a type expression: {t!r}")
+    return done[e]
 
-    Returns ``(e, None)`` when ``e`` is closed, a closed expression being
-    its own value, and otherwise ``(None, fn)`` with ``fn(env) ==
-    eval_type_expr(env, e)``; closed subexpressions are evaluated here, once.
-    A variable outside ``1..degree`` compiles to a function raising the
-    error ``eval_type_expr`` raises.
-    """
+
+_BUILD = object()
+
+
+def compile_type_expr(e, degree: int) -> tuple:
+    """``e``, a type expression or a tuple nesting them, compiled for
+    environments of length ``degree``: ``(e, None)`` when closed, and else
+    ``(None, fn)``, ``fn(env)`` being ``e`` with each expression evaluated
+    at ``env``.  ``$k`` compiles to an index, ``C($1,...,$n)`` (n =
+    ``degree``) to ``ObjType(C, env)`` and anything else to one generated
+    function (``_lazy``): a statement per compound with a variable below
+    it, a constant per closed one, names and constants in its namespace.
+    ``eval_type_expr`` evaluates, and so raises its error for, an
+    expression with a variable outside ``1..degree`` or a non-type leaf."""
     if type(e) is TVar and 1 <= e.index <= degree:
-        k = e.index - 1
-        return None, lambda env: env[k]
-    if type(e) is ObjType:
-        parts = [compile_type_expr(a, degree) for a in e.args]
-        if all(fixed is not None for fixed, _ in parts):
-            return e, None
-        name = e.name
-        fns = [type_function(part) for part in parts]
-        return None, lambda env: ObjType(name, tuple([f(env) for f in fns]))
-    return None, lambda env: eval_type_expr(env, e)  # raises its error
+        return None, itemgetter(e.index - 1)
+    if e == () or type(e) is ObjType and not e.args:  # a constant
+        return e, None
+    params = tuple([TVar(k) for k in range(1, degree + 1)])
+    if type(e) is ObjType and e.args and e.args == params:
+        return None, partial(ObjType, e.name)
+    ns: dict = {"_O": ObjType, "_eval": eval_type_expr}
+    lines: list[str] = []
+    done: dict = {}  # an expression compiled -> (its source, its value or None)
+
+    def const(value) -> str:
+        ns[f"c{id(value)}"] = value
+        return f"c{id(value)}"
+
+    def temp(source: str) -> tuple[str, None]:  # a statement that names its value
+        lines.append(f"    t{len(lines)} = {source}\n")
+        return f"t{len(lines) - 1}", None
+
+    def leaf(v: TVar) -> tuple[str, None]:
+        if not 1 <= v.index <= degree:
+            raise ValueError(v)
+        return f"env[{v.index - 1}]", None
+
+    def node(t: ObjType, parts: list) -> tuple:
+        if all(value is not None for _, value in parts):
+            return const(t), t
+        args = "env" if t.args == params else "(" + "".join([s + ", " for s, _ in parts]) + ")"
+        return temp(f"_O({const(t.name)}, {args})")
+
+    def emit(x) -> tuple:
+        if type(x) is tuple:
+            parts = [emit(a) for a in x]
+            if all(value is not None for _, value in parts):
+                value = tuple([value for _, value in parts])
+                return const(value), value
+            return "(" + "".join([s + ", " for s, _ in parts]) + ")", None
+        try:
+            return _fold(x, leaf, node, done)
+        except (TypeError, ValueError):
+            return temp(f"_eval(env, {const(x)})")
+
+    source, value = emit(e)
+    if value is not None:
+        return value, None
+    return None, _lazy(f"def type_expr(env):\n{''.join(lines)}    return {source}\n", ns)
+
+
+def _lazy(source: str, ns: dict) -> Callable:
+    """The function ``type_expr`` that ``source`` defines in ``ns``.  It
+    starts as a stub that, on the first call, compiles ``source`` and takes
+    the compiled code as its own, so that later calls cost no extra frame."""
+    fn = FunctionType(_stub.__code__, ns, "type_expr")
+    ns.update(_source=source, _self=weakref.ref(fn))
+    return fn
+
+
+def _stub(env):
+    # a ``_lazy`` function's code until its first call; ``_source`` and
+    # ``_self`` are names in that function's namespace
+    fn, local = _self(), {}
+    exec(_source, fn.__globals__, local)
+    fn.__code__ = local["type_expr"].__code__
+    return fn(env)
 
 
 def type_function(
@@ -299,13 +380,18 @@ class TypeTranslation(Frozen):
 
     ``templates[c]`` is a target type expression whose variables $1..$m
     stand for the translated arguments of the source constructor ``c``
-    (m being the declared argument count of ``c``).
+    (m being the declared argument count of ``c``).  ``_functions`` holds
+    the templates compiled on first use, by name and argument count.
     """
 
-    __slots__ = __match_args__ = ("source", "target", "templates")
+    __match_args__ = ("source", "target", "templates")
+    __slots__ = __match_args__ + ("_functions",)
     source: TypeSignature
     target: TypeSignature
     templates: dict[str, TypeExpr]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_functions", {})
 
     def check(self) -> list[str]:
         """Problems with the template table, if any: a source constructor
@@ -343,14 +429,22 @@ def _translate_type(
     g: TypeTranslation, t: TypeExpr, memo: dict[ObjType, TypeExpr]
 ) -> TypeExpr:
     """``translate_type`` memoized in ``memo``, which the caller owns and
-    may share across calls with the same ``g``."""
+    may share across calls with the same ``g``; a miss runs ``_fold``."""
+    if type(t) is TVar:
+        return t
     out = memo.get(t)
-    if out is None:
-        if type(t) is TVar:
-            return t
-        translated = tuple([_translate_type(g, a, memo) for a in t.args])
-        out = memo[t] = eval_type_expr(translated, g.templates[t.name])
-    return out
+    if out is not None:
+        return out
+    functions = g._functions
+
+    def node(u: ObjType, args: list) -> ObjType:
+        key = u.name, len(args)
+        fn = functions.get(key)
+        if fn is None:
+            fn = functions[key] = type_function(compile_type_expr(g.templates[u.name], key[1]))
+        return fn(tuple(args))
+
+    return _fold(t, lambda v: v, node, memo)
 
 
 def identity_type_translation(ts: TypeSignature) -> TypeTranslation:

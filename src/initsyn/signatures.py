@@ -12,7 +12,7 @@ type; the arity also declares a result type.  Type expressions are the
 
 from __future__ import annotations
 
-from .objtypes import Frozen, ObjType, TVar, TypeExpr, type_expr_errors
+from .objtypes import Frozen, TVar, TypeExpr, _fold, type_expr_errors
 
 
 # ---------------------------------------------------------------------------
@@ -21,19 +21,8 @@ from .objtypes import Frozen, ObjType, TVar, TypeExpr, type_expr_errors
 
 def min_degree(e: TypeExpr) -> int:
     """Largest $k occurring in ``e``; 0 for a closed expression.  The walk
-    keeps its own stack, left to right, so depth costs no recursion."""
-    leaves, stack = [], [e]
-    while stack:
-        match stack.pop():
-            case TVar(index=k):
-                leaves.append(k)
-            case ObjType(args=()):
-                leaves.append(0)
-            case ObjType(args=args):
-                stack.extend(reversed(args))
-            case other:
-                raise TypeError(f"not a type expression: {other!r}")
-    return max(leaves)
+    (``objtypes._fold``) keeps its own stack, so depth costs no recursion."""
+    return _fold(e, lambda v: v.index, lambda t, ks: max(ks, default=0), {})
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +71,15 @@ class TypedSignature(Frozen):
     way they were written); ``all_types`` is ``types`` with the atoms
     folded in, for type checks.  ``binder_counts`` maps each arity name to
     the number of binders of each of its arguments, which is all a
-    traversal that only moves variables needs to know.  It is weakly
+    traversal that only moves variables needs to know.  ``_shapes`` holds
+    what ``terms.infer`` compiles of each arity on first use.  It is weakly
     referenceable.
     """
 
     __match_args__ = ("types", "terms", "atoms")
-    __slots__ = __match_args__ + ("_arities", "binder_counts", "all_types", "__weakref__")
+    __slots__ = __match_args__ + (
+        "_arities", "binder_counts", "all_types", "_shapes", "__weakref__"
+    )
     _defaults = {"atoms": ()}
     types: TypeSignature
     terms: tuple[TermArity, ...]
@@ -101,6 +93,7 @@ class TypedSignature(Frozen):
         object.__setattr__(self, "_arities", {a.name: a for a in self.terms})
         object.__setattr__(self, "binder_counts", counts)
         object.__setattr__(self, "all_types", TypeSignature(self.types.name, merged))
+        object.__setattr__(self, "_shapes", {})
 
     @property
     def name(self) -> str:

@@ -257,8 +257,8 @@ def _parse_type(p: _Parser, ground: dict[str, int] | None = None) -> TypeExpr:
         if ground is None and name[:1] == "$" and len(name) > 1:
             i += 1
             ty = TVar(int(name[1:]))
-        elif not _is_ident(name):
-            p.i = i
+        elif (ground is None or name not in ground) and not _is_ident(name):
+            p.i = i  # a declared name is an identifier
             p.found("a type expression" if ground is None else "a ground type")
         else:
             i += 1

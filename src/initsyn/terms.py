@@ -49,7 +49,9 @@ import functools
 import gc
 from typing import Callable, Sequence
 
-from .objtypes import Frozen, ObjType, TypeExpr, eval_type_expr
+from .objtypes import (
+    Frozen, ObjType, TypeExpr, compile_type_expr, eval_type_expr, type_function
+)
 from .signatures import TermArity, TypedSignature
 
 Context = tuple[ObjType, ...]
@@ -310,18 +312,19 @@ def _shape(sig: TypedSignature, term: Con, shapes: dict[tuple, tuple]) -> tuple:
     """Check ``term``'s node (``TypedSignature.node_error``), then enter
     and return its shape in ``shapes``: whether the arity takes a family
     literal, its argument count, and the binder types, argument types and
-    result type at the node's instantiation.  A node whose (name, instantiation) is in
-    the table already reaches here only to raise."""
+    result type at the node's instantiation, from ``_arity_types``
+    compiled once per arity and signature.  A node whose (name,
+    instantiation) is in the table already reaches here only to raise."""
     name, inst = term.name, term.inst
     error = sig.node_error(name, term.lit, len(inst), len(term.args))
     if error is not None:
         raise TypeCheckError(error)
-    ar = sig.arity(name)
-    shape = shapes[name, inst] = (
-        bool(ar.family_index),
-        len(ar.args),
-        *_arity_types(ar, functools.partial(eval_type_expr, inst)),
-    )
+    compiled = sig._shapes.get(name)
+    if compiled is None:
+        ar = sig.arity(name)
+        types = type_function(compile_type_expr(_arity_types(ar, lambda e: e), ar.degree))
+        compiled = sig._shapes[name] = (bool(ar.family_index), len(ar.args)), types
+    shape = shapes[name, inst] = compiled[0] + compiled[1](inst)
     return shape
 
 

@@ -395,11 +395,11 @@ def _compile(
     inst0 = _opaque_inst(target, ar.degree)
     meta_binders, meta_types, result_type = _arity_images(x, ar, inst0)
 
-    def type_expr(e: TypeExpr) -> _Compiled:
+    def type_expr(e: TypeExpr) -> ObjType:  # ``e`` checked, then its value at inst0
         error = next(type_expr_errors(target.all_types.constructors, e, ar.degree), None)
         if error is not None:
             raise TypeCheckError(f"type expression {e}: {error}")
-        return compile_type_expr(e, ar.degree)
+        return eval_type_expr(inst0, e)
 
     # -> (type at inst0, compiled form); ``hole``: type and depth of the ``__hole`` in scope
     def walk(
@@ -461,8 +461,7 @@ def _compile(
             raise TypeCheckError(
                 f"'{name}' expects {tar.degree} type parameters, got {len(tpl.inst)}"
             )
-        types = [type_expr(e) for e in tpl.inst]
-        node_inst = tuple([type_function(t)(inst0) for t in types])
+        node_inst = tuple([type_expr(e) for e in tpl.inst])
         if len(tpl.args) != len(tar.args):
             raise TypeCheckError(
                 f"'{name}' expects {len(tar.args)} arguments, got {len(tpl.args)}"
@@ -476,10 +475,9 @@ def _compile(
             subs.append(compiled)
 
         passthrough = tar.family_index and node_lit is None
-        if not passthrough and all(fixed is not None for fixed, _ in types + subs):
-            return result, (Con(name, node_lit, _fixed(types), _fixed(subs)), None)
-        fixed_inst = _fixed(types) if all(t is not None for t, _ in types) else None
-        inst_fns = [type_function(t) for t in types]
+        fixed_inst, inst_of = compile_type_expr(tpl.inst, ar.degree)
+        if not passthrough and inst_of is None and all(fixed is not None for fixed, _ in subs):
+            return result, (Con(name, node_lit, fixed_inst, tuple([f for f, _ in subs])), None)
         arg_fns = [_function(s) for s in subs]
         # (C [..] ?1 ... ?n), no ?j weakened: the translated arguments are the node's
         direct = not passthrough and len(tpl.args) == len(ar.args) and all(
@@ -492,7 +490,7 @@ def _compile(
             return Con(
                 name,
                 lit if passthrough else node_lit,
-                fixed_inst if fixed_inst is not None else tuple([f(inst) for f in inst_fns]),
+                fixed_inst if inst_of is None else inst_of(inst),
                 args if direct else tuple([f(inst, args, lit, hole) for f in arg_fns]),
             )
 
@@ -533,8 +531,8 @@ def _compile(
             raise TypeCheckError("__stab takes one type expression and one sub-template")
         if not _stable_expr(tpl.inst[0]):
             raise TypeCheckError(f"__stab type {tpl.inst[0]} is not double-negation stable")
-        ty_c = type_expr(tpl.inst[0])
-        ty = type_function(ty_c)(inst0)
+        ty = type_expr(tpl.inst[0])
+        ty_c = compile_type_expr(tpl.inst[0], ar.degree)
         arg_ty, inner = walk(tpl.args[0], ctx, hole)
         if arg_ty != _nn(ty):
             raise TypeCheckError(f"__stab argument has type {arg_ty}, expected {_nn(ty)}")
@@ -551,10 +549,6 @@ def _compile(
     if ty != result_type:
         raise TypeCheckError(f"template has type {ty}, expected {result_type}")
     return _function(compiled)
-
-
-def _fixed(parts: list[_Compiled]) -> tuple:
-    return tuple(fixed for fixed, _ in parts)
 
 
 def _function(compiled: _Compiled) -> Callable:

@@ -366,3 +366,41 @@ def test_output_pipe_closed_early_exits_2_without_traceback(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 2
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def _at_the_default_limit(argv):
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        return run(argv)
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def test_check_with_an_arity_type_499_levels_deep(tmp_path):
+    """An arity whose result type nests 499 levels, which the signature
+    parser accepts, types a term at the default recursion limit."""
+    depth = 499
+    sig = tmp_path / "deep.sig"
+    sig.write_text(
+        "language Deep\n\ntypes {\n  Nat : 0\n  arr : 2\n}\n\n"
+        f"terms {{\n  f [1] : () -> {'arr(' * depth}$1{',Nat)' * depth}\n}}\n"
+    )
+    term = tmp_path / "f.term"
+    term.write_text("context ; (f [Nat])\n")
+    want = (0, f": {'arr(' * depth}Nat{',Nat)' * depth}\n", "")
+    assert _at_the_default_limit(["check", "--sig", str(sig), str(term)]) == want
+    assert _fresh_run(["check", "--sig", str(sig), str(term)]) == want
+
+
+def test_translate_a_context_type_499_levels_deep(tmp_path):
+    """A CPC context type nested 499 levels, which the term parser accepts,
+    translates at the default recursion limit."""
+    t = "q"
+    for _ in range(499):
+        t = f"impl({t},q)"
+    term = tmp_path / "deep.term"
+    term.write_text(f"context {t} ; #0\n")
+    argv = ["translate", "--using", "cpc2ipc-godel-gentzen", str(term)]
+    assert _at_the_default_limit(argv) == (0, "#0\n", "")
+    assert _fresh_run(argv) == (0, "#0\n", "")

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import dataclasses
 import gc
+import itertools
 import pickle
 import random
 import sys
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from initsyn import objtypes
+from initsyn import objtypes, signatures, terms
 from initsyn.languages import get_language, get_translation
 from initsyn.objtypes import (
     ObjType,
@@ -372,3 +373,193 @@ def test_deep_types_at_the_default_recursion_limit():
             assert len(objtypes._INTERNED) == before
         finally:
             sys.setrecursionlimit(old_limit)
+
+
+# ---------------------------------------------------------------------------
+# Compiled type expressions against the interpreter
+
+
+def _ref_arity_types(ar, inst):
+    """``terms._arity_types(ar, partial(eval_type_expr, inst))``, written
+    out here."""
+    return (
+        tuple(tuple(eval_type_expr(inst, b) for b in spec.binders) for spec in ar.args),
+        tuple(eval_type_expr(inst, spec.body) for spec in ar.args),
+        eval_type_expr(inst, ar.result),
+    )
+
+
+def _ref_translate(g, t):
+    """The homomorphism of ``g`` by plain recursion."""
+    if type(t) is TVar:
+        return t
+    return eval_type_expr(tuple(_ref_translate(g, a) for a in t.args), g.templates[t.name])
+
+
+def _same_objects(a, b) -> bool:
+    if type(a) is tuple:
+        return type(b) is tuple and len(a) == len(b) and all(map(_same_objects, a, b))
+    return a is b
+
+
+_EXPR_CONSTRUCTORS = {"Nat": 0, "Bool": 0, "arr": 2, "triple": 3}
+_EXPR_POOL = ground_types(signatures.TypeSignature("E", _EXPR_CONSTRUCTORS), 2)
+
+
+@st.composite
+def _exprs(draw, degree):
+    def expr(depth):
+        kind = draw(st.integers(0, 3 if depth else 1))
+        if kind == 0 and degree:
+            return TVar(draw(st.integers(1, degree)))
+        if kind <= 1:
+            return ObjType(draw(st.sampled_from(["Nat", "Bool"])))
+        name = draw(st.sampled_from(["arr", "triple"]))
+        return ObjType(name, tuple(expr(depth - 1) for _ in range(_EXPR_CONSTRUCTORS[name])))
+
+    return expr(draw(st.integers(0, 5)))
+
+
+@st.composite
+def _compiled_cases(draw):
+    degree = draw(st.integers(0, 3))
+    shape = draw(st.sampled_from(["one", "flat", "nested"]))
+    if shape == "one":
+        exprs = draw(_exprs(degree))
+    elif shape == "flat":
+        exprs = tuple(draw(st.lists(_exprs(degree), max_size=4)))
+    else:
+        exprs = (tuple(draw(st.lists(_exprs(degree), max_size=3))), draw(_exprs(degree)))
+    env = tuple(draw(st.sampled_from(_EXPR_POOL)) for _ in range(degree))
+    return exprs, degree, env
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_compiled_cases())
+def test_compiled_expressions_return_the_interpreters_objects(case):
+    exprs, degree, env = case
+
+    def ref(x):
+        return tuple(map(ref, x)) if type(x) is tuple else eval_type_expr(env, x)
+
+    fixed, fn = compile_type_expr(exprs, degree)
+    want = ref(exprs)
+    if fn is None:
+        assert _same_objects(fixed, want)
+    else:
+        assert fixed is None
+        assert _same_objects(fn(env), want)
+        assert _same_objects(fn(env), want)  # the compiled code, after the first call
+
+
+def _instantiations(pool, degree):
+    """Every instantiation over ``pool`` up to degree 2; at degree 3 every
+    pair for the first two parameters, the third running through the pool
+    with them, so that each type still meets every position."""
+    if degree < 3:
+        return itertools.product(pool, repeat=degree)
+    n = len(pool)
+    return ((a, b, pool[(i + j) % n]) for (i, a), (j, b) in itertools.product(enumerate(pool), repeat=2))
+
+
+@pytest.mark.parametrize("lang", ["ULC", "STLC", "PCF", "IPC", "CPC"])
+def test_infer_shapes_agree_with_the_interpreter(lang):
+    sig = get_language(lang)
+    pool = ground_types(sig.all_types, 2)
+    for ar in sig.terms:
+        lit = 0 if ar.family_index else None
+        for inst in _instantiations(pool, ar.degree):
+            inst = tuple(inst)
+            node = Con(ar.name, lit, inst, tuple(Var(0) for _ in ar.args))
+            shape = terms._shape(sig, node, {})
+            assert shape[:2] == (bool(ar.family_index), len(ar.args))
+            assert _same_objects(shape[2:], _ref_arity_types(ar, inst)), (ar.name, inst)
+
+
+@pytest.mark.parametrize(
+    "name", ["cpc2ipc-godel-gentzen", "pcf2ulc-turing", "pcf2ulc-curry"]
+)
+def test_builtin_type_maps_agree_with_plain_recursion(name):
+    g = get_translation(name).type_map
+    types = ground_types(g.source, 2)
+    rng = random.Random(15)
+    leaves = [ObjType(n) for n, count in g.source.constructors.items() if count == 0]
+    types += [
+        _random_expr(rng, g.source.constructors, 2, 5) if leaves else TVar(1)
+        for _ in range(300)
+    ]
+    for t in types:
+        assert translate_type(g, t) is _ref_translate(g, t), t
+    memo = {}
+    for t in types:  # one memo across calls, as retype_context shares it
+        assert objtypes._translate_type(g, t, memo) is _ref_translate(g, t)
+
+
+def test_out_of_range_variables_raise_the_interpreters_error():
+    message = "type variable $3 out of range for environment of length 2"
+    cpc = get_language("CPC").all_types
+    templates = dict(get_translation("cpc2ipc-godel-gentzen").type_map.templates)
+    templates["and"] = ObjType("and", (TVar(3), BOT))
+    g = objtypes.TypeTranslation(cpc, get_language("IPC").all_types, templates)
+    p = ObjType("p")
+    with pytest.raises(ValueError) as exc:
+        translate_type(g, ObjType("and", (p, p)))
+    assert str(exc.value) == message
+    for e in (TVar(3), arr(TVar(3), NAT), arr(TVar(1), arr(TVar(3), TVar(2)))):
+        _, fn = compile_type_expr(e, 2)
+        with pytest.raises(ValueError) as exc:
+            fn((NAT, BOOL))
+        assert str(exc.value) == message
+    _, fn = compile_type_expr((arr(TVar(1), TVar(2)), TVar(0)), 2)
+    with pytest.raises(ValueError, match=r"type variable \$0 out of range"):
+        fn((NAT, BOOL))
+
+
+DEEP = 10_000
+
+
+@contextlib.contextmanager
+def _recursion_limit(limit):
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def _arr_chain(leaf, depth=DEEP):
+    t = leaf
+    for _ in range(depth):
+        t = arr(t, NAT)
+    return t
+
+
+def test_deep_type_expressions_at_the_default_recursion_limit():
+    """Evaluating, compiling, translating and typing with a type expression
+    10 000 levels deep costs no recursion."""
+    e, want = _arr_chain(TVar(1)), _arr_chain(BOOL)
+    with _recursion_limit(1000):
+        assert eval_type_expr((BOOL,), e) is want
+        _, fn = compile_type_expr(e, 1)
+        assert fn((BOOL,)) is want
+        assert fn((BOOL,)) is want
+        _, fn = compile_type_expr((e, (arr(TVar(1), e),)), 1)
+        assert _same_objects(fn((BOOL,)), (want, (arr(BOOL, want),)))
+        ident = identity_translation(get_language("STLC")).type_map
+        chain = ObjType("*")
+        for _ in range(DEEP):
+            chain = ObjType("arr", (chain, ObjType("*")))
+        assert translate_type(ident, chain) is chain
+        g = get_translation("cpc2ipc-godel-gentzen").type_map
+        deep_prop = ObjType("q")
+        for _ in range(DEEP):
+            deep_prop = imp(deep_prop, ObjType("q"))
+        translated = translate_type(g, deep_prop)
+        assert translated.name == "impl"
+        assert translated.args[1] is translate_type(g, ObjType("q"))
+        sig = signatures.TypedSignature(
+            signatures.TypeSignature("Deep", {"Nat": 0, "Bool": 0, "arr": 2}),
+            (signatures.TermArity("f", 1, (), e),),
+        )
+        assert terms.infer(sig, (), Con("f", None, (BOOL,), ())) is want
