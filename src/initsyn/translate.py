@@ -31,6 +31,8 @@ validated templates never produce ill-typed output.  When the target
 generates at most one ground type the unique type itself is substituted
 instead, which makes the check exact for unityped targets.  A template
 that ``validate_translation`` did not compile is checked on first use.
+A translated argument is placed once: shifted past the template binders
+over its placeholder as ``translate_term`` builds it, never walked again.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ class Translation(Frozen):
     type_map: TypeTranslation
     term_map: dict[str, Template]
     macros: dict[str, Term]
-    # arity name -> (template, arity, compiled template); see instantiate_template
+    # arity name -> (template, arity, compiled template, placements); see instantiate_template
     _compiled: dict[str, tuple]
 
     def __post_init__(self) -> None:
@@ -312,7 +314,7 @@ def validate_translation(x: Translation) -> ValidationReport:
         if type_errors:
             continue  # type map broken; per-arity checks would only cascade
         try:
-            x._compiled[ar.name] = (tpl, ar, _compile(x, ar, tpl, macro_types, stab_ok))
+            x._compiled[ar.name] = (tpl, ar, *_compile(x, ar, tpl, macro_types, stab_ok))
         except TypeCheckError as exc:
             out.append(f"arity '{ar.name}': {exc.message}")
     for name in x.term_map:
@@ -331,6 +333,8 @@ def instantiate_template(
     inst: tuple[ObjType, ...],
     translated_args: tuple[Term, ...],
     lit: int | None = None,
+    *,
+    placed: bool = False,
 ) -> Term:
     """Plug translated arguments into the template of ``ar``.
 
@@ -338,7 +342,8 @@ def instantiate_template(
     occurrence is shifted by the number of template binders it sits under
     beyond the argument's own expected binders.  The result is well typed
     at the translated result type in any context in which the translated
-    arguments are, so no context is passed.
+    arguments are, so no context is passed.  Arguments are moved to their
+    placements (``_compile``) here, unless ``placed`` says they are already.
 
     The template is checked and compiled once per ``Translation`` object
     (see ``_compile``), by ``validate_translation`` or else on first use
@@ -348,6 +353,14 @@ def instantiate_template(
     template that fails its check raises ``TypeCheckError`` with the entry
     ``validate_translation`` reports for it, at every call.
     """
+    entry = _compiled_entry(x, ar)
+    if not placed:
+        places = zip(translated_args, entry[3])
+        translated_args = tuple([weaken(x.target, a, b, k) if k else a for a, (b, k) in places])
+    return entry[2](inst, translated_args, lit, None)
+
+
+def _compiled_entry(x: Translation, ar: TermArity) -> tuple:  # compiled on first use
     tpl = x.term_map[ar.name]
     entry = x._compiled.get(ar.name)
     if entry is None or entry[0] is not tpl or entry[1] is not ar:
@@ -356,8 +369,8 @@ def instantiate_template(
             compiled = _compile(x, ar, tpl, macro_types, stab_ok)
         except TypeCheckError as exc:
             raise TypeCheckError(f"arity '{ar.name}': {exc.message}") from None
-        entry = x._compiled[ar.name] = (tpl, ar, compiled)
-    return entry[2](inst, translated_args, lit, None)
+        entry = x._compiled[ar.name] = (tpl, ar, *compiled)
+    return entry
 
 
 # A compiled subtemplate: ``(fixed, None)`` when its value is the same at
@@ -374,16 +387,18 @@ def _compile(
     tpl: Template,
     macro_types: dict[str, ObjType],
     stab_ok: bool,
-) -> Callable:
+) -> tuple[Callable, tuple[tuple[int, int], ...]]:
     """Check the template of ``ar`` and compile it into a function of
-    (inst, args, lit, hole), in one walk.
+    (inst, args, lit, hole), in one walk, and the placement it takes each
+    argument at: its binder count and the fewest extra binders over a ?j.
 
     Each node is typed at the opaque instantiation (``_opaque_inst``) in
     the template's own binder context, and the first check that fails
     raises ``TypeCheckError``.  Each closed type expression is evaluated
-    here and ``$k`` becomes ``inst[k-1]``; each placeholder carries its
-    weakening amount; a node whose type parameters, literal and arguments
-    are all fixed is built here, a closed ``__stab`` witness included.
+    here and ``$k`` becomes ``inst[k-1]``; each placeholder carries the
+    weakening beyond its placement, which no builtin template needs; a
+    node whose type parameters, literal and arguments are all fixed is
+    built here, a closed ``__stab`` witness included.
 
     A node ``(C [..] ?1 ... ?n)`` whose placeholders are the source arity's
     arguments in order, none weakened (each target binder list is as long
@@ -394,6 +409,7 @@ def _compile(
     target = x.target
     inst0 = _opaque_inst(target, ar.degree)
     meta_binders, meta_types, result_type = _arity_images(x, ar, inst0)
+    least: dict[int, int] = {}  # j -> the fewest template binders above a ?j, once walked
 
     def type_expr(e: TypeExpr) -> ObjType:  # ``e`` checked, then its value at inst0
         error = next(type_expr_errors(target.all_types.constructors, e, ar.degree), None)
@@ -419,12 +435,14 @@ def _compile(
             expected = meta_binders[j - 1]
             if ctx[: len(expected)] != expected:
                 raise TypeCheckError(f"binder context mismatch at Meta({j})")
-            outer, amount = len(expected), len(ctx) - len(expected)
-            if amount == 0:
+            outer, depth = len(expected), len(ctx)
+            least[j] = min(depth, least.get(j, depth))
+            if depth == outer:
                 return meta_types[j - 1], (None, lambda inst, args, lit, hole: args[j - 1])
             return meta_types[j - 1], (
                 None,
-                lambda inst, args, lit, hole: weaken(target, args[j - 1], outer, amount),
+                lambda inst, args, lit, hole: args[j - 1] if depth == least[j]
+                else weaken(target, args[j - 1], outer, depth - least[j]),
             )
         if isinstance(tpl, TplMacro):
             if tpl.name not in macro_types:
@@ -548,7 +566,8 @@ def _compile(
     ty, compiled = walk(tpl, (), None)
     if ty != result_type:
         raise TypeCheckError(f"template has type {ty}, expected {result_type}")
-    return _function(compiled)
+    places = [(len(b), least.get(j, len(b)) - len(b)) for j, b in enumerate(meta_binders, 1)]
+    return _function(compiled), tuple(places)
 
 
 def _function(compiled: _Compiled) -> Callable:
@@ -566,24 +585,29 @@ def translate_term(x: Representation, ctx: Context, term: Term) -> Term:
     ``Translation`` the context is not consulted and the output depends on
     the term alone.  An ``OpaqueRepresentation`` callback receives the
     translated context at its node: ``ctx`` is retyped once at the root and
-    then extended by the translated binder types on the way down.
+    then extended by the translated binder types on the way down.  A
+    ``Translation`` places each argument once (``_compile``): a variable
+    moves by the current shift less the shift at its binder.
 
     Two tables live for one call: translated types, shared by the context
     and every instantiation, so each distinct type is translated once; and,
     per distinct (arity, instantiation) pair, the arity with its translated
-    instantiation and, for opaque representations, its translated binder
-    and result types.  A node that is not well formed raises ``infer``'s
-    error (``TypedSignature.node_error``): the whole check runs once per
-    pair, and a later node of the pair compares only whether it has a
-    literal and its argument count, as ``infer`` does.  A variable argument
-    is its own translation and is passed through without a call.
+    instantiation and placements, or binder and result types if opaque.  A
+    node that is not well formed raises ``infer``'s error
+    (``TypedSignature.node_error``): the whole check runs once per pair,
+    and a later node of the pair compares only whether it has a literal
+    and its argument count, as ``infer`` does.  A variable argument costs
+    no call, and an unshifted node of at most two arguments no loop.
     """
     g = x.type_map
     opaque = isinstance(x, OpaqueRepresentation)
     types: dict[ObjType, ObjType] = {}
     shapes: dict[tuple, tuple] = {}
+    shifts: list[int] = []  # source binder level below ``rel`` -> its shift
 
-    def go(t: Term, ctx_t: Context) -> Term:
+    # ``t`` translated, shifted past ``sh`` extra binders; ``rel`` counts the
+    # source binders above ``t`` since the shift was last 0, so it is 0 where ``sh`` is
+    def go(t: Term, ctx_t: Context = (), rel: int = 0, sh: int = 0) -> Term:
         if type(t) is Var:
             return t
         if type(t) is not Con:
@@ -595,14 +619,38 @@ def translate_term(x: Representation, ctx: Context, term: Term) -> Term:
                 raise TypeCheckError(error)
             ar = x.source.arity(t.name)
             inst_t = _retype(g, t.inst, types)
-            images = _arity_images(x, ar, inst_t) if opaque else None
+            if opaque:
+                images = _arity_images(x, ar, inst_t)
+            else:  # for a ``Translation``, the placements
+                try:
+                    images = _compiled_entry(x, ar)[3]
+                except (KeyError, TypeCheckError):  # raised again after the arguments
+                    images = tuple([(b, 0) for b in x.source.binder_counts[t.name]])
+            moved = not opaque and any(k for _, k in images)
             shape = shapes[t.name, t.inst] = (
-                bool(ar.family_index), len(ar.args), ar, inst_t, images
+                bool(ar.family_index), len(ar.args), ar, inst_t, images, moved
             )
-        _, _, ar, inst_t, images = shape
+        _, _, ar, inst_t, images, moved = shape
         if not opaque:
-            args = tuple([a if type(a) is Var else go(a, ctx_t) for a in t.args])
-            return instantiate_template(x, ar, inst_t, args, t.lit)
+            args = t.args
+            if sh or moved or len(args) > 2:
+                new = []
+                for a, (b, k) in zip(args, images):
+                    s = sh + k
+                    if type(a) is not Var:
+                        shifts[rel : rel + b] = [s] * b
+                        a = go(a, (), rel + b, s) if s else go(a)  # unshifted: from level 0
+                    elif s and a.index >= b:  # bound outside the argument: it moves
+                        j = a.index - b  # its index at the node
+                        a = Var(a.index + s - (shifts[rel - 1 - j] if j < rel else 0))
+                    new.append(a)
+                args = tuple(new)
+            elif len(args) == 2:
+                a0, a1 = args
+                args = (a0 if type(a0) is Var else go(a0), a1 if type(a1) is Var else go(a1))
+            elif args and type(args[0]) is not Var:
+                args = (go(args[0]),)
+            return instantiate_template(x, ar, inst_t, args, t.lit, placed=True)
         binders, _, result_t = images
         args = tuple([go(a, b + ctx_t) for a, b in zip(t.args, binders)])
         op = x.ops.get(t.name)

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 
 import pytest
@@ -10,7 +11,9 @@ from initsyn.laws import GenConfig, _case_term
 from initsyn.objtypes import ObjType
 from initsyn.signatures import ArgSpec, TVar
 from initsyn.surface import (
+    _TOKEN,
     SourceError,
+    _split,
     _tokenize,
     parse_signature,
     parse_term,
@@ -492,3 +495,22 @@ def test_parsers_never_crash_on_fuzz_input():
                 run()
             except SourceError:
                 pass
+
+
+# The alphabet check that ``surface._split`` made with a regex before it
+# deleted its plain bytes in one pass: '-', and control characters other
+# than the whitespace that ``surface._TOKEN`` skips.
+ODD = re.compile(r"[^ -~\t\r\n]|-")
+
+
+@pytest.mark.parametrize("code", range(128))
+def test_split_declines_exactly_the_characters_the_regex_finds(code):
+    """Each ASCII character, placed in a term file as a word of its own,
+    makes ``_split`` decline exactly when the regex finds it; a lone '#'
+    starts a comment, which ``_split`` leaves to ``findall`` as well."""
+    c = chr(code)
+    text = f"context Nat ; (app [Nat, Nat] {c} #0)\n"
+    declined = _split(text) is None
+    assert declined == (bool(ODD.search(text)) or c == "#")
+    if not declined:
+        assert _split(text) == [t for t in _TOKEN.findall(text) if t]
