@@ -296,43 +296,6 @@ def _match(expr, goal: ObjType, binding: list) -> bool:
     return all(_match(e, g, binding) for e, g in zip(expr.args, goal.args))
 
 
-# _below, _choice and _order have no caller here: they are the reference to which
-# tests/test_laws.py::test_draw_helpers_draw_as_the_library holds the inline
-# draws of _Generator.gen
-def _below(getrandbits: Callable[[int], int], n: int) -> int:
-    """``Random._randbelow(n)``, for ``n > 0``, by the same ``getrandbits``
-    calls: ``random.randint(0, n - 1)`` and ``random.choice`` of ``n``
-    items draw their index with it."""
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
-def _choice(getrandbits: Callable[[int], int], seq: list):
-    """``random.choice(seq)``, by the same draws."""
-    if not seq:
-        raise IndexError("Cannot choose from an empty sequence")
-    return seq[_below(getrandbits, len(seq))]
-
-
-def _order(getrandbits: Callable[[int], int], n: int) -> list[int]:
-    """The permutation ``random.sample(range(n), n)`` returns, by the same
-    draws; each index is drawn as ``_below`` draws it.  ``_Generator.gen``
-    draws its candidate order by this loop."""
-    rest = list(range(n))
-    order = []
-    for i in range(n, 0, -1):
-        k = i.bit_length()
-        j = getrandbits(k)
-        while j >= i:
-            j = getrandbits(k)
-        order.append(rest[j])
-        rest[j] = rest[i - 1]
-    return order
-
-
 class _Generator:
     """The search of one ``gen_term`` call.  Every table it reads is
     compiled per signature, so a node costs its candidate matches, its
@@ -392,7 +355,7 @@ class _Generator:
             if type(inst) is tuple:  # else a free parameter and no pool to draw it from
                 lit = None
                 while cand.family and (lit is None or lit > 3):
-                    lit = getrandbits(3)  # randint(0, 3), as _below(4) draws it
+                    lit = getrandbits(3)  # randint(0, 3): 3 bits, drawn again above 3
                 args = []
                 for body, binders, probe in cand.args:
                     inner = tuple([b(inst) for b in binders]) + ctx if binders else ctx

@@ -235,18 +235,11 @@ def interned(name: str, args: tuple[ObjType, ...] = ()) -> ObjType | None:
 
 
 def subterms(t: ObjType) -> list[ObjType]:
-    """The distinct subtrees of ``t``, ``t`` itself first, each once;
-    iterative, so depth costs no recursion."""
-    out = [t]
-    seen = {t}
-    stack = [t]
-    while stack:
-        for a in stack.pop().args:
-            if a not in seen:
-                seen.add(a)
-                out.append(a)
-                stack.append(a)
-    return out
+    """The distinct subtrees of ``t``, ``t`` itself first, each once: the
+    keys of ``_fold``'s table, latest first, so depth costs no recursion."""
+    done: dict = {}
+    _fold(t, lambda v: None, lambda u, args: None, done)
+    return list(reversed(done))
 
 
 def eval_type_expr(env: Sequence[ObjType], e: TypeExpr) -> ObjType:

@@ -157,8 +157,7 @@ class Con(Frozen):
         pass finds, by identity, the nodes with arguments reached more than
         once; the text of each is built once and then appended at every
         later occurrence.  Both passes keep an explicit stack, so that depth
-        costs no recursion; outside a shared node the pieces are joined a
-        few thousand at a time, so that few are held at once."""
+        costs no recursion, and the pieces are joined once at the end."""
         shared: dict[int, str | None] = {}  # id -> its text, once rendered
         seen: set[int] = set()
         stack: list = [self]
@@ -171,7 +170,6 @@ class Con(Frozen):
                         seen.add(id(a))
                         stack.append(a)
         insts: dict[tuple, str] = {}  # an instantiation -> its text
-        done: list[str] = []
         out: list[str] = []
         opened: list[tuple[int, int]] = []  # open shared nodes: id, first piece
         stack.append(self)
@@ -192,9 +190,6 @@ class Con(Frozen):
                 continue
             if text is None:
                 opened.append((id(t), len(out)))
-            elif len(out) > 4096 and not opened:
-                done.append("".join(out))
-                out.clear()
             stack.append(_SHARED_END if text is None else ")")
             out.append("(")
             out.append(t.name if t.lit is None else f"{t.name}{{{t.lit}}}")
@@ -206,8 +201,7 @@ class Con(Frozen):
             for a in reversed(t.args):
                 stack.append(a)
                 stack.append(" ")
-        done.append("".join(out))
-        return "".join(done)
+        return "".join(out)
 
 
 _SHARED_END = object()  # on the printer's stack: a shared node's text ends

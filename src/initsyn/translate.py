@@ -194,10 +194,12 @@ def build_stability_witness(sig: TypedSignature, ty: ObjType, d: Term) -> Term:
     """Given ``d`` of type not-not-``ty``, build a term of type ``ty``.
 
     Recursion on the type: bot eliminates by applying ``d`` to the
-    identity, top is introduced directly, conjunctions split into two
-    doubly negated halves, and implications push the negation under the
-    binder.  Only implication/conjunction/top/bot can occur in a type that
-    passed the stability check.
+    identity, top is introduced directly, and a conjunction or an
+    implication takes a witness for each part from that part's double
+    negation, which ``nn_part`` derives from ``d`` (the conjuncts of
+    ``and``, the conclusion of ``impl`` under its binder).  Only
+    implication/conjunction/top/bot can occur in a type that passed the
+    stability check.
     """
 
     def implI(a, b, body):
@@ -205,6 +207,24 @@ def build_stability_witness(sig: TypedSignature, ty: ObjType, d: Term) -> Term:
 
     def implE(a, b, f, x):
         return Con("implE", None, (a, b), (f, x))
+
+    def nn_part(part, binders, elim):
+        # not-not-part from ``d``, which sits ``binders`` binders out from
+        # where it is weakened; ``elim`` derives part from the ``ty`` at #0
+        return implI(
+            _imp(part, _BOT),
+            _BOT,
+            implE(
+                _imp(ty, _BOT),
+                _BOT,
+                weaken(sig, d, 0, binders),
+                implI(
+                    ty,
+                    _BOT,
+                    implE(part, _BOT, Var(1), elim),
+                ),
+            ),
+        )
 
     if ty == _BOT:
         return implE(_imp(_BOT, _BOT), _BOT, d, implI(_BOT, _BOT, Var(0)))
@@ -214,43 +234,12 @@ def build_stability_witness(sig: TypedSignature, ty: ObjType, d: Term) -> Term:
         x, y = ty.args
         halves = []
         for part, proj in ((x, "andE1"), (y, "andE2")):
-            dpart = implI(
-                _imp(part, _BOT),
-                _BOT,
-                implE(
-                    _imp(ty, _BOT),
-                    _BOT,
-                    weaken(sig, d, 0, 1),
-                    implI(
-                        ty,
-                        _BOT,
-                        implE(
-                            part,
-                            _BOT,
-                            Var(1),
-                            Con(proj, None, (x, y), (Var(0),)),
-                        ),
-                    ),
-                ),
-            )
+            dpart = nn_part(part, 1, Con(proj, None, (x, y), (Var(0),)))
             halves.append(build_stability_witness(sig, part, dpart))
         return Con("andI", None, (x, y), tuple(halves))
     if ty.name == "impl":
         x, y = ty.args
-        dy = implI(
-            _imp(y, _BOT),
-            _BOT,
-            implE(
-                _imp(ty, _BOT),
-                _BOT,
-                weaken(sig, d, 0, 2),
-                implI(
-                    ty,
-                    _BOT,
-                    implE(y, _BOT, Var(1), implE(x, y, Var(0), Var(2))),
-                ),
-            ),
-        )
+        dy = nn_part(y, 2, implE(x, y, Var(0), Var(2)))
         return implI(x, y, build_stability_witness(sig, y, dy))
     raise TypeCheckError(f"no stability witness for type {ty}")
 

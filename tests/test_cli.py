@@ -173,6 +173,27 @@ def test_laws_unknown_names():
     assert code == 2
 
 
+def test_laws_rejects_zero_cases_and_depth():
+    for option, message in (("--cases", "cases"), ("--depth", "max_depth")):
+        code, out, err = run(["laws", "--lang", "PCF", option, "0"])
+        assert (code, out, err) == (2, "", f"error: {message} must be at least 1\n")
+
+
+def test_translate_rechecks_what_it_prints(tmp_path, monkeypatch):
+    """A translation of the wrong type is an error, not a printed term."""
+    import initsyn.cli
+
+    def of_the_wrong_type(x, ctx, term):
+        return Con("topI", None, (), ())
+
+    monkeypatch.setattr(initsyn.cli, "translate_term", of_the_wrong_type)
+    path = tmp_path / "p.term"
+    path.write_text("context p ; #0")
+    code, out, err = run(["translate", "--using", "cpc2ipc-godel-gentzen", str(path)])
+    assert (code, out) == (1, "")
+    assert err == "error: translated term has type top, expected impl(impl(p,bot),bot)\n"
+
+
 def test_translate_typechecks_source_once(tmp_path, monkeypatch):
     import initsyn.cli
     import initsyn.surface

@@ -167,7 +167,27 @@ def _con(name, *args, inst=()):
     return Con(name, None, inst, args)
 
 
-# (translation, source arity, unvalidated template, its validate_translation entry)
+# A typed target with a family arity, which no builtin translation has.
+_TALLY = """
+language Tally
+types { * : 0 }
+terms {
+  none [0] : () -> *
+  family tally [0] : () -> *
+}
+"""
+
+_TALLY_TO_PCF = """
+translation tally2pcf from Tally to PCF
+types { * -> Nat }
+terms {
+  none -> (nats{0})
+  tally -> (nats)
+}
+"""
+
+# (translation, source arity, unvalidated template, its validate_translation entry);
+# tally2pcf is the translation above
 _BROKEN = {
     "meta out of range": (
         "pcf2ulc-turing",
@@ -224,7 +244,50 @@ _BROKEN = {
         _con(STAB, TplMeta(1)),
         "__stab takes one type expression and one sub-template",
     ),
+    "hole under a step binder": (
+        "pcf2ulc-turing",
+        "nats",
+        _con(ITER, _con("abs", _hole()), _con("abs", Var(0))),
+        "__hole under a binder introduced by the step",
+    ),
+    "literal on a non-family target": (
+        "pcf2ulc-turing",
+        "rec",
+        Con("abs", 2, (), (TplMeta(1),)),
+        "'abs' is not family-indexed",
+    ),
+    "target parameter count": (
+        "pcf2ulc-turing",
+        "rec",
+        _con("app", TplMeta(1), TplMeta(1), inst=(STAR,)),
+        "'app' expects 0 type parameters, got 1",
+    ),
+    "stab argument type": (
+        "cpc2ipc-godel-gentzen",
+        "orE",
+        _con(STAB, TplMeta(1), inst=(TVar(3),)),
+        "__stab argument has type impl(and(impl(__o1,bot),impl(__o2,bot)),bot), "
+        "expected impl(impl(__o3,bot),bot)",
+    ),
+    "not a template": ("pcf2ulc-turing", "rec", _con("abs", 7), "not a template: 7"),
+    "family literal": (
+        "tally2pcf",
+        "none",
+        _con("nats"),
+        "'nats' needs a family literal (no source literal to pass through)",
+    ),
+    "iter types": (
+        "tally2pcf",
+        "tally",
+        _con(ITER, _con("tttt"), Con("nats", 0, (), ())),
+        "__iter step has type Bool, base has type Nat",
+    ),
 }
+
+def _tally_to_pcf():
+    x = parse_translation(_TALLY_TO_PCF, parse_signature(_TALLY), get_language("PCF"))
+    assert validate_translation(x).ok
+    return x
 
 
 @pytest.mark.parametrize("case", sorted(_BROKEN))
@@ -232,7 +295,7 @@ def test_unvalidated_templates_fail_as_the_walk_does(case):
     """A template that fails its check raises, at every call, the entry
     that ``validate_translation`` reports for its arity."""
     name, source, tpl, message = _BROKEN[case]
-    x = get_translation(name)
+    x = _tally_to_pcf() if name == "tally2pcf" else get_translation(name)
     ar = x.source.arity(source)
     bad = Translation(x.name, x.source, x.target, x.type_map, dict(x.term_map, **{source: tpl}))
     args = tuple(Var(k) for k in range(len(ar.args)))
@@ -246,6 +309,24 @@ def test_unvalidated_templates_fail_as_the_walk_does(case):
             assert str(err.value) == entry
     entries = validate_translation(bad).entries
     assert [e for e in entries if e.startswith(f"arity '{source}': ")] == [entry]
+
+
+def test_translate_term_raises_a_failing_template_after_its_arguments():
+    """Unvalidated, a failing template is found while its node is first
+    seen; the node's arguments are translated first, so an argument's own
+    error wins, and then the template's entry is raised."""
+    x = get_translation("pcf2ulc-turing")
+    tpl = _con("abs", _con("nope"))
+    bad = Translation(x.name, x.source, x.target, x.type_map, dict(x.term_map, rec=tpl), x.macros)
+    nat = ObjType("Nat")
+    for arg, message in (
+        (Con("Succ", 3, (), ()), "'Succ' is not family-indexed"),
+        (Con("Succ", None, (), ()), "arity 'rec': unknown target arity 'nope'"),
+    ):
+        for _ in range(2):
+            with pytest.raises(TypeCheckError) as err:
+                translate_term(bad, (), Con("rec", None, (nat,), (arg,)))
+            assert str(err.value) == message
 
 
 def test_named_errors_keep_their_messages():

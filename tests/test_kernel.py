@@ -25,6 +25,7 @@ from initsyn.terms import (
     Substitution,
     TypeCheckError,
     Var,
+    check,
     context_extend,
     infer,
     rename,
@@ -436,6 +437,25 @@ def test_unbound_index_under_substitution_message():
     with pytest.raises(TypeCheckError) as err:
         substitute(ulc, term, sub)
     assert str(err.value) == "unbound index 3 under substitution"
+
+
+def test_unbound_index_in_a_third_argument_has_its_path():
+    """The third argument sits under the two binders of ``[$1 Nat]``."""
+    ctx = (NAT,) * 3
+    pick = Con("pick", None, (NAT,), (Var(0), Var(3), Var(4)))
+    assert infer(K3, ctx, pick) is NAT
+    bad = Con("pick", None, (NAT,), (Var(0), Var(3), Var(5)))
+    with pytest.raises(TypeCheckError) as err:
+        infer(K3, ctx, Con("succ", None, (), (bad,)))
+    assert err.value.path == (0, 2)
+    assert str(err.value) == "at argument path 0.2: unbound index 5"
+
+
+def test_check_reports_a_type_mismatch():
+    check(K3, (NAT,), Var(0), NAT)
+    with pytest.raises(TypeCheckError) as err:
+        check(K3, (NAT,), Con("succ", None, (), (Var(0),)), BOOL)
+    assert (str(err.value), err.value.path) == ("expected Bool, found Nat", ())
 
 
 UNKNOWN_ARITY_RUNS = pytest.mark.parametrize(

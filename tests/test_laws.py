@@ -1,5 +1,6 @@
 import random
 import sys
+from typing import Callable
 
 import pytest
 
@@ -230,12 +231,48 @@ def test_compiled_matchers_agree_with_matching():
                     assert isinstance(got, tuple) == (None not in expected)
 
 
+# _below, _choice and _order write out, as plain functions, the draws that
+# _Generator.gen makes inline; the test below holds them to the library.  The
+# generator's own draws are held to the library by _ReferenceGenerator and
+# tests/data/gen_stream.txt.
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """``Random._randbelow(n)``, for ``n > 0``, by the same ``getrandbits``
+    calls: ``random.randint(0, n - 1)`` and ``random.choice`` of ``n``
+    items draw their index with it."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _choice(getrandbits: Callable[[int], int], seq: list):
+    """``random.choice(seq)``, by the same draws."""
+    if not seq:
+        raise IndexError("Cannot choose from an empty sequence")
+    return seq[_below(getrandbits, len(seq))]
+
+
+def _order(getrandbits: Callable[[int], int], n: int) -> list[int]:
+    """The permutation ``random.sample(range(n), n)`` returns, by the same
+    draws; each index is drawn as ``_below`` draws it.  ``_Generator.gen``
+    draws its candidate order by this loop."""
+    rest = list(range(n))
+    order = []
+    for i in range(n, 0, -1):
+        k = i.bit_length()
+        j = getrandbits(k)
+        while j >= i:
+            j = getrandbits(k)
+        order.append(rest[j])
+        rest[j] = rest[i - 1]
+    return order
+
+
 def test_draw_helpers_draw_as_the_library():
     """The generator's draws are ``getrandbits`` calls; they must return
     what ``random.sample``, ``random.choice`` and ``random.randint`` return
     and leave the generator state where those leave it."""
-    from initsyn.laws import _below, _choice, _order
-
     for seed in (0, 1, 7, 2**40 + 3):
         ours, lib = random.Random(seed), random.Random(seed)
         for n in range(1, 301):

@@ -89,6 +89,12 @@ class TestParseSignature:
         got = (err.value.line, err.value.column, err.value.message)
         assert got == (line, column, f"invalid signature: {message}")
 
+    def test_duplicate_type_constructor_points_at_the_second(self):
+        with pytest.raises(SourceError) as err:
+            parse_signature("language L\ntypes { A : 0\n  A : 1 }\nterms { }")
+        got = (err.value.line, err.value.column, err.value.message)
+        assert got == (3, 3, "duplicate type constructor 'A'")
+
 
 class TestTokenizer:
     @pytest.mark.parametrize(
@@ -248,6 +254,25 @@ class TestTypeErrorPositions:
         got = (err.value.line, err.value.column, err.value.message)
         assert got == (4, lines[3].index("tttt") + 1, "expected Nat, found Bool")
 
+    @pytest.mark.parametrize(
+        "term, column, message",
+        [
+            ("(wrap{3} [o] (k) (kb))", 19, "expected o, found b"),
+            ("(wrap{3} [o] (wrap{1} [o] #0 (kb)) (k))", 31, "expected o, found b"),
+            ("(wrap{3} [o] (k) (wrap{1} [o] #0 #5))", 34, "unbound index 5"),
+        ],
+    )
+    def test_error_under_a_family_literal(self, term, column, message):
+        """The position skips a node's ``{n}`` on the way to its argument."""
+        sig = parse_signature(
+            "language W\ntypes { o : 0 b : 0 }\nterms {\n"
+            "  family wrap [1] : ([] $1, [] $1) -> $1\n"
+            "  k [0] : () -> o\n  kb [0] : () -> b\n}"
+        )
+        with pytest.raises(SourceError) as err:
+            parse_term(f"context o ;\n{term}", sig)
+        assert (err.value.line, err.value.column, err.value.message) == (2, column, message)
+
 
 class TestPrintTerm:
     def test_paper_style_identity(self):
@@ -354,7 +379,30 @@ class TestPrintTerm:
                 assert parse_term(text, sig) == (ctx, term)
 
 
+_MACROS = (  # a translation whose second macro is left to each test
+    "translation t from PCF to ULC\nmacros {\n  I = (abs #0)\n  SECOND\n}\n"
+    "types { Nat -> * Bool -> * arr -> * }\nterms { app -> (app ?1 ?2) "
+    "abs -> (abs ?1) rec -> (app <I> ?1) nats -> (abs (abs (__iter (app #1 (__hole)) #0))) "
+    "tttt -> (abs (abs #1)) ffff -> (abs (abs #0)) Succ -> <I> Pred -> <I> Zero -> <I> "
+    "CondN -> <I> CondB -> <I> bottom -> <I> }\n"
+)
+
+
 class TestParseTranslation:
+    def test_duplicate_macro_points_at_the_second(self):
+        pcf, ulc = get_language("PCF"), get_language("ULC")
+        with pytest.raises(SourceError) as err:
+            parse_translation(_MACROS.replace("SECOND", "I = (abs #0)"), pcf, ulc)
+        got = (err.value.line, err.value.column, err.value.message)
+        assert got == (4, 3, "duplicate macro 'I'")
+
+    def test_a_macro_that_uses_an_earlier_one_is_inlined(self):
+        pcf, ulc = get_language("PCF"), get_language("ULC")
+        x = parse_translation(_MACROS.replace("SECOND", "II = (app <I> <I>)"), pcf, ulc)
+        body = Con("abs", None, (), (Var(0),))
+        assert x.macros["II"] == Con("app", None, (), (body, body))
+        assert "  II = (app (abs #0) (abs #0))\n" in print_translation(x)
+        assert parse_translation(print_translation(x), pcf, ulc).macros == x.macros
     def test_rec_template_parses(self):
         pcf, ulc = get_language("PCF"), get_language("ULC")
         turing = get_translation("pcf2ulc-turing")

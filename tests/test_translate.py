@@ -7,7 +7,7 @@ from initsyn.laws import GenConfig, GenFailure, gen_term, _case_term
 from initsyn.objtypes import ObjType, ground_types, translate_type
 from initsyn.signatures import TVar
 from initsyn.surface import print_term
-from initsyn.terms import Con, TypeCheckError, Var, context_extend, infer
+from initsyn.terms import Con, TypeCheckError, Var, context_extend, infer, weaken
 from initsyn.translate import (
     OpaqueRepresentation,
     TplMeta,
@@ -246,6 +246,31 @@ class TestOpaqueRepresentation:
         with pytest.raises(TypeCheckError):
             translate_term(bad, (), Con("tttt", None, (), ()))
 
+    def test_an_arity_without_an_operation_is_named(self):
+        o = self._opaque_pcf2ulc()
+        ops = {name: op for name, op in o.ops.items() if name != "tttt"}
+        partial = OpaqueRepresentation(o.name, o.source, o.target, o.type_map, ops)
+        term = Con("app", None, (BOOL, BOOL), (Var(0), Con("tttt", None, (), ())))
+        with pytest.raises(TypeCheckError) as err:
+            translate_term(partial, (ObjType("arr", (BOOL, BOOL)),), term)
+        assert str(err.value) == "no operation for arity 'tttt'"
+
+    def test_an_operation_of_the_wrong_type_is_named(self):
+        """In a typed target: ``topI`` must translate to the image of top."""
+        x = get_translation("cpc2ipc-godel-gentzen")
+
+        def top(inst, ctx, args, lit):
+            return Con("topI", None, (), ())
+
+        ops = {ar.name: top for ar in x.source.terms}
+        wrong = OpaqueRepresentation("wrong", x.source, x.target, x.type_map, ops)
+        with pytest.raises(TypeCheckError) as err:
+            translate_term(wrong, (), Con("topI", None, (), ()))
+        assert str(err.value) == (
+            "operation for 'topI' returned a term of type top, "
+            "expected impl(impl(top,bot),bot)"
+        )
+
 
 def test_stability_witness_typechecks_on_random_images():
     ipc = get_language("IPC")
@@ -264,6 +289,139 @@ def test_stability_witness_typechecks_on_random_images():
         ctx = (nn(image),)
         witness = build_stability_witness(ipc, image, Var(0))
         assert infer(ipc, ctx, witness) == image
+
+
+TOP = ObjType("top")
+
+
+def _two_copy_witness(sig, ty, d):
+    """``build_stability_witness`` as it was written before its one step
+    became a helper: the step spelled out once for ``and``, once for ``impl``."""
+
+    def implI(a, b, body):
+        return Con("implI", None, (a, b), (body,))
+
+    def implE(a, b, f, x):
+        return Con("implE", None, (a, b), (f, x))
+
+    if ty == BOT:
+        return implE(imp(BOT, BOT), BOT, d, implI(BOT, BOT, Var(0)))
+    if ty == TOP:
+        return Con("topI", None, (), ())
+    if ty.name == "and":
+        x, y = ty.args
+        halves = []
+        for part, proj in ((x, "andE1"), (y, "andE2")):
+            dpart = implI(
+                imp(part, BOT),
+                BOT,
+                implE(
+                    imp(ty, BOT),
+                    BOT,
+                    weaken(sig, d, 0, 1),
+                    implI(
+                        ty,
+                        BOT,
+                        implE(
+                            part,
+                            BOT,
+                            Var(1),
+                            Con(proj, None, (x, y), (Var(0),)),
+                        ),
+                    ),
+                ),
+            )
+            halves.append(_two_copy_witness(sig, part, dpart))
+        return Con("andI", None, (x, y), tuple(halves))
+    if ty.name == "impl":
+        x, y = ty.args
+        dy = implI(
+            imp(y, BOT),
+            BOT,
+            implE(
+                imp(ty, BOT),
+                BOT,
+                weaken(sig, d, 0, 2),
+                implI(
+                    ty,
+                    BOT,
+                    implE(y, BOT, Var(1), implE(x, y, Var(0), Var(2))),
+                ),
+            ),
+        )
+        return implI(x, y, _two_copy_witness(sig, y, dy))
+    raise TypeCheckError(f"no stability witness for type {ty}")
+
+
+def _same_nodes(a, b):
+    """``a == b`` node by node on an explicit stack, so that depth costs no
+    recursion; the first differing pair is returned, or None."""
+    stack = [(a, b)]
+    while stack:
+        s, t = stack.pop()
+        if type(s) is not type(t):
+            return s, t
+        if type(s) is Var:
+            if s.index != t.index:
+                return s, t
+            continue
+        if (s.name, s.lit, s.inst, len(s.args)) != (t.name, t.lit, t.inst, len(t.args)):
+            return s, t
+        stack.extend(zip(s.args, t.args))
+    return None
+
+
+def _stable_types():
+    """The types that have a witness: bot, top, and of two of them, impl
+    of any type and one of them; named cases, right-nested impl chains of
+    1-40 levels and seeded random types over p and q."""
+    named = [BOT, TOP, ObjType("and", (TOP, BOT)), imp(P, ObjType("and", (BOT, TOP)))]
+    chains = []
+    for n in range(1, 41):
+        t = BOT if n % 2 else ObjType("and", (TOP, BOT))
+        for k in range(n):
+            t = imp((P, Q, nn(P))[k % 3], t)
+        chains.append(t)
+    rng = random.Random(24)
+
+    def any_type(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice([P, Q, TOP, BOT])
+        name = rng.choice(["and", "or", "impl"])
+        return ObjType(name, (any_type(depth - 1), any_type(depth - 1)))
+
+    def stable(depth):
+        if depth == 0 or rng.random() < 0.25:
+            return rng.choice([TOP, BOT])
+        if rng.random() < 0.5:
+            return ObjType("and", (stable(depth - 1), stable(depth - 1)))
+        return imp(any_type(depth - 1), stable(depth - 1))
+
+    return named + chains + [stable(5) for _ in range(150)]
+
+
+def test_stability_witness_matches_the_two_copy_builder():
+    """Node for node and by printed text, with ``d`` a variable and with
+    ``d`` a compound term whose variables every weakening moves."""
+    ipc = get_language("IPC")
+    for ty in _stable_types():
+        f = imp(P, nn(ty))
+        for ctx, d in (
+            ((nn(ty),), Var(0)),
+            ((f, P), Con("implE", None, (P, nn(ty)), (Var(0), Var(1)))),
+        ):
+            got = build_stability_witness(ipc, ty, d)
+            want = _two_copy_witness(ipc, ty, d)
+            assert _same_nodes(got, want) is None, str(ty)
+            assert str(got) == str(want)
+            assert infer(ipc, ctx, got) == ty
+
+
+def test_stability_witness_rejects_an_unstable_type():
+    ipc = get_language("IPC")
+    with pytest.raises(TypeCheckError) as err:
+        build_stability_witness(ipc, ObjType("or", (P, Q)), Var(0))
+    assert str(err.value) == "no stability witness for type or(p,q)"
 
 
 class TestTranslationContext:
