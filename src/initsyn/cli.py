@@ -87,9 +87,10 @@ def cmd_translate(args) -> int:
     ctx, term, ty = parse_term(_read(args.termfile), x.source)
     translated = translate_term(x, ctx, term)
     # the theorem guarantees well-typed output; recheck anyway so engine
-    # bugs surface as errors instead of silently wrong files
+    # bugs surface as errors instead of silently wrong files.  Each closed
+    # piece the templates share was typed by ``infer`` once, at compiling.
     ctx_t = retype_context(x.type_map, ctx)
-    actual = infer(x.target, ctx_t, translated)
+    actual = infer(x.target, ctx_t, translated, closed=x._closed)
     expected = translate_type(x.type_map, ty)
     if actual != expected:
         raise TypeCheckError(

@@ -217,7 +217,13 @@ def context_extend(
 
 
 @paused_gc
-def infer(sig: TypedSignature, ctx: Context, term: Term) -> ObjType:
+def infer(
+    sig: TypedSignature,
+    ctx: Context,
+    term: Term,
+    *,
+    closed: dict[int, tuple[Term, ObjType]] | None = None,
+) -> ObjType:
     """The unique type of ``term`` in ``ctx``, or a TypeCheckError.
 
     Each distinct (arity, instantiation) pair is checked against its arity
@@ -227,8 +233,13 @@ def infer(sig: TypedSignature, ctx: Context, term: Term) -> ObjType:
     with arguments costs one Python frame, and a variable argument none;
     nodes of one and two arguments, the common ones, check them without a
     loop.  The error path is assembled only while an error propagates.
+
+    ``closed`` maps ``id(t)`` to ``(t, ty)`` for closed terms ``t`` that
+    ``infer`` typed ``ty`` in ``sig`` and the empty context, and so in any
+    context: an argument that *is* such a ``t`` takes ``ty`` without a
+    walk.  A structurally equal copy is walked.
     """
-    return _infer(sig, tuple(ctx), term, {})
+    return _infer(sig, tuple(ctx), term, {}, closed)
 
 
 def _infer(
@@ -236,6 +247,7 @@ def _infer(
     ctx: Context,
     term: Term,
     shapes: dict[tuple, tuple],
+    closed: dict[int, tuple[Term, ObjType]] | None,
 ) -> ObjType:
     if type(term) is Var:
         i = term.index
@@ -259,9 +271,11 @@ def _infer(
             if not 0 <= i < len(inner):
                 raise TypeCheckError(f"unbound index {i}", (0,))
             actual = inner[i]
+        elif closed is not None and (hit := closed.get(id(arg))) is not None and hit[0] is arg:
+            actual = hit[1]  # a closed piece typed once (see ``infer``)
         else:
             try:
-                actual = _infer(sig, inner, arg, shapes)
+                actual = _infer(sig, inner, arg, shapes, closed)
             except TypeCheckError as exc:
                 exc.path = (0,) + exc.path
                 raise
@@ -275,9 +289,11 @@ def _infer(
             if not 0 <= i < len(inner):
                 raise TypeCheckError(f"unbound index {i}", (1,))
             actual = inner[i]
+        elif closed is not None and (hit := closed.get(id(arg))) is not None and hit[0] is arg:
+            actual = hit[1]  # a closed piece typed once (see ``infer``)
         else:
             try:
-                actual = _infer(sig, inner, arg, shapes)
+                actual = _infer(sig, inner, arg, shapes, closed)
             except TypeCheckError as exc:
                 exc.path = (1,) + exc.path
                 raise
@@ -291,9 +307,11 @@ def _infer(
             if not 0 <= i < len(inner):
                 raise TypeCheckError(f"unbound index {i}", (j,))
             actual = inner[i]
+        elif closed is not None and (hit := closed.get(id(arg))) is not None and hit[0] is arg:
+            actual = hit[1]  # a closed piece typed once (see ``infer``)
         else:
             try:
-                actual = _infer(sig, inner, arg, shapes)
+                actual = _infer(sig, inner, arg, shapes, closed)
             except TypeCheckError as exc:
                 exc.path = (j,) + exc.path
                 raise

@@ -33,6 +33,9 @@ instead, which makes the check exact for unityped targets.  A template
 that ``validate_translation`` did not compile is checked on first use.
 A translated argument is placed once: shifted past the template binders
 over its placeholder as ``translate_term`` builds it, never walked again.
+Each closed piece that compiling builds is typed by ``infer`` once and kept
+with the translation, so that ``initsyn translate``'s recheck of an output
+takes its type by identity instead of walking every place it is shared.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ class Translation(Frozen):
     """A serializable representation of the source language in the target."""
 
     __match_args__ = ("name", "source", "target", "type_map", "term_map", "macros")
-    __slots__ = __match_args__ + ("_compiled",)
+    __slots__ = __match_args__ + ("_compiled", "_closed")
     _defaults = {"macros": None}
     name: str
     source: TypedSignature
@@ -102,11 +105,15 @@ class Translation(Frozen):
     macros: dict[str, Term]
     # arity name -> (template, arity, compiled template, placements); see instantiate_template
     _compiled: dict[str, tuple]
+    # id(piece) -> (piece, its type): the closed pieces that compiling built, for
+    # ``infer(..., closed=)``; see ``_compile``
+    _closed: dict[int, tuple[Term, ObjType]]
 
     def __post_init__(self) -> None:
         if self.macros is None:
             object.__setattr__(self, "macros", {})
         object.__setattr__(self, "_compiled", {})
+        object.__setattr__(self, "_closed", {})
 
 
 class OpaqueRepresentation(Frozen):
@@ -292,6 +299,7 @@ def validate_translation(x: Translation) -> ValidationReport:
     """
     type_errors = x.type_map.check()
     out: list[str] = [f"types: {msg}" for msg in type_errors]
+    x._closed.clear()  # every template is compiled again below
     macro_types, macro_errors, stab_ok = _template_scope(x)
     out += macro_errors
 
@@ -337,9 +345,10 @@ def instantiate_template(
     The template is checked and compiled once per ``Translation`` object
     (see ``_compile``), by ``validate_translation`` or else on first use
     here: every closed subtemplate is built then, and all outputs share
-    that one term.  The compiled form is kept with the template and ``ar``
-    it was made from, and is made again when either is another object.  A
-    template that fails its check raises ``TypeCheckError`` with the entry
+    that one term, whose type ``infer`` finds once then.  The compiled
+    form is kept with the template and ``ar`` it was made from, and is
+    made again when either is another object.  A template that fails its
+    check, or is missing, raises ``TypeCheckError`` with the entry
     ``validate_translation`` reports for it, at every call.
     """
     entry = _compiled_entry(x, ar)
@@ -350,7 +359,9 @@ def instantiate_template(
 
 
 def _compiled_entry(x: Translation, ar: TermArity) -> tuple:  # compiled on first use
-    tpl = x.term_map[ar.name]
+    tpl = x.term_map.get(ar.name)
+    if tpl is None:
+        raise TypeCheckError(f"arity '{ar.name}': no template for {ar.name}")
     entry = x._compiled.get(ar.name)
     if entry is None or entry[0] is not tpl or entry[1] is not ar:
         macro_types, _, stab_ok = _template_scope(x)
@@ -394,11 +405,24 @@ def _compile(
     as the translated source one), and that passes no source literal
     through, takes the tuple of translated arguments as its own arguments
     instead of calling one function per argument.
+
+    Once the template passes, each maximal fixed piece (a fixed node that a
+    non-fixed node or ``__iter`` holds, or the fixed template itself, a
+    macro body and a fixed ``__stab`` witness included) that is closed goes
+    into ``x``'s table of closed pieces with its type, from ``infer`` in
+    the empty context or, for a macro, from ``_template_scope``; ``initsyn
+    translate`` rechecks its output with that table (``infer(...,
+    closed=)``).
     """
     target = x.target
     inst0 = _opaque_inst(target, ar.degree)
     meta_binders, meta_types, result_type = _arity_images(x, ar, inst0)
     least: dict[int, int] = {}  # j -> the fewest template binders above a ?j, once walked
+    pieces: list[Term] = []  # fixed subtemplates that a non-fixed one holds, and a fixed root
+    macros: dict[int, ObjType] = {}  # id(macro body) -> its type, as ``_template_scope`` found
+
+    def hold(*compiled: _Compiled) -> None:  # a non-fixed node holds ``compiled``
+        pieces.extend([fixed for fixed, _ in compiled if fixed is not None])
 
     def type_expr(e: TypeExpr) -> ObjType:  # ``e`` checked, then its value at inst0
         error = next(type_expr_errors(target.all_types.constructors, e, ar.degree), None)
@@ -436,7 +460,9 @@ def _compile(
         if isinstance(tpl, TplMacro):
             if tpl.name not in macro_types:
                 raise TypeCheckError(f"unknown macro '{tpl.name}'")
-            return macro_types[tpl.name], (x.macros[tpl.name], None)
+            body = x.macros[tpl.name]
+            macros[id(body)] = macro_types[tpl.name]
+            return macro_types[tpl.name], (body, None)
         if not isinstance(tpl, Con):
             raise TypeCheckError(f"not a template: {tpl!r}")
         name, node_lit = tpl.name, tpl.lit
@@ -485,6 +511,7 @@ def _compile(
         fixed_inst, inst_of = compile_type_expr(tpl.inst, ar.degree)
         if not passthrough and inst_of is None and all(fixed is not None for fixed, _ in subs):
             return result, (Con(name, node_lit, fixed_inst, tuple([f for f, _ in subs])), None)
+        hold(*subs)
         arg_fns = [_function(s) for s in subs]
         # (C [..] ?1 ... ?n), no ?j weakened: the translated arguments are the node's
         direct = not passthrough and len(tpl.args) == len(ar.args) and all(
@@ -514,6 +541,7 @@ def _compile(
         step_ty, step = walk(tpl.args[0], ctx, (base_ty, len(ctx)))
         if step_ty != base_ty:
             raise TypeCheckError(f"__iter step has type {step_ty}, base has type {base_ty}")
+        hold(step, base)
         step_of, base_of = _function(step), _function(base)
 
         def iterate(inst, args, lit, hole):
@@ -555,6 +583,13 @@ def _compile(
     ty, compiled = walk(tpl, (), None)
     if ty != result_type:
         raise TypeCheckError(f"template has type {ty}, expected {result_type}")
+    hold(compiled)
+    for piece in pieces:
+        if type(piece) is Con and id(piece) not in x._closed:
+            try:
+                x._closed[id(piece)] = (piece, macros.get(id(piece)) or infer(target, (), piece))
+            except TypeCheckError:
+                pass  # not closed (a #i bound in the template): the recheck walks it
     places = [(len(b), least.get(j, len(b)) - len(b)) for j, b in enumerate(meta_binders, 1)]
     return _function(compiled), tuple(places)
 
@@ -562,6 +597,12 @@ def _compile(
 def _function(compiled: _Compiled) -> Callable:
     fixed, fn = compiled
     return fn if fn is not None else lambda inst, args, lit, hole: fixed
+
+
+class _NodeError(TypeCheckError):
+    """A node of the term that ``translate_term`` walks is not well formed.
+    Unlike an error of a template or operation, it gets its argument path,
+    as ``infer``'s errors do."""
 
 
 @paused_gc
@@ -583,10 +624,12 @@ def translate_term(x: Representation, ctx: Context, term: Term) -> Term:
     per distinct (arity, instantiation) pair, the arity with its translated
     instantiation and placements, or binder and result types if opaque.  A
     node that is not well formed raises ``infer``'s error
-    (``TypedSignature.node_error``): the whole check runs once per pair,
-    and a later node of the pair compares only whether it has a literal
-    and its argument count, as ``infer`` does.  A variable argument costs
-    no call, and an unshifted node of at most two arguments no loop.
+    (``TypedSignature.node_error``) with its argument path; an error of a
+    template or an operation names its arity and has no path.  The whole
+    check runs once per pair, and a later node of the pair compares only
+    whether it has a literal and its argument count, as ``infer`` does.  A
+    variable argument costs no call, and an unshifted node of at most two
+    arguments no loop.
     """
     g = x.type_map
     opaque = isinstance(x, OpaqueRepresentation)
@@ -600,12 +643,12 @@ def translate_term(x: Representation, ctx: Context, term: Term) -> Term:
         if type(t) is Var:
             return t
         if type(t) is not Con:
-            raise TypeCheckError(f"not a term: {t!r}")
+            raise _NodeError(f"not a term: {t!r}")
         shape = shapes.get((t.name, t.inst))
         if shape is None or (t.lit is None) is shape[0] or len(t.args) != shape[1]:
             error = x.source.node_error(t.name, t.lit, len(t.inst), len(t.args))
             if error is not None:
-                raise TypeCheckError(error)
+                raise _NodeError(error)
             ar = x.source.arity(t.name)
             inst_t = _retype(g, t.inst, types)
             if opaque:
@@ -613,18 +656,24 @@ def translate_term(x: Representation, ctx: Context, term: Term) -> Term:
             else:  # for a ``Translation``, the placements
                 try:
                     images = _compiled_entry(x, ar)[3]
-                except (KeyError, TypeCheckError):  # raised again after the arguments
+                except TypeCheckError:  # raised again after the arguments
                     images = tuple([(b, 0) for b in x.source.binder_counts[t.name]])
             moved = not opaque and any(k for _, k in images)
             shape = shapes[t.name, t.inst] = (
                 bool(ar.family_index), len(ar.args), ar, inst_t, images, moved
             )
         _, _, ar, inst_t, images, moved = shape
-        if not opaque:
-            args = t.args
-            if sh or moved or len(args) > 2:
+        args = t.args
+        at = 0  # the argument being translated: a node error in it gets its path
+        try:
+            if opaque:
                 new = []
-                for a, (b, k) in zip(args, images):
+                for at, (a, b) in enumerate(zip(args, images[0])):
+                    new.append(go(a, b + ctx_t))
+                args = tuple(new)
+            elif sh or moved or len(args) > 2:
+                new = []
+                for at, (a, (b, k)) in enumerate(zip(args, images)):
                     s = sh + k
                     if type(a) is not Var:
                         shifts[rel : rel + b] = [s] * b
@@ -636,21 +685,25 @@ def translate_term(x: Representation, ctx: Context, term: Term) -> Term:
                 args = tuple(new)
             elif len(args) == 2:
                 a0, a1 = args
-                args = (a0 if type(a0) is Var else go(a0), a1 if type(a1) is Var else go(a1))
+                a0 = a0 if type(a0) is Var else go(a0)
+                at = 1
+                args = (a0, a1 if type(a1) is Var else go(a1))
             elif args and type(args[0]) is not Var:
                 args = (go(args[0]),)
+        except _NodeError as exc:
+            exc.path = (at,) + exc.path
+            raise
+        if not opaque:
             return instantiate_template(x, ar, inst_t, args, t.lit, placed=True)
-        binders, _, result_t = images
-        args = tuple([go(a, b + ctx_t) for a, b in zip(t.args, binders)])
         op = x.ops.get(t.name)
         if op is None:
             raise TypeCheckError(f"no operation for arity '{t.name}'")
         result = op(inst_t, ctx_t, args, t.lit)
         actual = infer(x.target, ctx_t, result)
-        if actual is not result_t:
+        if actual is not images[2]:
             raise TypeCheckError(
                 f"operation for '{t.name}' returned a term of type "
-                f"{actual}, expected {result_t}"
+                f"{actual}, expected {images[2]}"
             )
         return result
 

@@ -202,9 +202,9 @@ def test_translate_typechecks_source_once(tmp_path, monkeypatch):
     for module in (initsyn.cli, initsyn.surface):
         original = module.infer
 
-        def counted(sig, ctx, term, _original=original):
+        def counted(sig, ctx, term, _original=original, **kwargs):
             calls.append(sig.name)
-            return _original(sig, ctx, term)
+            return _original(sig, ctx, term, **kwargs)
 
         monkeypatch.setattr(module, "infer", counted)
     path = tmp_path / "neg.term"

@@ -314,19 +314,21 @@ def test_unvalidated_templates_fail_as_the_walk_does(case):
 def test_translate_term_raises_a_failing_template_after_its_arguments():
     """Unvalidated, a failing template is found while its node is first
     seen; the node's arguments are translated first, so an argument's own
-    error wins, and then the template's entry is raised."""
+    error wins, at its argument path, and then the template's entry is
+    raised, with none."""
     x = get_translation("pcf2ulc-turing")
     tpl = _con("abs", _con("nope"))
     bad = Translation(x.name, x.source, x.target, x.type_map, dict(x.term_map, rec=tpl), x.macros)
     nat = ObjType("Nat")
-    for arg, message in (
-        (Con("Succ", 3, (), ()), "'Succ' is not family-indexed"),
-        (Con("Succ", None, (), ()), "arity 'rec': unknown target arity 'nope'"),
+    for arg, message, path in (
+        (Con("Succ", 3, (), ()), "'Succ' is not family-indexed", (0,)),
+        (Con("Succ", None, (), ()), "arity 'rec': unknown target arity 'nope'", ()),
     ):
         for _ in range(2):
             with pytest.raises(TypeCheckError) as err:
                 translate_term(bad, (), Con("rec", None, (nat,), (arg,)))
-            assert str(err.value) == message
+            assert err.value.message == message
+            assert err.value.path == path
 
 
 def test_named_errors_keep_their_messages():
@@ -446,3 +448,91 @@ def test_templates_shaped_like_their_arguments_keep_their_meaning(ctx_len, term,
     ar = source.arity(term.name)
     args = tuple(translate_term(x, ctx, a) for a in term.args)
     assert reference_instantiate(x, ar, (), args, term.lit) == expected
+
+
+def test_an_arity_without_a_template_raises_its_validation_entry():
+    """Without a template for ``tttt``, both entry points raise, at every
+    call, the entry ``validate_translation`` reports, not a ``KeyError``."""
+    x = get_translation("pcf2ulc-turing")
+    term_map = {name: tpl for name, tpl in x.term_map.items() if name != "tttt"}
+    bad = Translation(x.name, x.source, x.target, x.type_map, term_map, x.macros)
+    entry = "arity 'tttt': no template for tttt"
+    assert entry in validate_translation(bad).entries
+    tttt = Con("tttt", None, (), ())
+    calls = (
+        lambda: translate_term(bad, (), Con("app", None, (BOOL, BOOL), (Var(0), tttt))),
+        lambda: instantiate_template(bad, x.source.arity("tttt"), (), ()),
+    )
+    for call in calls:
+        for _ in range(2):
+            with pytest.raises(TypeCheckError) as err:
+                call()
+            assert (str(err.value), err.value.path) == (entry, ())
+
+
+def _nodes(term, path=()):
+    """(path, node) for each node with a name, in pre-order."""
+    if type(term) is not Con:
+        return []
+    out = [(path, term)]
+    for j, a in enumerate(term.args):
+        out += _nodes(a, path + (j,))
+    return out
+
+
+def _replace(term, path, node):
+    if not path:
+        return node
+    args = list(term.args)
+    args[path[0]] = _replace(args[path[0]], path[1:], node)
+    return Con(term.name, term.lit, term.inst, tuple(args))
+
+
+def _malformed(sig, node, kind, rng):
+    """``node`` with one defect of ``kind``."""
+    name, lit, inst, args = node.name, node.lit, node.inst, node.args
+    if kind == "literal":
+        lit = None if sig.arity(name).family_index else rng.randint(0, 3)
+    elif kind == "type parameters":
+        inst = inst[:-1] if inst and rng.random() < 0.5 else inst + (BOOL,)
+    elif kind == "arguments":
+        args = args[:-1] if args and rng.random() < 0.5 else args + (Var(0),)
+    else:
+        name = "nope"
+    return Con(name, lit, inst, args)
+
+
+@pytest.mark.parametrize("name", BUILTIN_TRANSLATIONS)
+def test_node_errors_carry_infers_argument_path(name):
+    """A seeded well-typed term with one node made malformed (a wrong
+    literal, type-parameter count, argument count or arity name) fails
+    ``translate_term`` with the message and argument path that ``infer``
+    gives on it."""
+    from initsyn.laws import GenConfig, GenFailure, gen_term
+
+    x = get_translation(name)
+    rng = random.Random(25)
+    pool = ground_types(x.source.all_types, 1)
+    cfg = GenConfig(seed=1, max_depth=6, cases=1)
+    kinds = ("literal", "type parameters", "arguments", "arity")
+    seen, nested = set(), 0
+    while len(seen) < len(kinds) or nested < 40:
+        ctx = tuple(rng.choice(pool) for _ in range(rng.randint(1, 3)))
+        try:
+            term = gen_term(x.source, ctx, None, cfg, rng=rng)
+        except GenFailure:
+            continue
+        nodes = _nodes(term)
+        if not nodes:
+            continue
+        path, node = rng.choice(nodes)
+        kind = rng.choice(kinds)
+        bad = _replace(term, path, _malformed(x.source, node, kind, rng))
+        with pytest.raises(TypeCheckError) as by_infer:
+            infer(x.source, ctx, bad)
+        assert by_infer.value.path == path
+        with pytest.raises(TypeCheckError) as err:
+            translate_term(x, ctx, bad)
+        assert (str(err.value), err.value.path) == (str(by_infer.value), path)
+        seen.add(kind)
+        nested += len(path) >= 2
