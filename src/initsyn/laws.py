@@ -32,7 +32,9 @@ where, and after just the draws, that generating the argument would.
 
 A case that fails to generate (an unreachable goal within the depth and
 retry budget) counts as skipped, never as a silent pass; a report with
-more than half of its cases skipped does not pass.
+more than half of its cases skipped does not pass.  A checked operation
+that raises ``TypeCheckError`` or ``ValueError`` on a case makes that case
+a counterexample, which names the law being checked and the exception.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .terms import (
     Substitution,
     VAR_TABLE_SIZE,
     Term,
+    TypeCheckError,
     Var,
     identity_substitution,
     infer,
@@ -545,6 +548,15 @@ def _show_sub(sub: Substitution) -> str:
 # Law checks
 
 
+# What a checked operation may raise on a case: the case is then a
+# counterexample to the law being checked, not a crash of the check.
+_CHECKED_ERRORS = (TypeCheckError, ValueError)
+
+
+def _raised(exc: Exception) -> str:
+    return f"raised {type(exc).__name__}: {exc}"
+
+
 def _run_cases(
     law: str,
     cfg: GenConfig,
@@ -605,23 +617,30 @@ def check_monad_laws(
                 + (f" | {detail}" if detail else "")
             )
 
-        for i in range(len(ctx)):
-            if substitute_fn(sig, Var(i), sub) != sub.images[i]:
-                return fail("left unit", f"at #{i}")
-        if substitute_fn(sig, term, identity_substitution(ctx)) != term:
-            return fail("right unit")
-        lhs = substitute_fn(sig, substitute_fn(sig, term, sub), sub2)
-        composed = Substitution(
-            ctx,
-            sub2.codomain,
-            tuple(substitute_fn(sig, img, sub2) for img in sub.images),
-        )
-        if lhs != substitute_fn(sig, term, composed):
-            return fail("associativity")
-        if infer(sig, sub.codomain, substitute_fn(sig, term, sub)) != infer(
-            sig, ctx, term
-        ):
-            return fail("type preservation")
+        law = "left unit"
+        try:
+            for i in range(len(ctx)):
+                if substitute_fn(sig, Var(i), sub) != sub.images[i]:
+                    return fail(law, f"at #{i}")
+            law = "right unit"
+            if substitute_fn(sig, term, identity_substitution(ctx)) != term:
+                return fail(law)
+            law = "associativity"
+            lhs = substitute_fn(sig, substitute_fn(sig, term, sub), sub2)
+            composed = Substitution(
+                ctx,
+                sub2.codomain,
+                tuple(substitute_fn(sig, img, sub2) for img in sub.images),
+            )
+            if lhs != substitute_fn(sig, term, composed):
+                return fail(law)
+            law = "type preservation"
+            if infer(sig, sub.codomain, substitute_fn(sig, term, sub)) != infer(
+                sig, ctx, term
+            ):
+                return fail(law)
+        except _CHECKED_ERRORS as exc:
+            return fail(law, _raised(exc))
         return None
 
     return _run_cases(f"monad-laws({sig.name})", cfg, draw, check)
@@ -643,22 +662,28 @@ def check_translation_laws(x: Representation, cfg: GenConfig) -> LawReport:
                 f" | sigma {_show_sub(sub)}" + (f" | {detail}" if detail else "")
             )
 
-        for i in range(len(ctx)):
-            if translate_term(x, ctx, Var(i)) != Var(i):
-                return fail("variable clause", f"at #{i}")
-        translated = translate_term(x, ctx, term)
-        expected_ty = translate_type(x.type_map, infer(src, ctx, term))
-        actual_ty = infer(x.target, retype_context(x.type_map, ctx), translated)
-        if actual_ty != expected_ty:
-            return fail("type preservation", f"expected {expected_ty}, found {actual_ty}")
-        lhs = translate_term(x, sub.codomain, substitute(src, term, sub))
-        sub_t = Substitution(
-            retype_context(x.type_map, ctx),
-            retype_context(x.type_map, sub.codomain),
-            tuple(translate_term(x, sub.codomain, img) for img in sub.images),
-        )
-        if lhs != substitute(x.target, translated, sub_t):
-            return fail("substitution commutation")
+        law = "variable clause"
+        try:
+            for i in range(len(ctx)):
+                if translate_term(x, ctx, Var(i)) != Var(i):
+                    return fail(law, f"at #{i}")
+            law = "type preservation"
+            translated = translate_term(x, ctx, term)
+            expected_ty = translate_type(x.type_map, infer(src, ctx, term))
+            actual_ty = infer(x.target, retype_context(x.type_map, ctx), translated)
+            if actual_ty != expected_ty:
+                return fail(law, f"expected {expected_ty}, found {actual_ty}")
+            law = "substitution commutation"
+            lhs = translate_term(x, sub.codomain, substitute(src, term, sub))
+            sub_t = Substitution(
+                retype_context(x.type_map, ctx),
+                retype_context(x.type_map, sub.codomain),
+                tuple(translate_term(x, sub.codomain, img) for img in sub.images),
+            )
+            if lhs != substitute(x.target, translated, sub_t):
+                return fail(law)
+        except _CHECKED_ERRORS as exc:
+            return fail(law, _raised(exc))
         return None
 
     return _run_cases(f"translation-laws({x.name})", cfg, draw, check)
@@ -668,7 +693,11 @@ def check_agreement(x: Representation, oracle, cfg: GenConfig) -> LawReport:
     """The engine against an independently written translator."""
 
     def check(case: int, ctx: Context, term: Term):
-        if translate_term(x, ctx, term) != oracle(ctx, term):
+        try:
+            out = translate_term(x, ctx, term)
+        except _CHECKED_ERRORS as exc:
+            return f"case {case}: {_show_case(ctx, term)} | {_raised(exc)}"
+        if out != oracle(ctx, term):
             return f"case {case}: {_show_case(ctx, term)}"
         return None
 

@@ -33,6 +33,9 @@ instead, which makes the check exact for unityped targets.  A template
 that ``validate_translation`` did not compile is checked on first use.
 A translated argument is placed once: shifted past the template binders
 over its placeholder as ``translate_term`` builds it, never walked again.
+Under a ``__stab`` at a template's root it is placed further, at the one
+place where the stability witness uses the term built from the arguments,
+for every type whose witness has one.
 Each closed piece that compiling builds is typed by ``infer`` once and kept
 with the translation, so that ``initsyn translate``'s recheck of an output
 takes its type by identity instead of walking every place it is shared.
@@ -103,7 +106,8 @@ class Translation(Frozen):
     type_map: TypeTranslation
     term_map: dict[str, Template]
     macros: dict[str, Term]
-    # arity name -> (template, arity, compiled template, placements); see instantiate_template
+    # arity name -> (template, arity, compiled template, placements, landing, head); see
+    # ``_compile``, whose result the last four are, and ``instantiate_template``
     _compiled: dict[str, tuple]
     # id(piece) -> (piece, its type): the closed pieces that compiling built, for
     # ``infer(..., closed=)``; see ``_compile``
@@ -197,16 +201,40 @@ def _nn(a: ObjType) -> ObjType:
     return _imp(_imp(a, _BOT), _BOT)
 
 
-def build_stability_witness(sig: TypedSignature, ty: ObjType, d: Term) -> Term:
+def _landing(ty: ObjType) -> int | None:
+    """The number of binders above the one place where the stability
+    witness for ``ty`` uses its argument (2 per ``impl`` level and 1 per
+    ``and`` level above a bot), or None when it uses it nowhere or in
+    several places."""
+    found: list[int] = []
+    todo = [(ty, 0)]
+    while todo and len(found) < 2:
+        t, depth = todo.pop()
+        if t is _BOT:
+            found.append(depth)
+        elif t.name == "impl":
+            todo.append((t.args[1], depth + 2))
+        elif t.name == "and":
+            todo += [(t.args[1], depth + 1), (t.args[0], depth + 1)]
+    return found[0] if len(found) == 1 else None
+
+
+def build_stability_witness(sig: TypedSignature, ty: ObjType, d: Term, at: int = 0) -> Term:
     """Given ``d`` of type not-not-``ty``, build a term of type ``ty``.
 
-    Recursion on the type: bot eliminates by applying ``d`` to the
-    identity, top is introduced directly, and a conjunction or an
-    implication takes a witness for each part from that part's double
-    negation, which ``nn_part`` derives from ``d`` (the conjuncts of
-    ``and``, the conclusion of ``impl`` under its binder).  Only
-    implication/conjunction/top/bot can occur in a type that passed the
-    stability check.
+    By cases on the type, on an explicit stack: bot eliminates by applying
+    its double negation to the identity, top is introduced directly, and a
+    conjunction or an implication takes a witness for each part (the
+    conjuncts of ``and``, the conclusion of ``impl`` under its binder)
+    from that part's double negation, which one step derives from the
+    double negation a level up.  So ``d`` lands inside the steps from the
+    root to each bot, under 2 binders per ``impl`` and 1 per ``and`` on the
+    way (``_landing``), and is shifted once per landing, not once per
+    level.  ``at`` says that ``d`` is already shifted past ``at`` binders,
+    at most any landing's: a landing at ``at`` takes ``d`` as it is, which
+    is how ``__stab`` at a template's root uses the arguments it placed
+    there.  Only implication/conjunction/top/bot can occur in a type that
+    passed the stability check.
     """
 
     def implI(a, b, body):
@@ -215,40 +243,54 @@ def build_stability_witness(sig: TypedSignature, ty: ObjType, d: Term) -> Term:
     def implE(a, b, f, x):
         return Con("implE", None, (a, b), (f, x))
 
-    def nn_part(part, binders, elim):
-        # not-not-part from ``d``, which sits ``binders`` binders out from
-        # where it is weakened; ``elim`` derives part from the ``ty`` at #0
-        return implI(
-            _imp(part, _BOT),
-            _BOT,
-            implE(
-                _imp(ty, _BOT),
-                _BOT,
-                weaken(sig, d, 0, binders),
-                implI(
-                    ty,
-                    _BOT,
-                    implE(part, _BOT, Var(1), elim),
-                ),
-            ),
-        )
+    def landed(steps, depth: int) -> Term:
+        # not-not-bot at a bot ``depth`` binders below the root, from ``d``
+        # through ``steps``, the links (level, part, projection) up to the root
+        chain = []
+        while steps is not None:
+            step, steps = steps
+            chain.append(step)
+        nn = weaken(sig, d, 0, depth - at)  # ``d`` itself at ``at``: nothing walks it
+        for level, part, proj in reversed(chain):  # from the root down
+            x, y = level.args
+            depth -= 1 if proj else 2  # the binders that later steps put over this one
+            if proj:
+                elim = Con(proj, None, (x, y), (Var(0),))
+            else:  # the ``impl`` binder, out past the binders of later steps
+                elim = implE(x, y, Var(0), Var(2 + depth))
+            step = implI(level, _BOT, implE(part, _BOT, Var(1), elim))
+            nn = implI(_imp(part, _BOT), _BOT, implE(_imp(level, _BOT), _BOT, nn, step))
+        return nn
 
-    if ty == _BOT:
-        return implE(_imp(_BOT, _BOT), _BOT, d, implI(_BOT, _BOT, Var(0)))
-    if ty == _TOP:
-        return Con("topI", None, (), ())
-    if ty.name == "and":
-        x, y = ty.args
-        halves = []
-        for part, proj in ((x, "andE1"), (y, "andE2")):
-            dpart = nn_part(part, 1, Con(proj, None, (x, y), (Var(0),)))
-            halves.append(build_stability_witness(sig, part, dpart))
-        return Con("andI", None, (x, y), tuple(halves))
-    if ty.name == "impl":
-        x, y = ty.args
-        dy = nn_part(y, 2, implE(x, y, Var(0), Var(2)))
-        return implI(x, y, build_stability_witness(sig, y, dy))
-    raise TypeCheckError(f"no stability witness for type {ty}")
+    out: list[Term] = []
+    todo = [(ty, None, 0)]  # (type, its steps, its depth), or (type, None, None) to join
+    while todo:
+        t, steps, depth = todo.pop()
+        if depth is None:  # the witnesses of ``t``'s parts are on ``out``
+            x, y = t.args
+            last = out.pop()
+            if t.name == "impl":
+                out.append(implI(x, y, last))
+            else:
+                out.append(Con("andI", None, (x, y), (out.pop(), last)))
+        elif t is _BOT:
+            not_bot = landed(steps, depth)
+            out.append(implE(_imp(_BOT, _BOT), _BOT, not_bot, implI(_BOT, _BOT, Var(0))))
+        elif t is _TOP:
+            out.append(Con("topI", None, (), ()))
+        elif t.name == "impl":
+            y = t.args[1]
+            todo += [(t, None, None), (y, ((t, y, None), steps), depth + 2)]
+        elif t.name == "and":
+            x, y = t.args
+            todo += [
+                (t, None, None),
+                (y, ((t, y, "andE2"), steps), depth + 1),
+                (x, ((t, x, "andE1"), steps), depth + 1),
+            ]
+        else:
+            raise TypeCheckError(f"no stability witness for type {t}")
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +382,10 @@ def instantiate_template(
     beyond the argument's own expected binders.  The result is well typed
     at the translated result type in any context in which the translated
     arguments are, so no context is passed.  Arguments are moved to their
-    placements (``_compile``) here, unless ``placed`` says they are already.
+    placements at ``inst`` (``_placements``: a ``__stab`` at the root adds
+    its witness's landing) here, unless ``placed`` says they are already.
+    A fixed template is returned as it is, and a template ``(C [..] ?1
+    ... ?n)`` builds its node here; any other calls its compiled form.
 
     The template is checked and compiled once per ``Translation`` object
     (see ``_compile``), by ``validate_translation`` or else on first use
@@ -351,10 +396,19 @@ def instantiate_template(
     check, or is missing, raises ``TypeCheckError`` with the entry
     ``validate_translation`` reports for it, at every call.
     """
-    entry = _compiled_entry(x, ar)
+    entry = x._compiled.get(ar.name)
+    if entry is None or entry[0] is not x.term_map.get(ar.name) or entry[1] is not ar:
+        entry = _compiled_entry(x, ar)
+    head = entry[5]
+    if type(head) is Con:
+        return head
     if not placed:
-        places = zip(translated_args, entry[3])
+        places = zip(translated_args, _placements(entry, inst))
         translated_args = tuple([weaken(x.target, a, b, k) if k else a for a, (b, k) in places])
+    if head is not None:
+        name, node_lit, fixed_inst, inst_of = head
+        inst = fixed_inst if inst_of is None else inst_of(inst)
+        return Con(name, node_lit, inst, translated_args)
     return entry[2](inst, translated_args, lit, None)
 
 
@@ -373,6 +427,15 @@ def _compiled_entry(x: Translation, ar: TermArity) -> tuple:  # compiled on firs
     return entry
 
 
+def _placements(entry: tuple, inst: tuple[ObjType, ...]) -> tuple[tuple[int, int], ...]:
+    """The placement of each argument of ``entry``'s template at the
+    translated instantiation ``inst``: the static one, plus the landing of
+    the witness when the template is a ``__stab``."""
+    places, landing = entry[3], entry[4]
+    shift = 0 if landing is None else landing(inst)
+    return places if not shift else tuple([(b, k + shift) for b, k in places])
+
+
 # A compiled subtemplate: ``(fixed, None)`` when its value is the same at
 # every instantiation, else ``(None, fn)``, ``fn`` taking (inst, args, lit,
 # hole), ``hole`` being the term that a ``__hole`` there stands for.  Type
@@ -387,10 +450,13 @@ def _compile(
     tpl: Template,
     macro_types: dict[str, ObjType],
     stab_ok: bool,
-) -> tuple[Callable, tuple[tuple[int, int], ...]]:
-    """Check the template of ``ar`` and compile it into a function of
-    (inst, args, lit, hole), in one walk, and the placement it takes each
-    argument at: its binder count and the fewest extra binders over a ?j.
+) -> tuple[Callable, tuple[tuple[int, int], ...], Callable | None, Term | tuple | None]:
+    """Check the template of ``ar`` and compile it, in one walk.  Returns
+    the function of (inst, args, lit, hole) it compiles to; the placement
+    it takes each argument at: its binder count and the fewest extra
+    binders over a ?j; the landing, a function of inst or None; and the
+    head, which ``instantiate_template`` uses instead of the function when
+    it is not None.
 
     Each node is typed at the opaque instantiation (``_opaque_inst``) in
     the template's own binder context, and the first check that fails
@@ -404,7 +470,20 @@ def _compile(
     arguments in order, none weakened (each target binder list is as long
     as the translated source one), and that passes no source literal
     through, takes the tuple of translated arguments as its own arguments
-    instead of calling one function per argument.
+    instead of calling one function per argument.  At the root, that node
+    is the head: (name, literal, fixed instantiation or None, instantiation
+    function or None), which ``instantiate_template`` builds itself; a
+    fixed root is the head as it is; else the head is None.
+
+    A ``__stab`` at the root holds every placeholder, and for most types
+    its witness uses the term it is given, which holds them, in one place
+    (``_landing``).  The landing is then the function of inst that gives
+    the number of binders above that place, or 0 when there is no such
+    place or several.  The caller adds it to every placement
+    (``_placements``), and the witness takes the term built from those
+    arguments as it is.  Else the landing is None: a ``__stab`` elsewhere
+    (under template binders, inside ``__iter``, beside a placeholder)
+    shifts its term at each place its witness uses it.
 
     Once the template passes, each maximal fixed piece (a fixed node that a
     non-fixed node or ``__iter`` holds, or the fixed template itself, a
@@ -420,6 +499,7 @@ def _compile(
     least: dict[int, int] = {}  # j -> the fewest template binders above a ?j, once walked
     pieces: list[Term] = []  # fixed subtemplates that a non-fixed one holds, and a fixed root
     macros: dict[int, ObjType] = {}  # id(macro body) -> its type, as ``_template_scope`` found
+    root, landing, head = tpl, None, None
 
     def hold(*compiled: _Compiled) -> None:  # a non-fixed node holds ``compiled``
         pieces.extend([fixed for fixed, _ in compiled if fixed is not None])
@@ -519,6 +599,9 @@ def _compile(
             and len(bs) + len(ctx) == len(meta_binders[j - 1])
             for j, (bs, sub) in enumerate(zip(binders, tpl.args), 1)
         )
+        if direct and tpl is root:
+            nonlocal head
+            head = (name, node_lit, fixed_inst, inst_of)
 
         def node(inst, args, lit, hole):
             return Con(
@@ -574,9 +657,15 @@ def _compile(
         if ty_c[0] is not None and inner[0] is not None:
             return ty, (build_stability_witness(target, ty_c[0], inner[0]), None)
         ty_of, inner_of = type_function(ty_c), _function(inner)
+        at_root = tpl is root
+        if at_root:
+            nonlocal landing
+            landing = lambda inst: _landing(ty_of(inst)) or 0
 
         def stab(inst, args, lit, hole):
-            return build_stability_witness(target, ty_of(inst), inner_of(inst, args, lit, hole))
+            at = landing(inst) if at_root else 0  # where the arguments were placed
+            d = inner_of(inst, args, lit, hole)
+            return build_stability_witness(target, ty_of(inst), d, at)
 
         return ty, (None, stab)
 
@@ -591,7 +680,8 @@ def _compile(
             except TypeCheckError:
                 pass  # not closed (a #i bound in the template): the recheck walks it
     places = [(len(b), least.get(j, len(b)) - len(b)) for j, b in enumerate(meta_binders, 1)]
-    return _function(compiled), tuple(places)
+    fixed = compiled[0]
+    return _function(compiled), tuple(places), landing, head if fixed is None else fixed
 
 
 def _function(compiled: _Compiled) -> Callable:
@@ -655,7 +745,7 @@ def translate_term(x: Representation, ctx: Context, term: Term) -> Term:
                 images = _arity_images(x, ar, inst_t)
             else:  # for a ``Translation``, the placements
                 try:
-                    images = _compiled_entry(x, ar)[3]
+                    images = _placements(_compiled_entry(x, ar), inst_t)
                 except TypeCheckError:  # raised again after the arguments
                     images = tuple([(b, 0) for b in x.source.binder_counts[t.name]])
             moved = not opaque and any(k for _, k in images)

@@ -120,6 +120,70 @@ def test_or_elimination_takes_the_stability_path():
         assert got == reference_instantiate(x, orE, inst, args)
 
 
+def _or_elimination_cases(x, rng, count):
+    """Instantiations of orE from the source pool, with arguments that are
+    variables or compound terms whose variables every shift moves."""
+    pool = ground_types(x.source.all_types, 2)
+    orE = x.source.arity("orE")
+    for _ in range(count):
+        inst = retype_context(x.type_map, tuple(rng.choice(pool) for _ in range(3)))
+        args = tuple(
+            rng.choice([Var(rng.randrange(4)), Con("andI", None, inst[:2], (Var(1), Var(3)))])
+            for _ in range(3)
+        )
+        yield orE, inst, args
+
+
+def test_or_elimination_places_its_arguments_at_the_landing():
+    """GG's orE is a ``__stab`` at the root: its placements at an
+    instantiation are the static ones plus the witness's landing there,
+    and its output does not change."""
+    x = get_translation("cpc2ipc-godel-gentzen")
+    entry = x._compiled["orE"]
+    assert entry[3] == ((0, 1), (1, 1), (1, 1)) and entry[4] is not None
+    assert all(x._compiled[name][4] is None for name in x.term_map if name != "orE")
+    checked = 0
+    for orE, inst, args in _or_elimination_cases(x, random.Random(26), 60):
+        s = translate._landing(inst[2]) or 0
+        assert translate._placements(entry, inst) == tuple((b, k + s) for b, k in entry[3])
+        checked += s > 0
+        got = instantiate_template(x, orE, inst, args)
+        assert got == reference_instantiate(x, orE, inst, args)
+        placed = tuple(weaken(x.target, a, b, k + s) for a, (b, k) in zip(args, entry[3]))
+        assert instantiate_template(x, orE, inst, placed, placed=True) == got
+    assert checked >= 40
+
+
+def test_a_stab_below_the_root_shifts_its_term_at_each_landing():
+    """The same ``__stab`` under ``andE1``/``andI`` takes no landing: its
+    arguments keep their static placements and the witness shifts the
+    term it is given."""
+    gg = get_translation("cpc2ipc-godel-gentzen")
+    three, top = TVar(3), ObjType("top")
+    pair = Con("andI", None, (three, top), (gg.term_map["orE"], Con("topI", None, (), ())))
+    wrapped = Con("andE1", None, (three, top), (pair,))
+    x = Translation(gg.name, gg.source, gg.target, gg.type_map, dict(gg.term_map, orE=wrapped))
+    assert validate_translation(x).ok
+    assert x._compiled["orE"][4] is None
+    for orE, inst, args in _or_elimination_cases(x, random.Random(27), 40):
+        assert translate._placements(x._compiled["orE"], inst) == x._compiled["orE"][3]
+        got = instantiate_template(x, orE, inst, args)
+        assert got == reference_instantiate(x, orE, inst, args)
+        assert got.args[0].args[0] == instantiate_template(gg, orE, inst, args)
+
+
+def test_a_direct_root_builds_its_node_from_the_argument_tuple():
+    """A template ``(C [..] ?1 ... ?n)`` is its own head: the node takes
+    the placed argument tuple itself."""
+    x = get_translation("cpc2ipc-godel-gentzen")
+    and_i = x.source.arity("andI")
+    inst = retype_context(x.type_map, (ObjType("p"), ObjType("q")))
+    args = (Var(0), Var(1))
+    out = instantiate_template(x, and_i, inst, args, placed=True)
+    assert type(x._compiled["andI"][5]) is tuple
+    assert out.args is args and out == reference_instantiate(x, and_i, inst, args)
+
+
 def test_closed_templates_are_shared():
     x = get_translation("pcf2ulc-turing")
     tttt = x.source.arity("tttt")

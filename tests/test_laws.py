@@ -1,5 +1,6 @@
 import random
 import sys
+from functools import partial
 from typing import Callable
 
 import pytest
@@ -17,8 +18,13 @@ from initsyn.laws import (
 )
 from initsyn.objtypes import ObjType, eval_type_expr, ground_types, subterms
 from initsyn.signatures import TVar
-from initsyn.terms import Con, Term, Var, check, infer, substitute, weaken
-from initsyn.translate import identity_translation, translate_term
+from initsyn.terms import Con, Term, TypeCheckError, Var, _map, check, infer, substitute, weaken
+from initsyn.translate import (
+    OpaqueRepresentation,
+    identity_translation,
+    instantiate_template,
+    translate_term,
+)
 
 STAR = ObjType("*")
 
@@ -106,6 +112,64 @@ def test_broken_substitute_is_caught():
         substitute_fn=_broken_substitute,
     )
     assert report.counterexample is not None
+
+
+def _index_equals_depth_substitute(sig, term: Term, sub) -> Term:
+    """Under a binder, takes the first variable out past the binders
+    (index equal to the binder depth) for a bound one and leaves it as it
+    is, so the result can be ill typed instead of merely different."""
+    images = sub.images
+
+    def on_var(v: Var, depth: int) -> Term:
+        if v.index < depth or 0 < depth == v.index:
+            return v
+        if v.index - depth >= len(images):
+            raise TypeCheckError(f"unbound index {v.index} under substitution")
+        return weaken(sig, images[v.index - depth], 0, depth)
+
+    return _map(sig, term, on_var)
+
+
+@pytest.mark.parametrize("name", ["PCF", "IPC"])
+def test_an_operation_that_raises_gives_a_counterexample(name):
+    """The mutant makes ``infer`` reject a substituted term inside the
+    type-preservation clause; the report names the case, the law and the
+    exception instead of letting it out."""
+    report = check_monad_laws(
+        get_language(name),
+        GenConfig(seed=1, cases=2000),
+        substitute_fn=_index_equals_depth_substitute,
+    )
+    assert not report.passed
+    head, _, detail = report.counterexample.rpartition(" | ")
+    assert head.startswith(f"case {report.cases_run - 1} (type preservation): context ")
+    assert detail.startswith("raised TypeCheckError: at argument path ")
+
+
+def test_a_raising_translation_gives_a_counterexample():
+    """A translation whose operation raises on a drawn term fails its
+    translation-law and agreement checks with the exception named."""
+    x = get_translation("pcf2ulc-turing")
+
+    def op(ar):
+        def run(inst, ctx, args, lit):
+            if ar.name == "Succ":
+                raise ValueError("no Succ today")
+            return instantiate_template(x, ar, inst, args, lit)
+
+        return run
+
+    o = OpaqueRepresentation(
+        "raising", x.source, x.target, x.type_map, {ar.name: op(ar) for ar in x.source.terms}
+    )
+    cfg = GenConfig(seed=2, cases=300)
+    laws = check_translation_laws(o, cfg)
+    agreement = check_agreement(o, partial(translate_term, x), cfg)
+    for report in (laws, agreement):
+        assert not report.passed
+        assert report.counterexample.endswith(" | raised ValueError: no Succ today")
+    law = laws.counterexample.split(": ", 1)[0].split(" (", 1)[1]
+    assert law in ("type preservation)", "substitution commutation)")
 
 
 def test_counterexample_replays():

@@ -1,7 +1,9 @@
 import random
+import sys
 
 import pytest
 
+from initsyn import terms, translate
 from initsyn.languages import get_language, get_translation
 from initsyn.laws import GenConfig, GenFailure, gen_term, _case_term
 from initsyn.objtypes import ObjType, ground_types, translate_type
@@ -12,6 +14,7 @@ from initsyn.translate import (
     OpaqueRepresentation,
     TplMeta,
     Translation,
+    _landing,
     build_stability_witness,
     identity_translation,
     instantiate_template,
@@ -20,7 +23,7 @@ from initsyn.translate import (
     validate_translation,
 )
 
-from oracles import gg_prop
+from oracles import cpc_to_ipc, gg_prop
 
 NAT, BOOL, BOT, STAR = ObjType("Nat"), ObjType("Bool"), ObjType("bot"), ObjType("*")
 P, Q = ObjType("p"), ObjType("q")
@@ -422,6 +425,173 @@ def test_stability_witness_rejects_an_unstable_type():
     with pytest.raises(TypeCheckError) as err:
         build_stability_witness(ipc, ObjType("or", (P, Q)), Var(0))
     assert str(err.value) == "no stability witness for type or(p,q)"
+
+
+def _implE_chain(n, ty):
+    """A compound ``d`` of ``n`` nodes, built without recursion: ``#1``
+    applied to ``#0`` and then to the result, ``(n - 1) / 2`` times."""
+    d = Var(0)
+    for _ in range((n - 1) // 2):
+        d = Con("implE", None, (P, nn(ty)), (Var(1), d))
+    return d
+
+
+def test_the_landed_builder_takes_d_where_it_was_placed():
+    """For every type whose witness uses ``d`` in one place, ``d`` shifted
+    past that place's binders and handed over as placed gives the witness
+    that ``build_stability_witness`` builds from ``d`` itself."""
+    ipc = get_language("IPC")
+    landed = 0
+    for ty in _stable_types():
+        s = _landing(ty)
+        if s is None:
+            continue
+        d = Con("implE", None, (P, nn(ty)), (Var(0), Var(1)))
+        want = build_stability_witness(ipc, ty, d)
+        got = build_stability_witness(ipc, ty, weaken(ipc, d, 0, s), s)
+        assert _same_nodes(got, want) is None, str(ty)
+        assert str(got) == str(want)
+        landed += 1
+    assert landed >= 40
+
+
+def test_the_landed_builder_does_not_walk_d(monkeypatch):
+    """A 10-node ``d`` and a 10 000-node ``d`` cost the same nodes: the
+    builder neither walks nor copies ``d`` at its landing."""
+    ipc = get_language("IPC")
+    built = [0]
+
+    def counting_con(*args):
+        built[0] += 1
+        return Con(*args)
+
+    def no_walk(*args):
+        raise AssertionError("d was walked")
+
+    for ty in [t for t in _stable_types() if _landing(t) is not None][:30]:
+        s = _landing(ty)
+        counts = []
+        for n in (11, 10_001):
+            d = _implE_chain(n, ty)
+            built[0] = 0
+            with monkeypatch.context() as m:
+                m.setattr(translate, "Con", counting_con)
+                m.setattr(terms, "_map", no_walk)
+                witness = build_stability_witness(ipc, ty, d, s)
+            counts.append(built[0])
+            assert id(d) in _node_ids(witness)
+        assert counts[0] == counts[1], str(ty)
+
+
+def _node_ids(t):
+    """The ids of ``t``'s nodes, on an explicit stack."""
+    ids, stack = set(), [t]
+    while stack:
+        u = stack.pop()
+        if id(u) not in ids:
+            ids.add(id(u))
+            if type(u) is Con:
+                stack.extend(u.args)
+    return ids
+
+
+def test_a_witness_10_000_levels_deep_needs_no_recursion():
+    """At the default recursion limit: a right-nested ``impl`` chain of
+    10 000 levels over bot lands ``d`` under 20 000 binders, and ``d``
+    placed there is taken as it is."""
+    ipc = get_language("IPC")
+    ty = BOT
+    for k in range(10_000):
+        ty = imp((P, Q)[k % 2], ty)
+    d = Con("implE", None, (P, nn(ty)), (Var(0), Var(1)))
+    placed = weaken(ipc, d, 0, 20_000)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert _landing(ty) == 20_000
+        shifted = build_stability_witness(ipc, ty, d)
+        landed = build_stability_witness(ipc, ty, placed, 20_000)
+    finally:
+        sys.setrecursionlimit(saved)
+    assert id(placed) in _node_ids(landed)
+    assert _same_nodes(landed, shifted) is None
+
+
+def test_landing_counts_binders_to_the_one_place_d_is_used():
+    assert _landing(BOT) == 0
+    assert _landing(TOP) is None
+    assert _landing(imp(P, BOT)) == 2
+    assert _landing(nn(P)) == 2
+    assert _landing(imp(P, nn(Q))) == 4
+    assert _landing(ObjType("and", (TOP, BOT))) == 1
+    assert _landing(imp(P, ObjType("and", (BOT, TOP)))) == 3
+    assert _landing(ObjType("and", (BOT, BOT))) is None
+    assert _landing(ObjType("and", (TOP, TOP))) is None
+
+
+def _nested_or_elimination(k, c):
+    """``t(k+1) = (orE [p, p, C] #0 weaken(t(k),0,1) #2)`` from ``t(0) = #1``
+    in context ``[or(p,p), C]``."""
+    cpc = get_language("CPC")
+    t = Var(1)
+    for _ in range(k):
+        t = Con("orE", None, (P, P, c), (Var(0), weaken(cpc, t, 0, 1), Var(2)))
+    return (ObjType("or", (P, P)), c), t
+
+
+@pytest.mark.parametrize("c", [BOT, imp(P, P)], ids=str)
+def test_nested_or_elimination_walks_no_translated_subproof(monkeypatch, c):
+    """200 nested ``orE``: each witness takes the subproofs where
+    ``translate_term`` placed them, so no ``weaken`` shifts anything and
+    ``terms._map``, the walk behind it, is never entered; the output is the
+    reference translator's, compared as printed text."""
+    x = get_translation("cpc2ipc-godel-gentzen")
+    ctx, term = _nested_or_elimination(200, c)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)
+    try:
+        want = str(cpc_to_ipc(ctx, term))
+    finally:
+        sys.setrecursionlimit(saved)
+    shifts = []
+    original = translate.weaken
+
+    def counting(sig, t, cutoff, amount):
+        shifts.append(amount)
+        return original(sig, t, cutoff, amount)
+
+    def no_walk(*args):
+        raise AssertionError("a translated subterm was walked again")
+
+    monkeypatch.setattr(translate, "weaken", counting)
+    monkeypatch.setattr(terms, "_map", no_walk)
+    out = translate_term(x, ctx, term)
+    monkeypatch.undo()
+    assert [a for a in shifts if a] == []
+    assert str(out) == want
+
+
+def test_a_deep_implication_result_translates_at_the_default_recursion_limit():
+    """``orE`` at a 480-deep right-nested ``impl`` result: the witness is
+    built on an explicit stack, 481 ``impl`` levels deep."""
+    x = get_translation("cpc2ipc-godel-gentzen")
+    t = Q
+    for _ in range(480):
+        t = imp(P, t)
+    ctx = (ObjType("or", (P, P)), imp(P, t))
+    branch = Con("implE", None, (P, t), (Var(2), Var(0)))
+    term = Con("orE", None, (P, P, t), (Var(0), branch, branch))
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        out = translate_term(x, ctx, term)
+    finally:
+        sys.setrecursionlimit(20_000)
+    try:
+        want = str(cpc_to_ipc(ctx, term))
+    finally:
+        sys.setrecursionlimit(saved)
+    assert str(out) == want
 
 
 class TestTranslationContext:
