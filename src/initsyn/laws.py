@@ -58,13 +58,13 @@ from .objtypes import (
 )
 from .signatures import TermArity, TypedSignature
 from .terms import (
-    Con,
     Context,
     Substitution,
     VAR_TABLE_SIZE,
     Term,
     TypeCheckError,
     Var,
+    _con,
     identity_substitution,
     infer,
     paused_gc,
@@ -378,7 +378,7 @@ class _Generator:
                         break
                     args.append(arg)
                 else:
-                    return Con(cand.name, lit, inst, tuple(args))
+                    return _con(cand.name, lit, inst, tuple(args))
             self.budget -= 1
             if self.budget <= 0:
                 raise _Exhausted()

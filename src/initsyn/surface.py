@@ -27,7 +27,7 @@ from .objtypes import (
     type_expr_errors,
 )
 from .signatures import ArgSpec, TermArity, TypedSignature, TypeSignature, validate_signature
-from .terms import Con, Context, Term, TypeCheckError, Var, infer, paused_gc
+from .terms import Con, Context, Term, TypeCheckError, Var, _con, infer, paused_gc
 from .translate import Template, TplMacro, TplMeta, Translation, validate_translation
 
 _MAX_NESTING = 500
@@ -563,7 +563,7 @@ def _parse_term_node(p: _Parser, sig: TypedSignature, template: bool = False) ->
             i += 1
             node = leaves.get((name, lit, inst))
             if node is None:
-                node = leaves[name, lit, inst] = Con(name, lit, inst, ())
+                node = leaves[name, lit, inst] = _con(name, lit, inst, ())
         # close every node whose last argument has been read
         while True:
             if not stack:
@@ -574,7 +574,7 @@ def _parse_term_node(p: _Parser, sig: TypedSignature, template: bool = False) ->
                 break
             i += 1
             name, lit, inst, args = stack.pop()
-            node = Con(name, lit, inst, tuple(args))
+            node = _con(name, lit, inst, tuple(args))
 
 
 def _template_leaf(p: _Parser) -> TplMeta | TplMacro:
@@ -769,7 +769,7 @@ def _macro_term(
             name, lit, inst, n = t
             args = tuple(done[len(done) - n :])
             del done[len(done) - n :]
-            done.append(Con(name, lit, inst, args))
+            done.append(_con(name, lit, inst, args))
         elif type(t) is Var:
             done.append(t)
         elif type(t) is TplMeta:

@@ -119,7 +119,14 @@ class Var(Frozen):
         return f"#{self.index}"
 
 
-class Con(Frozen):
+class _ConFields:
+    """``Con``'s four slots on a class that lets them be assigned, the
+    layout ``_con`` fills before it moves the object to ``Con``."""
+
+    __slots__ = ("name", "lit", "inst", "args")
+
+
+class Con(_ConFields, Frozen):
     """An occurrence of arity ``name`` with its family literal (or None),
     the ground types instantiating its type parameters and its arguments.
     A translation template is a ``Con`` tree too, whose instantiations are
@@ -127,11 +134,19 @@ class Con(Frozen):
 
     Immutable and compared by value, like ``Var``: ``==`` compares the four
     fields and ``hash`` is that of their tuple, written out for speed.
-    The ``__init__`` that ``Frozen`` builds sets the slots through their
-    descriptors; every rebuilt node pays it.
+    Calling ``Con`` takes the fields by position or name, as calling
+    every ``Frozen`` class does; its ``__init__`` sets each slot through a
+    descriptor call, which makes it take about twice as long as ``_con``
+    on CPython 3.11.  So the library builds its nodes with ``_con``,
+    which stores the fields into a ``_ConFields`` as plain attributes and
+    then sets the object's class to ``Con``.  ``Con`` adds no slot to
+    ``_ConFields``, so the two layouts are one and the result is a
+    ``Con`` in every respect: its type, ``==``, ``hash``, ``repr``,
+    ``match``, pickling, copying and ``FrozenInstanceError`` on
+    assignment are those of a node built by calling ``Con``.
     """
 
-    __slots__ = ("name", "lit", "inst", "args")
+    __slots__ = ()
     __match_args__ = ("name", "lit", "inst", "args")
 
     name: str
@@ -202,6 +217,21 @@ class Con(Frozen):
                 stack.append(a)
                 stack.append(" ")
         return "".join(out)
+
+
+_new = object.__new__
+
+
+def _con(name: str, lit: int | None, inst: tuple, args: tuple) -> Con:
+    """The ``Con`` node of these fields, built without ``Con.__init__``
+    (see ``Con``); every node the library builds comes from here."""
+    node = _new(_ConFields)
+    node.name = name
+    node.lit = lit
+    node.inst = inst
+    node.args = args
+    node.__class__ = Con
+    return node
 
 
 _SHARED_END = object()  # on the printer's stack: a shared node's text ends
@@ -400,7 +430,7 @@ def _map(
                 return t  # its only argument is a constant
             else:
                 b = go(a, d)
-            return t if b is a else Con(t.name, t.lit, t.inst, (b,))
+            return t if b is a else _con(t.name, t.lit, t.inst, (b,))
         if n == 2:
             a0, a1 = args
             if type(a0) is Var:
@@ -417,7 +447,7 @@ def _map(
                 b1 = go(a1, depth + counts[1])
             if b0 is a0 and b1 is a1:
                 return t
-            return Con(t.name, t.lit, t.inst, (b0, b1))
+            return _con(t.name, t.lit, t.inst, (b0, b1))
         new = []
         for a, k in zip(args, counts):
             if type(a) is Var:
@@ -427,7 +457,7 @@ def _map(
             new.append(a)
         if all(b is a for a, b in zip(args, new)):
             return t
-        return Con(t.name, t.lit, t.inst, tuple(new))
+        return _con(t.name, t.lit, t.inst, tuple(new))
 
     try:
         return on_var(term, 0) if type(term) is Var else go(term, 0)

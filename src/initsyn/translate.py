@@ -62,7 +62,9 @@ from .objtypes import (
     type_function,
 )
 from .signatures import TypedSignature, TermArity, ValidationReport
-from .terms import Con, Context, Term, TypeCheckError, Var, _arity_types, infer, paused_gc, weaken
+from .terms import (
+    Con, Context, Term, TypeCheckError, Var, _arity_types, _con, infer, paused_gc, weaken
+)
 
 ITER = "__iter"
 HOLE = "__hole"
@@ -238,10 +240,10 @@ def build_stability_witness(sig: TypedSignature, ty: ObjType, d: Term, at: int =
     """
 
     def implI(a, b, body):
-        return Con("implI", None, (a, b), (body,))
+        return _con("implI", None, (a, b), (body,))
 
     def implE(a, b, f, x):
-        return Con("implE", None, (a, b), (f, x))
+        return _con("implE", None, (a, b), (f, x))
 
     def landed(steps, depth: int) -> Term:
         # not-not-bot at a bot ``depth`` binders below the root, from ``d``
@@ -255,7 +257,7 @@ def build_stability_witness(sig: TypedSignature, ty: ObjType, d: Term, at: int =
             x, y = level.args
             depth -= 1 if proj else 2  # the binders that later steps put over this one
             if proj:
-                elim = Con(proj, None, (x, y), (Var(0),))
+                elim = _con(proj, None, (x, y), (Var(0),))
             else:  # the ``impl`` binder, out past the binders of later steps
                 elim = implE(x, y, Var(0), Var(2 + depth))
             step = implI(level, _BOT, implE(part, _BOT, Var(1), elim))
@@ -272,12 +274,12 @@ def build_stability_witness(sig: TypedSignature, ty: ObjType, d: Term, at: int =
             if t.name == "impl":
                 out.append(implI(x, y, last))
             else:
-                out.append(Con("andI", None, (x, y), (out.pop(), last)))
+                out.append(_con("andI", None, (x, y), (out.pop(), last)))
         elif t is _BOT:
             not_bot = landed(steps, depth)
             out.append(implE(_imp(_BOT, _BOT), _BOT, not_bot, implI(_BOT, _BOT, Var(0))))
         elif t is _TOP:
-            out.append(Con("topI", None, (), ()))
+            out.append(_con("topI", None, (), ()))
         elif t.name == "impl":
             y = t.args[1]
             todo += [(t, None, None), (y, ((t, y, None), steps), depth + 2)]
@@ -408,7 +410,7 @@ def instantiate_template(
     if head is not None:
         name, node_lit, fixed_inst, inst_of = head
         inst = fixed_inst if inst_of is None else inst_of(inst)
-        return Con(name, node_lit, inst, translated_args)
+        return _con(name, node_lit, inst, translated_args)
     return entry[2](inst, translated_args, lit, None)
 
 
@@ -590,7 +592,7 @@ def _compile(
         passthrough = tar.family_index and node_lit is None
         fixed_inst, inst_of = compile_type_expr(tpl.inst, ar.degree)
         if not passthrough and inst_of is None and all(fixed is not None for fixed, _ in subs):
-            return result, (Con(name, node_lit, fixed_inst, tuple([f for f, _ in subs])), None)
+            return result, (_con(name, node_lit, fixed_inst, tuple([f for f, _ in subs])), None)
         hold(*subs)
         arg_fns = [_function(s) for s in subs]
         # (C [..] ?1 ... ?n), no ?j weakened: the translated arguments are the node's
@@ -604,7 +606,7 @@ def _compile(
             head = (name, node_lit, fixed_inst, inst_of)
 
         def node(inst, args, lit, hole):
-            return Con(
+            return _con(
                 name,
                 lit if passthrough else node_lit,
                 fixed_inst if inst_of is None else inst_of(inst),
@@ -809,7 +811,7 @@ def identity_translation(sig: TypedSignature) -> Translation:
     for ar in sig.terms:
         inst = tuple(TVar(k) for k in range(1, ar.degree + 1))
         metas = tuple(TplMeta(j) for j in range(1, len(ar.args) + 1))
-        term_map[ar.name] = Con(ar.name, None, inst, metas)
+        term_map[ar.name] = _con(ar.name, None, inst, metas)
     return Translation(
         name=f"identity-{sig.name}",
         source=sig,

@@ -339,3 +339,142 @@ def cpc_to_ipc(ctx, term: Term) -> Term:
             ),
         )
     raise AssertionError(f"unknown CPC constructor {name}")
+
+
+# ---------------------------------------------------------------------------
+# What PCF programs compute
+
+
+def pcf_eval(term: Term):
+    """The value of a closed PCF program without ``rec`` and ``bottom``,
+    by big-step call-by-value evaluation: an int of type ``Nat``, a bool of
+    type ``Bool`` and a Python function of an arrow type.  ``Pred`` of 0 is
+    0, as the Church predecessor makes it.  Such programs always stop."""
+    consts = {
+        "tttt": True,
+        "ffff": False,
+        "Succ": lambda n: n + 1,
+        "Pred": lambda n: max(n - 1, 0),
+        "Zero": lambda n: n == 0,
+        "CondN": lambda b: lambda x: lambda y: x if b else y,
+    }
+    consts["CondB"] = consts["CondN"]
+
+    def ev(t: Term, env: tuple):
+        if type(t) is Var:
+            return env[t.index]
+        if t.name == "app":
+            return ev(t.args[0], env)(ev(t.args[1], env))
+        if t.name == "abs":
+            body = t.args[0]
+            return lambda v: ev(body, (v,) + env)
+        if t.name == "nats":
+            return t.lit
+        if t.name in consts:
+            return consts[t.name]
+        raise ValueError(f"pcf_eval does not evaluate {t.name}")
+
+    return ev(term, ())
+
+
+class OutOfFuel(Exception):
+    """``ulc_normalise`` ran out of beta steps or of depth."""
+
+
+def ulc_normalise(term: Term, fuel: int = 2000, max_depth: int = 300) -> tuple[Term, int]:
+    """The beta normal form of a ULC term by normal-order (leftmost
+    outermost) reduction, and the number of beta steps it took.  Raises
+    ``OutOfFuel`` on the step after ``fuel`` steps, or when the normaliser
+    would nest deeper than ``max_depth`` calls, which bounds the depth of
+    every term it builds, so that it stays within the default recursion
+    limit.  Terms are worked on as tuples: ``("v", i)``, ``("l", body)``
+    and ``("a", f, x)``."""
+    steps = 0
+
+    def check(depth: int) -> None:
+        if depth > max_depth:
+            raise OutOfFuel(f"deeper than {max_depth}")
+
+    def shift(t: tuple, cutoff: int, by: int, depth: int) -> tuple:
+        check(depth)
+        if t[0] == "v":
+            return ("v", t[1] + by) if t[1] >= cutoff else t
+        if t[0] == "l":
+            return ("l", shift(t[1], cutoff + 1, by, depth + 1))
+        return ("a", shift(t[1], cutoff, by, depth + 1), shift(t[2], cutoff, by, depth + 1))
+
+    def subst(t: tuple, j: int, s: tuple, depth: int) -> tuple:
+        # index j becomes s shifted past the j binders above it; free
+        # indices above j lose the binder that is contracted
+        check(depth)
+        if t[0] == "v":
+            i = t[1]
+            if i == j:
+                return shift(s, 0, j, depth + 1) if j else s
+            return ("v", i - 1) if i > j else t
+        if t[0] == "l":
+            return ("l", subst(t[1], j + 1, s, depth + 1))
+        return ("a", subst(t[1], j, s, depth + 1), subst(t[2], j, s, depth + 1))
+
+    def nf(t: tuple, depth: int) -> tuple:
+        nonlocal steps
+        check(depth)
+        if t[0] == "l":
+            return ("l", nf(t[1], depth + 1))
+        args = []  # the spine's arguments, the first one last
+        while t[0] == "a":
+            args.append(t[2])
+            t = t[1]
+        while t[0] == "l" and args:  # contract the head redex
+            steps += 1
+            if steps > fuel:
+                raise OutOfFuel(f"more than {fuel} beta steps")
+            t = subst(t[1], 0, args.pop(), depth + 1)
+            while t[0] == "a":
+                args.append(t[2])
+                t = t[1]
+        if t[0] == "l":
+            return ("l", nf(t[1], depth + 1))
+        for a in reversed(args):
+            t = ("a", t, nf(a, depth + 1))
+        return t
+
+    def tuples(t: Term, depth: int) -> tuple:
+        check(depth)
+        if type(t) is Var:
+            return ("v", t.index)
+        return ("l" if t.name == "abs" else "a",) + tuple([tuples(a, depth + 1) for a in t.args])
+
+    def terms(t: tuple) -> Term:
+        if t[0] == "v":
+            return Var(t[1])
+        if t[0] == "l":
+            return _abs(terms(t[1]))
+        return _app(terms(t[1]), terms(t[2]))
+
+    return terms(nf(tuples(term, 0), 0)), steps
+
+
+def church_nat(term: Term) -> int | None:
+    """``m`` when ``term`` is the Church numeral ``church(m)``, else None."""
+    match term:
+        case Con("abs", None, (), (Con("abs", None, (), (body,)),)):
+            m = 0
+            while body != Var(0):
+                match body:
+                    case Con("app", None, (), (Var(1), body)):
+                        m += 1
+                    case _:
+                        return None
+            return m
+    return None
+
+
+def church_bool(term: Term) -> bool | None:
+    """The boolean that ``term`` encodes as ``tttt``'s or ``ffff``'s image,
+    else None."""
+    if term == _TRUE:
+        return True
+    if term == _FALSE:
+        return False
+    return None

@@ -22,7 +22,7 @@ from initsyn.objtypes import (
     translate_type,
 )
 from initsyn.signatures import TVar
-from initsyn.terms import Con, Var
+from initsyn.terms import Con, Var, _con
 from initsyn.translate import identity_translation, retype_context
 
 from oracles import gg_prop
@@ -257,45 +257,52 @@ def test_dataclass_behaviour_is_kept():
 
 def test_term_nodes_keep_the_frozen_dataclass_contract():
     """``Var`` and ``Con`` compare, hash, print, match, pickle and refuse
-    assignment as the frozen dataclasses they replaced did."""
+    assignment as the frozen dataclasses they replaced did, and a node
+    built by ``terms._con`` is a ``Con`` in every one of these respects."""
     x, y = Var(0), Var(1)
-    t = Con("app", None, (NAT, BOOL), (x, Con("nats", 3, (), ())))
-    same = Con("app", None, (NAT, BOOL), (Var(0), Con("nats", 3, (), ())))
-    assert x == Var(0) and x != y and t == same and t is not same
-    assert t != Con("app", None, (NAT, NAT), t.args) and t != Con("abs", None, (), (x,))
-    assert x != Con("x", None, (), ()) and x != 0 and t != (t.name, t.lit, t.inst, t.args)
+    assert x == Var(0) and x != y and x != Con("x", None, (), ()) and x != 0
     assert hash(x) == hash((0,)) and hash(y) == hash((1,))
-    assert hash(t) == hash(("app", None, (NAT, BOOL), t.args)) == hash(same)
     assert repr(x) == "Var(index=0)"
-    assert repr(t) == (
-        "Con(name='app', lit=None, inst=(ObjType(name='Nat', args=()), "
-        "ObjType(name='Bool', args=())), args=(Var(index=0), "
-        "Con(name='nats', lit=3, inst=(), args=())))"
-    )
     assert Var.__match_args__ == ("index",)
     assert Con.__match_args__ == ("name", "lit", "inst", "args")
-    match t:
-        case Con("app", None, (a, b), (Var(i), Con("nats", n, (), ()))):
-            assert (a, b, i, n) == (NAT, BOOL, 0, 3)
-        case _:
-            pytest.fail("positional pattern did not match")
-    match t:
-        case Con(name="app", lit=None, args=(Var(index=i), Con(lit=n))):
-            assert (i, n) == (0, 3)
-        case _:
-            pytest.fail("keyword pattern did not match")
     assert Var(index=0) == x
-    assert Con(name="app", lit=None, inst=(NAT, BOOL), args=same.args) == t
-    for node, field in ((x, "index"), (t, "name"), (t, "args")):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(node, field, None)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(node, field)
-    for node in (x, t):
-        assert pickle.loads(pickle.dumps(node)) == node
-        assert copy.copy(node) == node
-        assert copy.deepcopy(node) == node
-    assert str(t) == "(app [Nat, Bool] #0 (nats{3}))"
+    same = Con("app", None, (NAT, BOOL), (Var(0), Con("nats", 3, (), ())))
+    for build in (Con, _con):
+        t = build("app", None, (NAT, BOOL), (x, build("nats", 3, (), ())))
+        assert type(t) is Con and type(t.args[1]) is Con
+        assert t == same and same == t and t is not same
+        assert t != Con("app", None, (NAT, NAT), t.args) and t != Con("abs", None, (), (x,))
+        assert t != _con("app", None, (NAT, NAT), t.args) and t != x
+        assert t != (t.name, t.lit, t.inst, t.args)
+        assert hash(t) == hash(("app", None, (NAT, BOOL), t.args)) == hash(same)
+        assert repr(t) == (
+            "Con(name='app', lit=None, inst=(ObjType(name='Nat', args=()), "
+            "ObjType(name='Bool', args=())), args=(Var(index=0), "
+            "Con(name='nats', lit=3, inst=(), args=())))"
+        )
+        match t:
+            case Con("app", None, (a, b), (Var(i), Con("nats", n, (), ()))):
+                assert (a, b, i, n) == (NAT, BOOL, 0, 3)
+            case _:
+                pytest.fail("positional pattern did not match")
+        match t:
+            case Con(name="app", lit=None, args=(Var(index=i), Con(lit=n))):
+                assert (i, n) == (0, 3)
+            case _:
+                pytest.fail("keyword pattern did not match")
+        assert Con(name="app", lit=None, inst=(NAT, BOOL), args=same.args) == t
+        for node, field in ((x, "index"), (t, "name"), (t, "args")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, field, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(node, field)
+        assert t.name == "app" and t.args[0] is x
+        for node in (x, t):
+            for other in (
+                pickle.loads(pickle.dumps(node)), copy.copy(node), copy.deepcopy(node)
+            ):
+                assert other == node and type(other) is type(node)
+        assert str(t) == "(app [Nat, Bool] #0 (nats{3}))"
 
 
 def test_threads_building_the_same_types_share_one_object_per_type():
