@@ -15,8 +15,9 @@ syntax cannot express:
 
 * ``(__iter step base)``, legal only in templates for family-indexed
   arities, expands to step applied literal-many times to base at
-  instantiation time (``(__hole)`` marks the iteration position).  This is
-  how numeral families map to iterated codings.
+  instantiation time (``(__hole)`` marks the iteration position), for a
+  literal of at most ``MAX_ITER_LITERAL``.  This is how numeral families
+  map to iterated codings.
 * ``(__stab [ty] t)`` produces a term of type ty from ``t`` of doubly
   negated type, generating the witness by recursion on the instantiated
   type.  It is accepted only when the target declares the standard
@@ -39,6 +40,10 @@ for every type whose witness has one.
 Each closed piece that compiling builds is typed by ``infer`` once and kept
 with the translation, so that ``initsyn translate``'s recheck of an output
 takes its type by identity instead of walking every place it is shared.
+
+``translate_term`` folds over the source term in one of two walks: a
+``Translation``'s carries only its placements' shift and never reads the
+context, and an ``OpaqueRepresentation``'s threads it down to the callbacks.
 """
 
 from __future__ import annotations
@@ -69,6 +74,8 @@ from .terms import (
 ITER = "__iter"
 HOLE = "__hole"
 STAB = "__stab"
+# ``__iter`` builds a node per step: a larger literal is refused, not run
+MAX_ITER_LITERAL = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +133,11 @@ class OpaqueRepresentation(Frozen):
     """Library-level representation with arbitrary per-arity callbacks.
 
     ``ops[name]`` receives the translated instantiation, the translated
-    ambient context, the translated arguments and the family literal, and
-    must return a target term; the engine typechecks every output against
-    the translated result type, since nothing else constrains a callback.
+    context at the node, the translated arguments and the family literal,
+    and must return a target term; the engine typechecks every output
+    against the translated result type, since nothing else constrains a
+    callback.  ``translate_term`` walks it on its own (``_translate_opaque``),
+    the only walk that reads the context.
     """
 
     __slots__ = __match_args__ = ("name", "source", "target", "type_map", "ops")
@@ -390,12 +399,10 @@ def instantiate_template(
     ... ?n)`` builds its node here; any other calls its compiled form.
 
     The template is checked and compiled once per ``Translation`` object
-    (see ``_compile``), by ``validate_translation`` or else on first use
-    here: every closed subtemplate is built then, and all outputs share
-    that one term, whose type ``infer`` finds once then.  The compiled
-    form is kept with the template and ``ar`` it was made from, and is
-    made again when either is another object.  A template that fails its
-    check, or is missing, raises ``TypeCheckError`` with the entry
+    (``_compile``: all outputs share each closed subtemplate), by
+    ``validate_translation`` or else on first use here, and again when the
+    template or ``ar`` is another object.  A template that fails its check,
+    or is missing, raises ``TypeCheckError`` with the entry
     ``validate_translation`` reports for it, at every call.
     """
     entry = x._compiled.get(ar.name)
@@ -478,22 +485,18 @@ def _compile(
     fixed root is the head as it is; else the head is None.
 
     A ``__stab`` at the root holds every placeholder, and for most types
-    its witness uses the term it is given, which holds them, in one place
-    (``_landing``).  The landing is then the function of inst that gives
-    the number of binders above that place, or 0 when there is no such
-    place or several.  The caller adds it to every placement
-    (``_placements``), and the witness takes the term built from those
-    arguments as it is.  Else the landing is None: a ``__stab`` elsewhere
-    (under template binders, inside ``__iter``, beside a placeholder)
-    shifts its term at each place its witness uses it.
+    its witness uses the term it is given in one place (``_landing``).  The
+    landing is then the function of inst that gives the number of binders
+    above that place, or 0 when there is none or several; the caller adds
+    it to every placement (``_placements``), and the witness takes the term
+    as it is.  Else the landing is None: a ``__stab`` elsewhere shifts its
+    term at each place its witness uses it.
 
-    Once the template passes, each maximal fixed piece (a fixed node that a
-    non-fixed node or ``__iter`` holds, or the fixed template itself, a
-    macro body and a fixed ``__stab`` witness included) that is closed goes
-    into ``x``'s table of closed pieces with its type, from ``infer`` in
-    the empty context or, for a macro, from ``_template_scope``; ``initsyn
-    translate`` rechecks its output with that table (``infer(...,
-    closed=)``).
+    Once the template passes, each maximal fixed piece that is closed (a
+    fixed node that a non-fixed node or ``__iter`` holds, or the fixed
+    template itself, macro bodies and ``__stab`` witnesses included) goes
+    into ``x._closed`` with its type, for ``initsyn translate``'s recheck
+    (``infer(..., closed=)``).
     """
     target = x.target
     inst0 = _opaque_inst(target, ar.degree)
@@ -632,6 +635,9 @@ def _compile(
         def iterate(inst, args, lit, hole):
             if lit is None:
                 raise TypeCheckError("__iter without a family literal")
+            if lit > MAX_ITER_LITERAL:
+                msg = f"literal {lit} is above __iter's bound {MAX_ITER_LITERAL}"
+                raise TypeCheckError(f"arity '{ar.name}': {msg}")
             acc = base_of(inst, args, lit, hole)
             for _ in range(lit):
                 acc = step_of(inst, args, lit, acc)
@@ -697,79 +703,68 @@ class _NodeError(TypeCheckError):
     as ``infer``'s errors do."""
 
 
+def _check_node(x: Representation, t: Con, types: dict) -> tuple[TermArity, tuple]:
+    """Both walks' check, once per (arity, instantiation) pair: ``infer``'s
+    (``TypedSignature.node_error``), then ``t``'s arity and translated inst."""
+    error = x.source.node_error(t.name, t.lit, len(t.inst), len(t.args))
+    if error is not None:
+        raise _NodeError(error)
+    return x.source.arity(t.name), _retype(x.type_map, t.inst, types)
+
+
 @paused_gc
 def translate_term(x: Representation, ctx: Context, term: Term) -> Term:
     """The initial morphism on terms: structural recursion over ``term``.
 
     Variables keep their positions, and each constructor occurrence becomes
     its template instantiated at the translated type parameters with the
-    translated arguments.  Templates never read the context, so for a
-    ``Translation`` the context is not consulted and the output depends on
-    the term alone.  An ``OpaqueRepresentation`` callback receives the
-    translated context at its node: ``ctx`` is retyped once at the root and
-    then extended by the translated binder types on the way down.  A
-    ``Translation`` places each argument once (``_compile``): a variable
-    moves by the current shift less the shift at its binder.
+    translated arguments.  An ``OpaqueRepresentation`` has a walk of its own
+    (``_translate_opaque``), the only one that reads ``ctx``: templates
+    never do, so a ``Translation``'s output depends on the term alone.  Its
+    walk places each argument once (``_compile``): a variable moves by the
+    current shift less the shift at its binder.
 
-    Two tables live for one call: translated types, shared by the context
-    and every instantiation, so each distinct type is translated once; and,
-    per distinct (arity, instantiation) pair, the arity with its translated
-    instantiation and placements, or binder and result types if opaque.  A
-    node that is not well formed raises ``infer``'s error
-    (``TypedSignature.node_error``) with its argument path; an error of a
-    template or an operation names its arity and has no path.  The whole
-    check runs once per pair, and a later node of the pair compares only
-    whether it has a literal and its argument count, as ``infer`` does.  A
-    variable argument costs no call, and an unshifted node of at most two
-    arguments no loop.
+    Per call, each distinct type is translated once, and each distinct
+    (arity, instantiation) pair is checked once (``_check_node``: a node
+    that is not well formed raises ``infer``'s error with its argument
+    path); a later node of the pair compares only whether it has a literal
+    and its argument count, as ``infer`` does.  An error of a template
+    names its arity and has no path.  A variable argument costs no call.
     """
-    g = x.type_map
-    opaque = isinstance(x, OpaqueRepresentation)
+    if isinstance(x, OpaqueRepresentation):
+        return _translate_opaque(x, ctx, term)
     types: dict[ObjType, ObjType] = {}
     shapes: dict[tuple, tuple] = {}
     shifts: list[int] = []  # source binder level below ``rel`` -> its shift
 
     # ``t`` translated, shifted past ``sh`` extra binders; ``rel`` counts the
     # source binders above ``t`` since the shift was last 0, so it is 0 where ``sh`` is
-    def go(t: Term, ctx_t: Context = (), rel: int = 0, sh: int = 0) -> Term:
+    def go(t: Term, rel: int = 0, sh: int = 0) -> Term:
         if type(t) is Var:
             return t
         if type(t) is not Con:
             raise _NodeError(f"not a term: {t!r}")
         shape = shapes.get((t.name, t.inst))
         if shape is None or (t.lit is None) is shape[0] or len(t.args) != shape[1]:
-            error = x.source.node_error(t.name, t.lit, len(t.inst), len(t.args))
-            if error is not None:
-                raise _NodeError(error)
-            ar = x.source.arity(t.name)
-            inst_t = _retype(g, t.inst, types)
-            if opaque:
-                images = _arity_images(x, ar, inst_t)
-            else:  # for a ``Translation``, the placements
-                try:
-                    images = _placements(_compiled_entry(x, ar), inst_t)
-                except TypeCheckError:  # raised again after the arguments
-                    images = tuple([(b, 0) for b in x.source.binder_counts[t.name]])
-            moved = not opaque and any(k for _, k in images)
+            ar, inst_t = _check_node(x, t, types)
+            try:
+                places = _placements(_compiled_entry(x, ar), inst_t)
+            except TypeCheckError:  # raised again after the arguments
+                places = tuple([(b, 0) for b in x.source.binder_counts[t.name]])
             shape = shapes[t.name, t.inst] = (
-                bool(ar.family_index), len(ar.args), ar, inst_t, images, moved
+                bool(ar.family_index), len(ar.args), ar, inst_t, places, any(k for _, k in places)
             )
-        _, _, ar, inst_t, images, moved = shape
+        _, _, ar, inst_t, places, moved = shape
         args = t.args
         at = 0  # the argument being translated: a node error in it gets its path
         try:
-            if opaque:
+            if sh or moved or len(args) > 2:
                 new = []
-                for at, (a, b) in enumerate(zip(args, images[0])):
-                    new.append(go(a, b + ctx_t))
-                args = tuple(new)
-            elif sh or moved or len(args) > 2:
-                new = []
-                for at, (a, (b, k)) in enumerate(zip(args, images)):
+                for at, (a, (b, k)) in enumerate(zip(args, places)):
                     s = sh + k
                     if type(a) is not Var:
                         shifts[rel : rel + b] = [s] * b
-                        a = go(a, (), rel + b, s) if s else go(a)  # unshifted: from level 0
+                        a = go(a, rel + b, s) if s else go(a)  # unshifted: from level 0
                     elif s and a.index >= b:  # bound outside the argument: it moves
                         j = a.index - b  # its index at the node
                         a = Var(a.index + s - (shifts[rel - 1 - j] if j < rel else 0))
@@ -785,22 +780,53 @@ def translate_term(x: Representation, ctx: Context, term: Term) -> Term:
         except _NodeError as exc:
             exc.path = (at,) + exc.path
             raise
-        if not opaque:
-            return instantiate_template(x, ar, inst_t, args, t.lit, placed=True)
+        return instantiate_template(x, ar, inst_t, args, t.lit, placed=True)
+
+    try:
+        return go(term)
+    finally:
+        del go  # it refers to itself: the cycle would hold the tables
+
+
+def _translate_opaque(x: OpaqueRepresentation, ctx: Context, term: Term) -> Term:
+    """``translate_term`` for an ``OpaqueRepresentation``, with binder and
+    result types in place of placements: ``ctx`` is retyped once and grows
+    by the translated binders on the way down, and ``infer`` checks each
+    operation's output in the context at its node."""
+    types: dict[ObjType, ObjType] = {}
+    shapes: dict[tuple, tuple] = {}
+
+    def go(t: Term, ctx_t: Context) -> Term:
+        if type(t) is Var:
+            return t
+        if type(t) is not Con:
+            raise _NodeError(f"not a term: {t!r}")
+        shape = shapes.get((t.name, t.inst))
+        if shape is None or (t.lit is None) is shape[0] or len(t.args) != shape[1]:
+            ar, inst_t = _check_node(x, t, types)
+            shape = shapes[t.name, t.inst] = (
+                bool(ar.family_index), len(ar.args), inst_t, *_arity_images(x, ar, inst_t)
+            )
+        _, _, inst_t, binders, _, result_ty = shape
+        args = []
+        try:
+            for at, (a, b) in enumerate(zip(t.args, binders)):
+                args.append(go(a, b + ctx_t))
+        except _NodeError as exc:
+            exc.path = (at,) + exc.path
+            raise
         op = x.ops.get(t.name)
         if op is None:
             raise TypeCheckError(f"no operation for arity '{t.name}'")
-        result = op(inst_t, ctx_t, args, t.lit)
+        result = op(inst_t, ctx_t, tuple(args), t.lit)
         actual = infer(x.target, ctx_t, result)
-        if actual is not images[2]:
-            raise TypeCheckError(
-                f"operation for '{t.name}' returned a term of type "
-                f"{actual}, expected {images[2]}"
-            )
+        if actual is not result_ty:
+            msg = f"returned a term of type {actual}, expected {result_ty}"
+            raise TypeCheckError(f"operation for '{t.name}' {msg}")
         return result
 
     try:
-        return go(term, _retype(g, ctx, types) if opaque else ())
+        return go(term, _retype(x.type_map, ctx, types))
     finally:
         del go  # it refers to itself: the cycle would hold the tables
 

@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -303,6 +304,21 @@ def test_too_deep_input_exits_2_without_traceback(tmp_path):
     assert (code, out) == (2, "")
     assert err == "error: input too deep or too large (RecursionError)\n"
     assert _fresh_run(["translate", "--using", "pcf2ulc-turing", str(path)]) == (2, out, err)
+
+
+def test_a_family_literal_above_the_iter_bound_exits_1(tmp_path):
+    """``check`` accepts any literal; ``translate`` refuses one that its
+    ``__iter`` template would expand more than ``MAX_ITER_LITERAL`` times
+    before building a node, instead of running for as long as it is large."""
+    path = tmp_path / "huge.term"
+    path.write_text("context ; (nats{99999999999999999999})")
+    assert _fresh_run(["check", "--lang", "PCF", str(path)]) == (0, ": Nat\n", "")
+    start = time.perf_counter()
+    code, out, err = _fresh_run(["translate", "--using", "pcf2ulc-turing", str(path)])
+    assert time.perf_counter() - start < 30
+    assert (code, out) == (1, "")
+    literal = "literal 99999999999999999999"
+    assert err == f"error: arity 'nats': {literal} is above __iter's bound 10000\n"
 
 
 @pytest.mark.parametrize("depth", [500, 501])

@@ -275,6 +275,26 @@ class TestOpaqueRepresentation:
         )
 
 
+def test_iter_expands_up_to_its_bound_and_refuses_more():
+    """A literal of ``MAX_ITER_LITERAL`` expands on a loop, at the default
+    recursion limit; one more is refused, naming the arity and the literal,
+    through either walk."""
+    x = get_translation("pcf2ulc-turing")
+    bound = translate.MAX_ITER_LITERAL
+    assert bound >= 10_000
+    out = translate_term(x, (), Con("nats", bound, (), ()))
+    steps, t = 0, out.args[0].args[0]  # under the numeral's two binders
+    while type(t) is Con and t.name == "app":
+        steps, t = steps + 1, t.args[1]
+    assert (steps, t) == (bound, Var(0))
+    for rep in (x, _opaque_from_templates(x)):
+        with pytest.raises(TypeCheckError) as err:
+            translate_term(rep, (), Con("nats", bound + 1, (), ()))
+        message = f"arity 'nats': literal {bound + 1} is above __iter's bound {bound}"
+        assert err.value.message == message
+        assert err.value.path == ()
+
+
 def test_stability_witness_typechecks_on_random_images():
     ipc = get_language("IPC")
     g = get_translation("cpc2ipc-godel-gentzen").type_map
@@ -612,14 +632,18 @@ class TestTranslationContext:
             assert short_out == long_out
             assert str(short_out) == str(long_out)
 
-    @pytest.mark.parametrize("name", ["pcf2ulc-turing", "cpc2ipc-godel-gentzen"])
+    @pytest.mark.parametrize(
+        "name", ["pcf2ulc-turing", "pcf2ulc-curry", "cpc2ipc-godel-gentzen"]
+    )
     def test_opaque_callback_sees_retyped_node_context(self, name):
         x = get_translation(name)
         seen = []
+        reached = set()  # (arity, literal >= 1) of every node a callback got
 
         def op(ar):
             def run(inst, ctx, args, lit):
                 seen.append((ar.name, ctx))
+                reached.add((ar.name, lit is not None and lit >= 1))
                 return instantiate_template(x, ar, inst, args, lit)
 
             return run
@@ -640,6 +664,9 @@ class TestTranslationContext:
             ]
             assert seen == expected
             assert out == translate_term(x, ctx, term)
+        # the ``__iter`` path, and the ``__stab`` at the root of ``orE``'s template
+        want = ("orE", False) if name.startswith("cpc") else ("nats", True)
+        assert want in reached
 
 
 def _cases_with_binders(sig, rng, count):
