@@ -9,6 +9,11 @@ innermost-first indices.
 
 Context files list types outermost last: ``context Nat Bool ; t`` binds
 ``#0`` to Nat and ``#1`` to Bool.
+
+A term file in the canonical form that ``print_termfile`` writes is read
+by node heads and whole instantiations (``_read_canonical``); every other
+text, and every term file with an error, goes through the token scanner
+(``_scan``), which gives identical values and messages.
 """
 
 from __future__ import annotations
@@ -63,6 +68,16 @@ _TOKEN = re.compile(
     re.VERBOSE,
 )
 _PLAIN = b"\t\r\n" + bytes(range(32, 127)).replace(b"-", b"")  # the bytes ``_split`` reads
+_CANONICAL_BYTES = _PLAIN[2:]  # those that ``print_termfile`` writes: no tab, no '\r'
+
+# The canonical scan of a term file's term: a whole instantiation, '(' with
+# the arity name and literal that follow it, a variable or ')'.  What is not
+# one of those (a comment, a space inside a head) is read as some other
+# run of characters, which the term reader declines.
+_CANONICAL_TOKEN = re.compile(r"\[[^\]]*\]|[^ \n)]+|\)")
+# A ground type's text split at its parentheses and commas, an innermost
+# application such as 'impl(q,top)' kept whole.
+_TYPE_PIECES = re.compile(r"([^(),]+\([^()]*\)|[(),])")
 
 _DIGITS = frozenset("0123456789")
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_*")
@@ -94,7 +109,8 @@ def _kind(t: str) -> str:
 
 
 def _scan(text: str) -> list[str]:
-    """The token strings of ``text`` in order, then ``""`` for its end.
+    """The token strings of ``text`` in order, then ``""`` for its end: the
+    scan of every text but a term file that ``_read_canonical`` reads.
 
     ASCII text is read by ``_split``, or by ``findall`` where that declines.
     Other text goes through ``_tokenize``: which characters are letters and
@@ -111,7 +127,8 @@ def _split(text: str) -> list[str] | None:
     """The token strings of ASCII ``text``, its words once punctuation is
     spaced out; None, as ``findall`` may read others, where a byte is not in
     ``_PLAIN`` (deleting those leaves the rest, in one C pass) or a distinct
-    word is not one token ('# c', '#1a', '@@')."""
+    word is not one token ('# c', '#1a', '@@').  A canonical term file
+    reaches it only where ``_read_canonical`` declines it."""
     if text.encode("ascii").translate(None, _PLAIN):
         return None
     for c in "()[]{},;:=<>":
@@ -218,8 +235,9 @@ class _Parser:
         t = self.toks[self.i]
         if t[:1] not in _DIGITS:
             self.found("a number")
+        n = _number(self, t, self.i)
         self.i += 1
-        return int(t)
+        return n
 
     def at_punct(self, s: str) -> bool:
         return self.toks[self.i] == s
@@ -232,6 +250,18 @@ class _Parser:
         t = self.toks[self.i]
         if t:
             self.fail(f"trailing input {_shown(t)!r}", "end of input")
+
+
+def _number(p: _Parser, digits: str, at: int) -> int:
+    """The number ``digits`` spell, raising at token ``at`` where they are
+    more than ``int`` converts (``sys.get_int_max_str_digits``).  Only a
+    canonical scan can pass text that is not digits, which it declines."""
+    if digits.isdigit():
+        try:
+            return int(digits)
+        except ValueError:
+            pass
+    p.fail(f"number too long ({len(digits)} digits)", at=at)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +285,9 @@ def _parse_type(p: _Parser, ground: dict[str, int] | None = None) -> TypeExpr:
             p.fail("nesting too deep")
         name = toks[i]
         if ground is None and name[:1] == "$" and len(name) > 1:
+            p.i = i
+            ty = TVar(_number(p, name[1:], i))
             i += 1
-            ty = TVar(int(name[1:]))
         elif (ground is None or name not in ground) and not _is_ident(name):
             p.i = i  # a declared name is an identifier
             p.found("a type expression" if ground is None else "a ground type")
@@ -449,7 +480,17 @@ def parse_term(text: str, sig: TypedSignature) -> tuple[Context, Term]:
 def _parse_typed_term(
     text: str, sig: TypedSignature
 ) -> tuple[Context, Term, ObjType]:
-    """``parse_term`` that also returns the type found by the check."""
+    """``parse_term`` that also returns the type found by the check.
+
+    A file in the form ``print_termfile`` writes is read by
+    ``_read_canonical``.  Where that declines, as on any error, the token
+    scanner reads the file from the start, so that every error it raises
+    is the one it always raised."""
+    if text.isascii() and not text.encode("ascii").translate(None, _CANONICAL_BYTES):
+        try:
+            return _read_canonical(text, sig)
+        except _Decline:
+            pass
     p = _Parser(text)
     p.expect_keyword("context")
     ctx: list[ObjType] = []
@@ -466,6 +507,120 @@ def _parse_typed_term(
         tok = _token_at(text, _node_token(_scan(text), start, exc.path))
         raise SourceError(tok.line, tok.column, exc.message) from exc
     return tuple(ctx), term, ty
+
+
+class _Decline(Exception):
+    """The canonical scan does not read a term file."""
+
+
+class _CanonicalParser(_Parser):
+    """The canonical scan of a term file's term (``_CANONICAL_TOKEN``), for
+    ``_parse_term_node``, with a per-file table from each ground type text
+    read to its type.  Every failure declines: no position is known."""
+
+    def __init__(self, toks: list[str], sig: TypedSignature):
+        self.toks, self.i, self.depth = toks, 0, 0
+        self.arities = sig.binder_counts
+        self.ground = sig.all_types.constructors
+        self.types: dict[str, ObjType] = {}
+
+    def fail(self, message: str = "", expected: str = "", at: int | None = None) -> NoReturn:
+        raise _Decline
+
+    def head(self, t: str) -> tuple[str, int | None]:
+        """The arity name and literal of ``t``: '(', the name, then '{n}' if any."""
+        name, brace, lit = t[1:].partition("{")
+        if name not in self.arities or brace and lit[-1:] != "}":
+            raise _Decline
+        return name, _number(self, lit[:-1], 0) if brace else None
+
+    def instantiation(self, t: str) -> tuple[ObjType, ...]:
+        """The instantiation printed as ``t``: '[', ground types separated
+        by ', ', then ']'."""
+        if t[-1] != "]":
+            raise _Decline
+        return tuple([self.ground_type(x) for x in t[1:-1].split(", ")])
+
+    def ground_type(self, text: str) -> ObjType:
+        """The ground type printed as ``text``, without recursion: ``stack``
+        holds the constructors whose arguments are being read, and ``ty`` is
+        the type that ends where the next piece starts.  A name and an
+        innermost application are each read once per file."""
+        ty = self.types.get(text)
+        if ty is not None:
+            return ty
+        parts = _TYPE_PIECES.split(text)
+        stack: list[tuple[str, list[ObjType]]] = []
+        for k in range(1, len(parts), 2):
+            word, piece = parts[k - 1], parts[k]
+            if word:
+                if ty is not None:
+                    raise _Decline
+                if piece == "(":
+                    stack.append((word, []))
+                    continue
+                ty = self._application(word)
+            if len(piece) > 1:
+                if ty is not None:
+                    raise _Decline
+                ty = self._application(piece)
+                continue
+            if ty is None or not stack or piece == "(":
+                raise _Decline
+            name, args = stack[-1]
+            args.append(ty)
+            if piece == ",":
+                ty = None
+                continue
+            stack.pop()
+            if self.ground.get(name) != len(args):
+                raise _Decline
+            ty = ObjType(name, tuple(args))
+        if parts[-1]:
+            if ty is not None:
+                raise _Decline
+            ty = self._application(parts[-1])
+        if ty is None or stack:
+            raise _Decline
+        self.types[text] = ty
+        return ty
+
+    def _application(self, text: str) -> ObjType:
+        """The type printed as ``text``, a name or a constructor applied to names."""
+        ty = self.types.get(text)
+        if ty is None:
+            name, paren, args = text.partition("(")
+            names = args[:-1].split(",") if paren else ()
+            if self.ground.get(name) != len(names):
+                raise _Decline
+            ty = ObjType(name, tuple([self._application(a) for a in names]))
+            self.types[text] = ty
+        return ty
+
+
+def _read_canonical(text: str, sig: TypedSignature) -> tuple[Context, Term, ObjType]:
+    """``_parse_typed_term`` of a file in canonical form: its context types
+    are words, and its term is read by ``_parse_term_node`` over the
+    canonical scan.  It declines what it cannot read, what may nest too
+    deep and what does not typecheck."""
+    semi = text.find(";")
+    words = text[:semi].split() if semi >= 0 else []
+    if words[:1] != ["context"]:
+        raise _Decline
+    p = _CanonicalParser(_CANONICAL_TOKEN.findall(text, semi + 1), sig)
+    p.toks.append("")
+    ctx = []
+    for word in words[1:]:
+        if word.count("(") >= _MAX_NESTING:
+            raise _Decline
+        ctx.append(p.ground_type(word))
+    ctx = tuple(ctx)
+    term = _parse_term_node(p, sig)
+    p.expect_eof()
+    try:
+        return ctx, term, infer(sig, ctx, term)
+    except TypeCheckError:
+        raise _Decline from None
 
 
 def _node_token(toks: list[str], k: int, path: tuple[int, ...]) -> int:
@@ -496,14 +651,16 @@ def _parse_term_node(p: _Parser, sig: TypedSignature, template: bool = False) ->
 
     With ``template`` it reads a template or a macro body of a translation
     into ``sig``: instantiations are type expressions, and ``?j`` and
-    ``<m>`` are leaves too."""
+    ``<m>`` are leaves too.  Over a canonical scan (``_CanonicalParser``)
+    a node's '(' and arity name are one token, as is an instantiation."""
     toks, i = p.toks, p.i
     room = _MAX_NESTING - p.depth
     arities = sig.binder_counts  # keyed by arity name
     ground = None if template else sig.all_types.constructors
     variables: dict[str, Var] = {}
     leaves: dict[tuple, Con] = {}
-    instantiations: dict[tuple[str, ...], tuple[ObjType, ...]] = {}
+    heads: dict[str, tuple[str, int | None]] = {}
+    instantiations: dict[tuple[str, ...] | str, tuple[ObjType, ...]] = {}
     stack: list[tuple[str, int | None, tuple[ObjType, ...], list[Term]]] = []
     while True:
         if len(stack) >= room:
@@ -513,9 +670,10 @@ def _parse_term_node(p: _Parser, sig: TypedSignature, template: bool = False) ->
         if t[:1] == "#":
             node = variables.get(t)
             if node is None:
-                node = variables[t] = Var(int(t[1:]))
+                p.i = i
+                node = variables[t] = Var(_number(p, t[1:], i))
             i += 1
-        elif t != "(":
+        elif t[:1] != "(":
             p.i = i
             if not template:
                 p.found("'('")
@@ -523,19 +681,33 @@ def _parse_term_node(p: _Parser, sig: TypedSignature, template: bool = False) ->
             i = p.i
         else:
             i += 1
-            name = toks[i]
-            if name not in arities and not _is_ident(name):
-                p.i = i
-                p.found("an arity name")
-            i += 1
-            lit: int | None = None
-            if toks[i] == "{":
-                p.i = i + 1
-                lit = p.expect_nat()
-                p.expect_punct("}")
-                i = p.i
+            if t != "(":  # a head of the canonical scan
+                head = heads.get(t)
+                if head is None:
+                    head = heads[t] = p.head(t)
+                name, lit = head
+            else:
+                name = toks[i]
+                if name not in arities and not _is_ident(name):
+                    p.i = i
+                    p.found("an arity name")
+                i += 1
+                lit = None
+                if toks[i] == "{":
+                    p.i = i + 1
+                    lit = p.expect_nat()
+                    p.expect_punct("}")
+                    i = p.i
             inst: tuple[ObjType, ...] = ()
-            if toks[i] == "[":
+            s = toks[i]
+            if s[:1] == "[" and s != "[":  # an instantiation of the canonical scan
+                if len(stack) + 1 + s.count("(") >= room:
+                    p.fail("nesting too deep")
+                inst = instantiations.get(s)
+                if inst is None:
+                    inst = instantiations[s] = p.instantiation(s)
+                i += 1
+            elif s == "[":
                 # an instantiation whose tokens were read before in this file
                 # is that one again, unless it may nest too deep here
                 try:
@@ -582,7 +754,7 @@ def _template_leaf(p: _Parser) -> TplMeta | TplMacro:
     at = p.i
     t = p.next()
     if t[:1] == "?" and len(t) > 1:
-        j = int(t[1:])
+        j = _number(p, t[1:], at)
         if j < 1:
             p.fail("placeholder index must be positive", at=at)
         return TplMeta(j)

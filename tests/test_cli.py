@@ -441,3 +441,11 @@ def test_translate_a_context_type_499_levels_deep(tmp_path):
     argv = ["translate", "--using", "cpc2ipc-godel-gentzen", str(term)]
     assert _at_the_default_limit(argv) == (0, "#0\n", "")
     assert _fresh_run(argv) == (0, "#0\n", "")
+
+
+def test_number_past_the_int_limit_exits_1_with_its_position(tmp_path):
+    path = tmp_path / "long.term"
+    path.write_text("context Nat ; #" + "7" * (sys.get_int_max_str_digits() + 1) + "\n")
+    code, out, err = _fresh_run(["check", "--lang", "PCF", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 1, column 15: number too long") and "Traceback" not in err

@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from initsyn import languages
+from initsyn import languages, surface
 from initsyn.languages import get_language, get_translation, list_builtins
 from initsyn.laws import GenConfig, GenFailure, gen_context, gen_term
+from initsyn.terms import Con
 from initsyn.surface import (
     _TOKEN,
     SourceError,
@@ -259,6 +260,18 @@ class TestNestingLimit:
         got = (err.value.line, err.value.column, err.value.message)
         assert got == (1, 4005, "nesting too deep")
 
+    @pytest.mark.parametrize("depth, error", [(497, None), (498, (2, 12967)), (499, (2, 3995))])
+    def test_deep_instantiations_decline_the_canonical_path(self, depth, error):
+        """An instantiation whose types may nest past the limit where it
+        stands is left to the token scanner, which reads or rejects it."""
+        ty = "arr(Nat," * depth + "Nat" + ")" * depth
+        text = f"context {ty} ;\n(app [{ty}, {ty}] (abs [{ty}, {ty}] #0) #0)"
+        assert not _takes_canonical_path(text, get_language("PCF"))
+        got = _outcome(text, get_language("PCF"))
+        assert got[:2] == error if error else got[0][0].name == "arr"
+        if error:
+            assert got[2] == "nesting too deep"
+
     @pytest.mark.parametrize("kind", ["template", "macro"])
     def test_500_level_templates_and_macros_load(self, kind):
         text, deep = _deep_xlat(kind, 500)
@@ -284,3 +297,154 @@ class TestNestingLimit:
         with pytest.raises(SourceError) as err:
             parse_signature(_deep_signature(500))
         assert (err.value.line, err.value.column, err.value.message) == (4, 2017, "nesting too deep")
+
+
+# Variants of canonical term files that the canonical path declines, each a
+# (old, new) replacement: spaces inside an instantiation, its types not
+# separated by ', ', a space inside a type, a comment, a tab, a non-ASCII letter.
+VARIANTS = [
+    ("[", "[ "),
+    (", ", ","),
+    (",", ", "),
+    (" ;", " # c\n;"),
+    (" ", "\t"),
+    ("context", "context é"),
+]
+
+
+def _general(text: str, sig):
+    """What the token scanner alone makes of ``text``: a value or the
+    (line, column, message) of its SourceError."""
+    saved = surface._read_canonical
+    surface._read_canonical = _declined
+    try:
+        return _outcome(text, sig)
+    finally:
+        surface._read_canonical = saved
+
+
+def _declined(text, sig):
+    raise surface._Decline
+
+
+def _outcome(text: str, sig):
+    try:
+        return surface._parse_typed_term(text, sig)
+    except SourceError as err:
+        return (err.line, err.column, err.message)
+
+
+def _takes_canonical_path(text: str, sig) -> bool:
+    try:
+        surface._read_canonical(text, sig)
+    except surface._Decline:
+        return False
+    return True
+
+
+def _sharing(value) -> list[int]:
+    """The first-visit numbering of the objects in a parse result: equal
+    lists for equal results mean the same objects are shared."""
+    ids: dict[int, int] = {}
+    out = []
+    stack = [value]
+    while stack:
+        x = stack.pop()
+        out.append(ids.setdefault(id(x), len(ids)))
+        if isinstance(x, tuple):
+            stack.extend(x)
+        elif isinstance(x, Con):
+            stack.extend((x.inst, *x.args))
+    return out
+
+
+def _term_files() -> list[tuple[str, object]]:
+    """The seeded term files, and longer printed ``gen_term`` files, each
+    with its language."""
+    out = []
+    for name in list_builtins()[0]:
+        sig, rng = get_language(name), random.Random(30)
+        cfg = GenConfig(seed=30, max_depth=9)
+        for _ in range(12):
+            ctx = gen_context(sig, cfg, rng, max_len=4)
+            try:
+                out.append((print_termfile(sig, ctx, gen_term(sig, ctx, None, cfg, rng=rng)), sig))
+            except GenFailure:
+                pass
+    for text in _seeded_term_files():
+        for name in list_builtins()[0]:
+            sig = get_language(name)
+            if _takes_canonical_path(text, sig):
+                out.append((text, sig))
+    return out
+
+
+def test_canonical_path_reads_term_files_as_the_token_scanner_does():
+    files = _term_files()
+    assert len(files) > 80
+    for text, sig in files:
+        assert _takes_canonical_path(text, sig), text
+        got, want = _outcome(text, sig), _general(text, sig)
+        assert got == want, text
+        assert _sharing(got) == _sharing(want), text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_mutated_term_files_have_the_token_scanners_outcome(data):
+    files = _term_files()
+    text, sig = data.draw(st.sampled_from(files))
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    if data.draw(st.booleans()):
+        old, new = data.draw(st.sampled_from(VARIANTS))
+        text = text.replace(old, new, 1) if old in text else text
+    else:
+        text = _mutate(rng, text)
+    got, want = _outcome(text, sig), _general(text, sig)
+    assert got == want, text
+    if type(got) is tuple and len(got) == 3 and type(got[2]) is not str:
+        assert _sharing(got) == _sharing(want), text
+
+
+def test_canonical_path_guard():
+    """Where the canonical path runs: README's ``neg.term`` and the seeded
+    files take it, and the variants of them do not."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    neg = readme.split("the boolean negation program\n\n```\n", 1)[1].split("```", 1)[0]
+    pcf = get_language("PCF")
+    assert _takes_canonical_path(neg, pcf)
+    files = _term_files()
+    for old, new in VARIANTS:
+        changed = [(t.replace(old, new), sig) for t, sig in files if old in t and "[" in t]
+        assert changed, old
+        for text, sig in changed:
+            assert not _takes_canonical_path(text, sig), text
+            assert _outcome(text, sig) == _general(text, sig), text
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: ("term", f"context Nat ; #{n}", (1, 15)),
+        lambda n: ("term", f"context Nat ;\n (nats{{{n}}})", (2, 8)),
+        lambda n: ("sig", f"language L\ntypes {{ Nat : {n} }}\nterms {{ }}\n", (2, 15)),
+        lambda n: ("sig", f"language L\ntypes {{ Nat : 0 }}\nterms {{\n  f [{n}] : () -> Nat\n}}\n", (4, 6)),
+        lambda n: ("sig", f"language L\ntypes {{ Nat : 0 }}\nterms {{\n  f [1] : () -> ${n}\n}}\n", (4, 17)),
+        lambda n: ("xlat", print_translation(get_translation("pcf2ulc-turing")).replace(
+            "app -> (app ?1 ?2)", f"app -> (app ?1 ?{n})"), (14, 18)),
+    ],
+    ids=["variable", "literal", "constructor-count", "degree", "type-parameter", "placeholder"],
+)
+def test_numbers_past_the_int_limit_are_source_errors(make):
+    """A number with more digits than ``int`` converts is an error at its
+    token, not a bare ValueError."""
+    kind, text, at = make("7" * (sys.get_int_max_str_digits() + 1))
+    with pytest.raises(SourceError) as err:
+        if kind == "term":
+            parse_term(text, get_language("PCF"))
+        elif kind == "sig":
+            parse_signature(text)
+        else:
+            parse_translation(text, get_language("PCF"), get_language("ULC"))
+    assert (err.value.line, err.value.column) == at
+    assert err.value.message.startswith("number too long")
