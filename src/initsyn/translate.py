@@ -38,8 +38,9 @@ Under a ``__stab`` at a template's root it is placed further, at the one
 place where the stability witness uses the term built from the arguments,
 for every type whose witness has one.
 Each closed piece that compiling builds is typed by ``infer`` once and kept
-with the translation, so that ``initsyn translate``'s recheck of an output
-takes its type by identity instead of walking every place it is shared.
+with the translation, so that ``initsyn translate --xlat``'s recheck of an
+output takes its type by identity instead of walking every place it is
+shared.
 
 ``translate_term`` folds over the source term in one of two walks: a
 ``Translation``'s carries only its placements' shift and never reads the
@@ -495,8 +496,8 @@ def _compile(
     Once the template passes, each maximal fixed piece that is closed (a
     fixed node that a non-fixed node or ``__iter`` holds, or the fixed
     template itself, macro bodies and ``__stab`` witnesses included) goes
-    into ``x._closed`` with its type, for ``initsyn translate``'s recheck
-    (``infer(..., closed=)``).
+    into ``x._closed`` with its type, for ``initsyn translate --xlat``'s
+    recheck (``infer(..., closed=)``).
     """
     target = x.target
     inst0 = _opaque_inst(target, ar.degree)

@@ -221,6 +221,28 @@ def stable(ty: ObjType, d: Term) -> Term:
     raise AssertionError(f"type {ty} is not stable")
 
 
+def gg_or_elim(a: ObjType, b: ObjType, c: ObjType, major: Term, left: Term, right: Term) -> Term:
+    """The image of ``orE`` at the translated types ``a``, ``b`` and ``c``,
+    from the images of its three arguments, each in its own context."""
+    hyp = ObjType("and", (_o_neg(a), _o_neg(b)))
+    refutation = _implI(
+        _o_neg(c),
+        _O_BOT,
+        _implE(
+            hyp,
+            _O_BOT,
+            _up(major, 0, 1),
+            _andI(
+                _o_neg(a),
+                _o_neg(b),
+                _implI(a, _O_BOT, _implE(c, _O_BOT, Var(1), _up(left, 1, 1))),
+                _implI(b, _O_BOT, _implE(c, _O_BOT, Var(1), _up(right, 1, 1))),
+            ),
+        ),
+    )
+    return stable(c, refutation)
+
+
 def cpc_to_ipc(ctx, term: Term) -> Term:
     if isinstance(term, Var):
         return Var(term.index)
@@ -281,31 +303,7 @@ def cpc_to_ipc(ctx, term: Term) -> Term:
         )
     if name == "orE":
         a, b, c = gi
-        hyp = ObjType("and", (_o_neg(a), _o_neg(b)))
-        refutation = _implI(
-            _o_neg(c),
-            _O_BOT,
-            _implE(
-                hyp,
-                _O_BOT,
-                _up(sub(0, ()), 0, 1),
-                _andI(
-                    _o_neg(a),
-                    _o_neg(b),
-                    _implI(
-                        a,
-                        _O_BOT,
-                        _implE(c, _O_BOT, Var(1), _up(sub(1, (inst[0],)), 1, 1)),
-                    ),
-                    _implI(
-                        b,
-                        _O_BOT,
-                        _implE(c, _O_BOT, Var(1), _up(sub(2, (inst[1],)), 1, 1)),
-                    ),
-                ),
-            ),
-        )
-        return stable(c, refutation)
+        return gg_or_elim(a, b, c, sub(0, ()), sub(1, (inst[0],)), sub(2, (inst[1],)))
     if name == "EM":
         (a,) = gi
         neg_a_img = _o_imp(a, _o_nn(_O_BOT))

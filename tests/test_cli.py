@@ -1,5 +1,6 @@
 import io
 import os
+import random
 import subprocess
 import sys
 import time
@@ -8,13 +9,17 @@ from pathlib import Path
 
 import pytest
 
+import initsyn
 from initsyn.cli import main
-from initsyn.languages import get_language, get_translation
-from initsyn.surface import parse_signature, print_translation
-from initsyn.terms import Con
+from initsyn.languages import get_language, get_translation, list_builtins
+from initsyn.objtypes import ObjType
+from initsyn.surface import parse_signature, print_termfile, print_translation
+from initsyn.terms import Con, Var, weaken
 from initsyn.translate import identity_translation
 
-from oracles import pcf_to_ulc, theta_term
+from oracles import cpc_to_ipc, pcf_to_ulc, theta_term
+from test_closed_pieces import BOOL, NAT, NN, pcf_nat
+from test_cpc_truth_tables import conjunction_proof, tautologies
 
 NEG_TERM = """context ; (abs [Bool, Bool]
   (app [Bool, Bool]
@@ -25,6 +30,12 @@ NEG_TERM = """context ; (abs [Bool, Bool]
 """
 
 GOLDEN = "Abs (Abs (Abs (Abs (3 @ 2 @ 1))) @ 1 @ Abs (Abs 1) @ Abs (Abs 2))"
+
+
+def xlat_file(name: str) -> str:
+    """The ``.xlat`` file a builtin translation is loaded from: ``--xlat``
+    of it translates as ``--using name`` does, and rechecks the output."""
+    return str(Path(initsyn.__file__).parent / "data" / f"{name}.xlat")
 
 
 def run(argv):
@@ -190,12 +201,29 @@ def test_translate_rechecks_what_it_prints(tmp_path, monkeypatch):
     monkeypatch.setattr(initsyn.cli, "translate_term", of_the_wrong_type)
     path = tmp_path / "p.term"
     path.write_text("context p ; #0")
-    code, out, err = run(["translate", "--using", "cpc2ipc-godel-gentzen", str(path)])
+    code, out, err = run(["translate", "--xlat", xlat_file("cpc2ipc-godel-gentzen"), str(path)])
     assert (code, out) == (1, "")
     assert err == "error: translated term has type top, expected impl(impl(p,bot),bot)\n"
 
 
-def test_translate_typechecks_source_once(tmp_path, monkeypatch):
+def test_translate_using_a_builtin_prints_without_a_recheck(tmp_path, monkeypatch):
+    """A builtin translation's output is printed as the engine built it:
+    its type is held by the tests of the engine, not by a recheck."""
+    import initsyn.cli
+
+    def of_the_wrong_type(x, ctx, term):
+        return Con("topI", None, (), ())
+
+    monkeypatch.setattr(initsyn.cli, "translate_term", of_the_wrong_type)
+    path = tmp_path / "p.term"
+    path.write_text("context p ; #0")
+    code, out, err = run(["translate", "--using", "cpc2ipc-godel-gentzen", str(path)])
+    assert (code, out, err) == (0, "(topI)\n", "")
+
+
+def _count_infer_calls(monkeypatch) -> list[str]:
+    """The names of the signatures that ``infer`` is called with, through
+    the names the CLI and the term parser call it by, from now on."""
     import initsyn.cli
     import initsyn.surface
 
@@ -208,15 +236,104 @@ def test_translate_typechecks_source_once(tmp_path, monkeypatch):
             return _original(sig, ctx, term, **kwargs)
 
         monkeypatch.setattr(module, "infer", counted)
+    return calls
+
+
+def test_translate_typechecks_source_once(tmp_path, monkeypatch):
+    calls = _count_infer_calls(monkeypatch)
     path = tmp_path / "neg.term"
     path.write_text(NEG_TERM)
-    code, out, _ = run(["translate", "--using", "pcf2ulc-turing", str(path)])
+    code, out, _ = run(["translate", "--xlat", xlat_file("pcf2ulc-turing"), str(path)])
     assert code == 0
     # one check of the source while parsing, one recheck of the output
     assert calls == ["PCF", "ULC"]
     code, out, _ = run(["check", "--lang", "PCF", str(path)])
     assert code == 0 and out.strip() == ": arr(Bool,Bool)"
     assert calls == ["PCF", "ULC", "PCF"]
+
+
+def test_translate_using_a_builtin_typechecks_only_the_source(tmp_path, monkeypatch):
+    calls = _count_infer_calls(monkeypatch)
+    path = tmp_path / "neg.term"
+    path.write_text(NEG_TERM)
+    code, out, _ = run(["translate", "--using", "pcf2ulc-turing", str(path)])
+    assert (code, out) == (0, run(["translate", "--xlat", xlat_file("pcf2ulc-turing"), str(path)])[1])
+    # one check of the source while parsing; the --xlat run above rechecked
+    assert calls == ["PCF", "PCF", "ULC"]
+    code, out, _ = run(["check", "--lang", "PCF", str(path)])
+    assert code == 0 and out.strip() == ": arr(Bool,Bool)"
+    assert calls == ["PCF", "PCF", "ULC", "PCF"]
+
+
+def _files_of(language: str) -> list[str]:
+    """README's ``neg.term`` for PCF, and for PCF and CPC seeded files of
+    several hundred nodes, in an empty context and in a longer one."""
+    sig = get_language(language)
+    if language == "PCF":
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        neg = readme.split("the boolean negation program\n\n```\n", 1)[1].split("```", 1)[0]
+        ctx = (NAT, NN, BOOL)
+        seeded = [print_termfile(sig, ctx, pcf_nat(random.Random(seed), ctx, 400)) for seed in (7, 8)]
+        return [neg, *seeded]
+    proofs = [conjunction_proof(tautologies(seed, 5, height=5))[0] for seed in (41, 42)]
+    ctx = (ObjType("p"), ObjType("or", (ObjType("q"), ObjType("r"))))
+    return [print_termfile(sig, (), proofs[0]), print_termfile(sig, ctx, weaken(sig, proofs[1], 0, 2))]
+
+
+@pytest.mark.parametrize("name", list_builtins()[1])
+def test_using_and_xlat_print_the_same_bytes(tmp_path, name):
+    """``--using NAME`` and ``--xlat`` of NAME's own file differ only in
+    the recheck, which passes here: stdout, stderr and exit code agree,
+    and the canonical style prints the term."""
+    x = get_translation(name)
+    for k, text in enumerate(_files_of(x.source.name)):
+        path = tmp_path / f"{k}.term"
+        path.write_text(text)
+        for style in ("canonical", "paper"):
+            using = run(["translate", "--using", name, "--style", style, str(path)])
+            if style == "canonical":  # paper style is for ULC only: exit 1 on IPC
+                assert using[0] == 0 and using[1] and using[2] == ""
+            assert run(["translate", "--xlat", xlat_file(name), "--style", style, str(path)]) == using
+
+
+def _at_the_default_recursion_limit(argv):
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        return run(argv)
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def test_using_translates_nats_10000(tmp_path):
+    """The recheck's recursive ``infer`` used to end this with exit 2."""
+    path = tmp_path / "nats10000.term"
+    path.write_text("context ; (nats{10000})")
+    code, out, err = _at_the_default_recursion_limit(["translate", "--using", "pcf2ulc-turing", str(path)])
+    assert (code, err) == (0, "")
+    assert out == f"{pcf_to_ulc(theta_term())((), Con('nats', 10000, (), ()))}\n"
+
+
+def test_using_translates_an_or_elimination_at_a_480_deep_implication(tmp_path):
+    """``orE`` whose result is a right-nested ``impl`` 480 levels deep: its
+    witness nests as deep, which the recheck's ``infer`` could not follow."""
+    p, t = ObjType("p"), ObjType("q")
+    for _ in range(480):
+        t = ObjType("impl", (p, t))
+    ctx = (ObjType("or", (p, p)), ObjType("impl", (p, t)))
+    branch = Con("implE", None, (p, t), (Var(2), Var(0)))
+    term = Con("orE", None, (p, p, t), (Var(0), branch, branch))
+    path = tmp_path / "deep-orE.term"
+    path.write_text(print_termfile(get_language("CPC"), ctx, term))
+    argv = ["translate", "--using", "cpc2ipc-godel-gentzen", str(path)]
+    code, out, err = _at_the_default_recursion_limit(argv)
+    assert (code, err) == (0, "")
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)  # the oracle recurses on the type
+    try:
+        assert out == f"{cpc_to_ipc(ctx, term)}\n"
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def test_translate_nats_250(tmp_path):
@@ -291,19 +408,37 @@ def test_laws_runs_as_a_fresh_command():
 
 def test_too_deep_input_exits_2_without_traceback(tmp_path):
     """``nats{1000}`` parses, but its translation nests deeper than the
-    recursive kernel follows at the default recursion limit; the CLI
+    recursive recheck follows at the default recursion limit; the CLI
     reports that instead of crashing."""
     path = tmp_path / "nats1000.term"
     path.write_text("context ; (nats{1000})")
+    argv = ["translate", "--xlat", xlat_file("pcf2ulc-turing"), str(path)]
     saved = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        code, out, err = run(["translate", "--using", "pcf2ulc-turing", str(path)])
+        code, out, err = run(argv)
     finally:
         sys.setrecursionlimit(saved)
     assert (code, out) == (2, "")
     assert err == "error: input too deep or too large (RecursionError)\n"
-    assert _fresh_run(["translate", "--using", "pcf2ulc-turing", str(path)]) == (2, out, err)
+    assert _fresh_run(argv) == (2, out, err)
+
+
+def test_deep_output_of_a_builtin_prints_at_the_default_recursion_limit(tmp_path):
+    """Without the recheck, nothing recursive walks ``nats{1000}``'s
+    translation: the CLI prints it, in-process and in a fresh run."""
+    path = tmp_path / "nats1000.term"
+    path.write_text("context ; (nats{1000})")
+    argv = ["translate", "--using", "pcf2ulc-turing", str(path)]
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        code, out, err = run(argv)
+    finally:
+        sys.setrecursionlimit(saved)
+    assert (code, err) == (0, "")
+    assert out == f"{pcf_to_ulc(theta_term())((), Con('nats', 1000, (), ()))}\n"
+    assert _fresh_run(argv) == (0, out, err)
 
 
 def test_a_family_literal_above_the_iter_bound_exits_1(tmp_path):

@@ -1,4 +1,5 @@
-"""The closed template pieces that ``initsyn translate``'s recheck looks up.
+"""The closed template pieces that ``initsyn translate --xlat``'s recheck
+looks up.
 
 Compiling a translation builds each closed subtemplate once, and every
 output shares that one object; ``_compile`` types each maximal one with
@@ -9,10 +10,11 @@ only fewer frames."""
 
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
-from initsyn import cli, terms, translate
+from initsyn import cli, languages, terms, translate
 from initsyn.languages import _read, get_language, get_translation, load_translation
 from initsyn.laws import GenConfig, GenFailure, gen_term
 from initsyn.objtypes import ObjType, ground_types, translate_type
@@ -243,7 +245,7 @@ def test_a_structurally_equal_copy_is_walked(name):
 def test_a_misplaced_piece_fails_with_plain_infers_error(tmp_path, monkeypatch, capsys):
     """An engine that puts a registered piece where another type belongs
     fails the recheck with the message and path plain ``infer`` gives, at
-    the piece's parent, and ``initsyn translate`` exits 1 with it."""
+    the piece's parent, and ``initsyn translate --xlat`` exits 1 with it."""
     x = get_translation("cpc2ipc-godel-gentzen")
     top_t = translate_type(x.type_map, ObjType("top"))
     wrong = next(p for p, ty in x._closed.values() if ty is not top_t)
@@ -278,8 +280,12 @@ def test_a_misplaced_piece_fails_with_plain_infers_error(tmp_path, monkeypatch, 
         f"at argument path 0.1: expected {top_t}, found {x._closed[id(wrong)][1]}"
     )
     capsys.readouterr()
-    code = cli.main(["translate", "--using", "cpc2ipc-godel-gentzen", str(path)])
+    xlat = Path(languages.__file__).parent / "data" / "cpc2ipc-godel-gentzen.xlat"
+    code = cli.main(["translate", "--xlat", str(xlat), str(path)])
     assert (code, capsys.readouterr()) == (1, ("", f"error: {plain.value}\n"))
+    # a builtin's output is not rechecked: the engine's tests hold it
+    code = cli.main(["translate", "--using", "cpc2ipc-godel-gentzen", str(path)])
+    assert (code, capsys.readouterr().err) == (0, "")
 
 
 def test_the_recheck_enters_at_most_half_the_frames_on_a_pcf_file():

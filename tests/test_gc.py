@@ -26,6 +26,8 @@ from initsyn.surface import SourceError, parse_term, print_termfile
 from initsyn.terms import Con, TypeCheckError, Var, infer, rename, substitute, weaken
 from initsyn.translate import OpaqueRepresentation, instantiate_template, translate_term
 
+from test_cli import xlat_file
+
 LANGUAGES, TRANSLATIONS = list_builtins()
 CFG = GenConfig(seed=3, cases=12, max_depth=6)
 
@@ -150,12 +152,14 @@ def test_collection_is_on_again_after_a_generation_failure():
 
 
 def test_collection_is_on_again_after_too_deep_input_exits_2(tmp_path):
+    # ``--xlat`` rechecks the output, and the recheck's ``infer`` cannot
+    # follow nats{1000}'s translation; ``--using`` prints it
     path = tmp_path / "nats1000.term"
     path.write_text("context ; (nats{1000})")
     saved = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        code, out, err = _cli(["translate", "--using", "pcf2ulc-turing", str(path)])
+        code, out, err = _cli(["translate", "--xlat", xlat_file("pcf2ulc-turing"), str(path)])
     finally:
         sys.setrecursionlimit(saved)
     assert (code, out) == (2, "")

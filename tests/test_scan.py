@@ -7,6 +7,7 @@ strings (when a tokenizer built one tuple per token and raised on a bad
 character as soon as it was read); the parsers must still do exactly that.
 """
 
+import functools
 import hashlib
 import json
 import random
@@ -358,9 +359,12 @@ def _sharing(value) -> list[int]:
     return out
 
 
-def _term_files() -> list[tuple[str, object]]:
+@functools.cache
+def _term_files() -> tuple[tuple[str, object], ...]:
     """The seeded term files, and longer printed ``gen_term`` files, each
-    with its language."""
+    with its language.  Built once per session: every example of the
+    mutation test below draws from the same files, which
+    ``test_term_files_are_pinned`` pins by digest."""
     out = []
     for name in list_builtins()[0]:
         sig, rng = get_language(name), random.Random(30)
@@ -376,7 +380,12 @@ def _term_files() -> list[tuple[str, object]]:
             sig = get_language(name)
             if _takes_canonical_path(text, sig):
                 out.append((text, sig))
-    return out
+    return tuple(out)
+
+
+def test_term_files_are_pinned():
+    files = _term_files()
+    assert (len(files), digest([[sig.name, text] for text, sig in files])) == (123, "17d5491591ef")
 
 
 def test_canonical_path_reads_term_files_as_the_token_scanner_does():
