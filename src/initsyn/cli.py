@@ -86,7 +86,6 @@ def cmd_translate(args) -> int:
     x = _load_translation(args)
     ctx, term, ty = parse_term(_read(args.termfile), x.source)
     translated = translate_term(x, ctx, term)
-    ctx_t = retype_context(x.type_map, ctx)
     # A builtin translation's output is well typed by the theorem, and the
     # tests hold the engine to it at every arity's generic instance and
     # against engine mutants (tests/test_generic_instances.py,
@@ -94,13 +93,15 @@ def cmd_translate(args) -> int:
     # a --xlat file's templates, so its output is rechecked; each closed
     # piece they share was typed by ``infer`` once, at compiling.
     if args.xlat is not None:
+        ctx_t = retype_context(x.type_map, ctx)
         actual = infer(x.target, ctx_t, translated, closed=x._closed)
         expected = translate_type(x.type_map, ty)
         if actual != expected:
             raise TypeCheckError(
                 f"translated term has type {actual}, expected {expected}"
             )
-    print(print_term(x.target, ctx_t, translated, style=args.style))
+    # ``print_term`` reads neither its signature nor its context
+    print(print_term(x.target, (), translated, style=args.style))
     return 0
 
 

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import sys
 from typing import Callable, Sequence
 
 from .objtypes import (
@@ -171,52 +172,143 @@ class Con(_ConFields, Frozen):
         """The canonical text, which the term parser reads back.  A first
         pass finds, by identity, the nodes with arguments reached more than
         once; the text of each is built once and then appended at every
-        later occurrence.  Both passes keep an explicit stack, so that depth
-        costs no recursion, and the pieces are joined once at the end."""
-        shared: dict[int, str | None] = {}  # id -> its text, once rendered
-        seen: set[int] = set()
-        stack: list = [self]
-        while stack:
-            for a in stack.pop().args:
-                if type(a) is Con and a.args:
-                    if id(a) in seen:
-                        shared[id(a)] = None
-                    else:
-                        seen.add(id(a))
-                        stack.append(a)
-        insts: dict[tuple, str] = {}  # an instantiation -> its text
-        out: list[str] = []
-        opened: list[tuple[int, int]] = []  # open shared nodes: id, first piece
-        stack.append(self)
-        while stack:
-            t = stack.pop()
-            if type(t) is not Con:
-                if t is _SHARED_END:
-                    k, start = opened.pop()
-                    out.append(")")
-                    text = shared[k] = "".join(out[start:])
-                    out[start:] = [text]
-                    continue
-                out.append(t if type(t) is str else str(t))
+        later occurrence, and the pieces are joined once at the end.  Both
+        passes recurse, one frame per level, within the headroom the stack
+        has at entry: the recursion limit, less the frames of the caller,
+        less ``_STR_MARGIN``.  A subtree below that depth goes to the same
+        pass on an explicit stack, so that depth costs no recursion; the
+        two share the output, the table of shared nodes and the texts of
+        instantiations."""
+        depth, f = 0, sys._getframe()
+        while f is not None:
+            depth += 1
+            f = f.f_back
+        return _text(self, sys.getrecursionlimit() - depth - _STR_MARGIN)
+
+
+# Frames that ``Con.__str__`` leaves free below the recursion limit: the
+# interpreter's own entries on the way in, and the types' and leaves' ``str``
+_STR_MARGIN = 40
+
+
+def _text(t: Con, room: int) -> str:
+    """``t``'s canonical text (``Con.__str__``), with both passes recursing
+    at most ``room`` levels deep, and not at all when ``room`` is not
+    positive.  Calls made in C, such as nested containers' ``repr``, count
+    toward the limit without a frame, so they can leave less room than the
+    caller's frames show: the recursion then fails, and both passes start
+    again on the explicit stack."""
+    if room > 0:
+        try:
+            shared: dict[int, str | None] = {}  # id -> its text, once rendered
+            out: list[str] = []
+            _find_shared(t, room, set(), shared)
+            _render(t, room, out, shared, {}, "(")
+            return "".join(out)
+        except RecursionError:
+            pass
+    shared, out = {}, []
+    _find_shared_on_stack(t, set(), shared)
+    _render_on_stack(t, out, shared, {})
+    return "".join(out)
+
+
+def _find_shared(t: Con, room: int, seen: set[int], shared: dict) -> None:
+    """Mark in ``shared`` each node with arguments below ``t`` that is
+    reached a second time, recursing at most ``room`` levels deep."""
+    for a in t.args:
+        if type(a) is Con and a.args:
+            k = id(a)
+            if k in seen:
+                shared[k] = None
+            else:
+                seen.add(k)
+                if room > 1:
+                    _find_shared(a, room - 1, seen, shared)
+                else:
+                    _find_shared_on_stack(a, seen, shared)
+
+
+def _find_shared_on_stack(t: Con, seen: set[int], shared: dict) -> None:
+    """``_find_shared`` without recursion."""
+    stack: list = [t]
+    while stack:
+        for a in stack.pop().args:
+            if type(a) is Con and a.args:
+                if id(a) in seen:
+                    shared[id(a)] = None
+                else:
+                    seen.add(id(a))
+                    stack.append(a)
+
+
+def _render(t: Con, room: int, out: list[str], shared: dict, insts: dict, lead: str) -> None:
+    """Append ``lead`` and ``t``'s text to ``out``, recursing at most
+    ``room`` levels deep; a shared node's text is kept in ``shared`` once
+    built."""
+    out.append(lead + t.name if t.lit is None else f"{lead}{t.name}{{{t.lit}}}")
+    if t.inst:
+        shown = insts.get(t.inst)
+        if shown is None:
+            shown = insts[t.inst] = " [" + ", ".join([str(ty) for ty in t.inst]) + "]"
+        out.append(shown)
+    for a in t.args:
+        if type(a) is Var:
+            out.append(f" #{a.index}")
+            continue
+        if type(a) is not Con:
+            out.append(" " + str(a))
+            continue
+        text = shared.get(id(a), False) if shared else False
+        if text:
+            out.append(" ")
+            out.append(text)
+        elif room <= 1:
+            out.append(" ")
+            _render_on_stack(a, out, shared, insts)
+        elif text is None:  # a shared node's first occurrence
+            out.append(" ")
+            start = len(out)
+            _render(a, room - 1, out, shared, insts, "(")
+            text = shared[id(a)] = "".join(out[start:])
+            out[start:] = [text]
+        else:
+            _render(a, room - 1, out, shared, insts, " (")
+    out.append(")")
+
+
+def _render_on_stack(t: Con, out: list[str], shared: dict, insts: dict) -> None:
+    """``_render`` without recursion."""
+    opened: list[tuple[int, int]] = []  # open shared nodes: id, first piece
+    stack: list = [t]
+    while stack:
+        t = stack.pop()
+        if type(t) is not Con:
+            if t is _SHARED_END:
+                k, start = opened.pop()
+                out.append(")")
+                text = shared[k] = "".join(out[start:])
+                out[start:] = [text]
                 continue
-            text = shared.get(id(t), False) if shared else False
-            if text:
-                out.append(text)
-                continue
-            if text is None:
-                opened.append((id(t), len(out)))
-            stack.append(_SHARED_END if text is None else ")")
-            out.append("(")
-            out.append(t.name if t.lit is None else f"{t.name}{{{t.lit}}}")
-            if t.inst:
-                shown = insts.get(t.inst)
-                if shown is None:
-                    shown = insts[t.inst] = " [" + ", ".join([str(ty) for ty in t.inst]) + "]"
-                out.append(shown)
-            for a in reversed(t.args):
-                stack.append(a)
-                stack.append(" ")
-        return "".join(out)
+            out.append(t if type(t) is str else str(t))
+            continue
+        text = shared.get(id(t), False) if shared else False
+        if text:
+            out.append(text)
+            continue
+        if text is None:
+            opened.append((id(t), len(out)))
+        stack.append(_SHARED_END if text is None else ")")
+        out.append("(")
+        out.append(t.name if t.lit is None else f"{t.name}{{{t.lit}}}")
+        if t.inst:
+            shown = insts.get(t.inst)
+            if shown is None:
+                shown = insts[t.inst] = " [" + ", ".join([str(ty) for ty in t.inst]) + "]"
+            out.append(shown)
+        for a in reversed(t.args):
+            stack.append(a)
+            stack.append(" ")
 
 
 _new = object.__new__

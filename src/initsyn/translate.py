@@ -117,7 +117,8 @@ class Translation(Frozen):
     term_map: dict[str, Template]
     macros: dict[str, Term]
     # arity name -> (template, arity, compiled template, placements, landing, head); see
-    # ``_compile``, whose result the last four are, and ``instantiate_template``
+    # ``_compile``, whose result the last four are, ``instantiate_template`` and
+    # ``translate_term``
     _compiled: dict[str, tuple]
     # id(piece) -> (piece, its type): the closed pieces that compiling built, for
     # ``infer(..., closed=)``; see ``_compile``
@@ -398,6 +399,9 @@ def instantiate_template(
     its witness's landing) here, unless ``placed`` says they are already.
     A fixed template is returned as it is, and a template ``(C [..] ?1
     ... ?n)`` builds its node here; any other calls its compiled form.
+    ``translate_term`` does the first two itself, so those serve library
+    callers; it comes here, placed, only for templates compiled to a
+    function (``__iter``, ``__stab``, macros and nested nodes).
 
     The template is checked and compiled once per ``Translation`` object
     (``_compile``: all outputs share each closed subtemplate), by
@@ -465,8 +469,8 @@ def _compile(
     the function of (inst, args, lit, hole) it compiles to; the placement
     it takes each argument at: its binder count and the fewest extra
     binders over a ?j; the landing, a function of inst or None; and the
-    head, which ``instantiate_template`` uses instead of the function when
-    it is not None.
+    head, which ``instantiate_template`` and ``translate_term`` use instead
+    of the function when it is not None.
 
     Each node is typed at the opaque instantiation (``_opaque_inst``) in
     the template's own binder context, and the first check that fails
@@ -482,8 +486,8 @@ def _compile(
     through, takes the tuple of translated arguments as its own arguments
     instead of calling one function per argument.  At the root, that node
     is the head: (name, literal, fixed instantiation or None, instantiation
-    function or None), which ``instantiate_template`` builds itself; a
-    fixed root is the head as it is; else the head is None.
+    function or None), whose node the caller builds itself; a fixed root is
+    the head as it is; else the head is None.
 
     A ``__stab`` at the root holds every placeholder, and for most types
     its witness uses the term it is given in one place (``_landing``).  The
@@ -731,6 +735,14 @@ def translate_term(x: Representation, ctx: Context, term: Term) -> Term:
     path); a later node of the pair compares only whether it has a literal
     and its argument count, as ``infer`` does.  An error of a template
     names its arity and has no path.  A variable argument costs no call.
+
+    The pair's entry also holds its template's head (``_compile``): a fixed
+    template, or a direct node's name and literal with its instantiation
+    already evaluated at the pair's.  The walk returns the one, or builds
+    the other's node from the translated arguments, itself; only a template
+    compiled to a function goes through ``instantiate_template``.  Either
+    way the arguments are translated first, so a malformed node below a
+    fixed template still raises with its path.
     """
     if isinstance(x, OpaqueRepresentation):
         return _translate_opaque(x, ctx, term)
@@ -748,14 +760,23 @@ def translate_term(x: Representation, ctx: Context, term: Term) -> Term:
         shape = shapes.get((t.name, t.inst))
         if shape is None or (t.lit is None) is shape[0] or len(t.args) != shape[1]:
             ar, inst_t = _check_node(x, t, types)
+            fixed = name = lit = inst = None
             try:
-                places = _placements(_compiled_entry(x, ar), inst_t)
+                entry = _compiled_entry(x, ar)
             except TypeCheckError:  # raised again after the arguments
                 places = tuple([(b, 0) for b in x.source.binder_counts[t.name]])
+            else:
+                places, head = _placements(entry, inst_t), entry[5]
+                if type(head) is Con:
+                    fixed = head
+                elif head is not None:
+                    name, lit, inst, inst_of = head
+                    inst = inst if inst_of is None else inst_of(inst_t)
             shape = shapes[t.name, t.inst] = (
-                bool(ar.family_index), len(ar.args), ar, inst_t, places, any(k for _, k in places)
+                bool(ar.family_index), len(ar.args), ar, inst_t, places,
+                any(k for _, k in places), fixed, name, lit, inst,
             )
-        _, _, ar, inst_t, places, moved = shape
+        _, _, ar, inst_t, places, moved, fixed, name, lit, inst = shape
         args = t.args
         at = 0  # the argument being translated: a node error in it gets its path
         try:
@@ -781,6 +802,10 @@ def translate_term(x: Representation, ctx: Context, term: Term) -> Term:
         except _NodeError as exc:
             exc.path = (at,) + exc.path
             raise
+        if name is not None:
+            return _con(name, lit, inst, args)
+        if fixed is not None:
+            return fixed
         return instantiate_template(x, ar, inst_t, args, t.lit, placed=True)
 
     try:

@@ -242,6 +242,36 @@ def test_a_structurally_equal_copy_is_walked(name):
         assert str(err.value) == f"at argument path 0: expected {ty}, found nope"
 
 
+def test_a_piece_is_typed_by_identity_in_a_three_argument_node():
+    """``infer``'s path for nodes of more than two arguments takes the type
+    of a registered piece by identity too: in an IPC ``orE`` whose second
+    and third arguments are each piece, the piece enters no ``_infer``
+    frame of its own, and a structurally equal copy in either place is
+    walked, as plain ``infer`` walks it."""
+    x = get_translation("cpc2ipc-godel-gentzen")
+    p, q = ObjType("p"), ObjType("q")
+    ctx = (ObjType("or", (p, q)),)
+    assert x._closed
+    for piece, ty in x._closed.values():
+        _, copy = parse_term(print_termfile(x.target, (), piece), x.target)
+        assert copy == piece and copy is not piece
+        _, walk = _infer_frames(lambda: infer(x.target, (), copy))
+
+        def or_e(second, third):
+            return Con("orE", None, (p, q, ty), (Var(0), second, third))
+
+        for second, third, frames in (
+            (piece, piece, 1),
+            (copy, piece, 1 + walk),
+            (piece, copy, 1 + walk),
+            (copy, copy, 1 + 2 * walk),
+        ):
+            term = or_e(second, third)
+            found, entered = _infer_frames(lambda: infer(x.target, ctx, term, closed=x._closed))
+            assert found is infer(x.target, ctx, term) is ty
+            assert entered == frames
+
+
 def test_a_misplaced_piece_fails_with_plain_infers_error(tmp_path, monkeypatch, capsys):
     """An engine that puts a registered piece where another type belongs
     fails the recheck with the message and path plain ``infer`` gives, at
@@ -249,13 +279,14 @@ def test_a_misplaced_piece_fails_with_plain_infers_error(tmp_path, monkeypatch, 
     x = get_translation("cpc2ipc-godel-gentzen")
     top_t = translate_type(x.type_map, ObjType("top"))
     wrong = next(p for p, ty in x._closed.values() if ty is not top_t)
-    original = translate.instantiate_template
+    original = translate.translate_term
 
-    def misplacing(x_, ar, inst, args, lit=None, **kwargs):
-        out = original(x_, ar, inst, args, lit, **kwargs)
-        if ar.name == "andI":  # its second conjunct becomes the wrong piece
-            return Con(out.name, out.lit, out.inst, (out.args[0], wrong))
-        return out
+    def misplacing(x_, ctx, t):  # the second conjunct of andI's image becomes the wrong piece
+        out = original(x_, ctx, t)
+        pair = out.args[0]
+        assert pair.name == "andI"
+        misplaced = Con(pair.name, pair.lit, pair.inst, (pair.args[0], wrong))
+        return Con(out.name, out.lit, out.inst, (misplaced,))
 
     top = ObjType("top")
     and_tt = ObjType("and", (top, top))
@@ -265,7 +296,8 @@ def test_a_misplaced_piece_fails_with_plain_infers_error(tmp_path, monkeypatch, 
     )
     path = tmp_path / "misplaced.term"
     path.write_text(print_termfile(get_language("CPC"), (), term))
-    monkeypatch.setattr(translate, "instantiate_template", misplacing)
+    monkeypatch.setattr(cli, "translate_term", misplacing)
+    monkeypatch.setitem(globals(), "translate_term", misplacing)
     out = translate_term(x, (), term)
     assert out.args[0].args[1] is wrong and id(wrong) in x._closed
     with pytest.raises(TypeCheckError) as plain:

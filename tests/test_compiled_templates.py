@@ -600,3 +600,107 @@ def test_node_errors_carry_infers_argument_path(name):
         assert (str(err.value), err.value.path) == (str(by_infer.value), path)
         seen.add(kind)
         nested += len(path) >= 2
+
+
+NAT = ObjType("Nat")
+NAT_NAT = ObjType("arr", (NAT, NAT))
+
+
+def _app(a, b, f, arg):
+    return Con("app", None, (a, b), (f, arg))
+
+
+def _plain_pcf(rng, size, depth=0):
+    """A seeded PCF term of type Nat over ``depth + 1`` Nat variables, of
+    about ``size`` nodes, made of ``app``, ``abs``, argument-free
+    constants and variables only."""
+    if size <= 1:
+        return Var(rng.randrange(depth + 1))
+    k = rng.randrange(3)
+    if k == 0:
+        step = Con(rng.choice(("Succ", "Pred")), None, (), ())
+        return _app(NAT, NAT, step, _plain_pcf(rng, size - 2, depth))
+    half = (size - 3) // 2
+    if k == 1:
+        body = Con("abs", None, (NAT, NAT), (_plain_pcf(rng, half, depth + 1),))
+        return _app(NAT, NAT, body, _plain_pcf(rng, half, depth))
+    test = _app(NAT, BOOL, Con("Zero", None, (), ()), _plain_pcf(rng, half // 2, depth))
+    cond = _app(BOOL, ObjType("arr", (NAT, NAT_NAT)), Con("CondN", None, (), ()), test)
+    then = _app(NAT, NAT_NAT, cond, _plain_pcf(rng, half // 2, depth))
+    return _app(NAT, NAT, then, _plain_pcf(rng, half // 2, depth))
+
+
+def _counted_instantiations(monkeypatch) -> list[str]:
+    """The arity names of the ``instantiate_template`` calls from now on."""
+    calls = []
+    original = translate.instantiate_template
+
+    def counting(x, ar, *rest, **kwargs):
+        calls.append(ar.name)
+        return original(x, ar, *rest, **kwargs)
+
+    monkeypatch.setattr(translate, "instantiate_template", counting)
+    return calls
+
+
+def _names(term):
+    out, stack = [], [term]
+    while stack:
+        t = stack.pop()
+        if type(t) is Con:
+            out.append(t.name)
+            stack.extend(t.args)
+    return out
+
+
+@pytest.mark.parametrize("name", ["pcf2ulc-turing", "pcf2ulc-curry"])
+def test_translate_term_builds_head_templates_itself(name, monkeypatch):
+    """``translate_term`` builds a direct head's node (``app``, ``abs``)
+    and returns a fixed template (the constants) without calling
+    ``instantiate_template``; a template compiled to a function (``rec``,
+    ``nats``) is instantiated by exactly one call per node."""
+    from test_closed_pieces import pcf_nat
+
+    x = get_translation(name)
+    rng = random.Random(32)
+    plain = [_plain_pcf(rng, size) for size in (1, 5, 40, 300)]
+    wanted = [translate_term(x, (NAT,), t) for t in plain]
+    calls = _counted_instantiations(monkeypatch)
+    for term, out in zip(plain, wanted):
+        assert translate_term(x, (NAT,), term) == out
+        assert infer(x.target, (STAR,), out) is STAR
+    assert calls == [] and {"app", "abs", "Succ", "CondN"} <= set(_names(plain[-1]))
+    ctx = (NAT, NAT_NAT, BOOL)
+    for size in (3, 30, 300):
+        term = pcf_nat(rng, ctx, size)
+        calls.clear()
+        out = translate_term(x, ctx, term)
+        assert sorted(calls) == sorted(n for n in _names(term) if n in ("rec", "nats"))
+        args = tuple(translate_term(x, ctx, a) for a in term.args)
+        inst = retype_context(x.type_map, term.inst)
+        assert out == reference_instantiate(x, x.source.arity(term.name), inst, args, term.lit)
+    assert "rec" in calls or "nats" in calls
+
+
+def test_a_fixed_template_with_arguments_raises_a_malformed_arguments_error():
+    """An ``.xlat`` file that maps ``app``, which has arguments, to a fixed
+    template: ``translate_term`` returns that very piece, yet translates
+    the arguments first, so a malformed node below raises ``infer``'s
+    error with its argument path."""
+    from initsyn.languages import load_translation
+
+    text = _read("pcf2ulc-turing", ".xlat", "translation")
+    x = load_translation(text.replace("app -> (app ?1 ?2)", "app -> (abs #0)"))
+    assert validate_translation(x).ok and x.term_map["app"] == _con("abs", Var(0))
+    fixed = translate_term(x, (NAT,), _app(NAT, NAT, _con("Succ"), Var(0)))
+    assert fixed is x._compiled["app"][5] and fixed == _con("abs", Var(0))
+    bad_leaf = Con("Succ", 3, (), ())
+    inner = _app(NAT, NAT, _con("Succ"), _app(NAT, NAT, bad_leaf, Var(0)))
+    under_abs = _app(NAT, NAT, Con("abs", None, (NAT, NAT), (inner,)), Var(0))
+    for bad, path in ((inner, (1, 0)), (under_abs, (0, 0, 1, 0))):
+        with pytest.raises(TypeCheckError) as by_infer:
+            infer(x.source, (NAT,), bad)
+        with pytest.raises(TypeCheckError) as err:
+            translate_term(x, (NAT,), bad)
+        assert (str(err.value), err.value.path) == (str(by_infer.value), path)
+        assert err.value.message == "'Succ' is not family-indexed"

@@ -136,3 +136,31 @@ def test_substitution_commutation_fires_by_comparison():
     x = dropped_weakening(get_translation("pcf2ulc-turing"))
     report = check_translation_laws(x, GenConfig(seed=1, cases=2000))
     assert _clause(report) == "substitution commutation"
+
+
+def variable_inspecting(x):
+    """``x`` as callbacks, except that ``app`` inspects its arguments: when
+    one is a variable, the node it builds is put under an identity redex,
+    ``(app (abs #0) node)``, which is well typed wherever the node is.
+    Such a representation is not natural in its arguments."""
+
+    def op(ar):
+        def built(inst, ctx, args, lit):
+            out = instantiate_template(x, ar, inst, args, lit)
+            if ar.name == "app" and any(type(a) is Var for a in args):
+                return Con("app", None, (), (Con("abs", None, (), (Var(0),)), out))
+            return out
+
+        return built
+
+    ops = {ar.name: op(ar) for ar in x.source.terms}
+    return OpaqueRepresentation("variable-inspecting", x.source, x.target, x.type_map, ops)
+
+
+def test_a_callback_that_inspects_its_arguments_fails_substitution_commutation():
+    """The variable clause and type preservation hold, but substituting a
+    compound image for a variable argument changes what the callback
+    builds, so the check reports substitution commutation by comparison."""
+    x = variable_inspecting(get_translation("pcf2ulc-turing"))
+    report = check_translation_laws(x, GenConfig(seed=1, cases=2000))
+    assert _clause(report) == "substitution commutation"

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from initsyn.languages import get_language, get_translation, list_builtins
+from initsyn import terms
+from initsyn.languages import _read, get_language, get_translation, list_builtins
 from initsyn.laws import GenConfig, _case_term
 from initsyn.objtypes import ObjType
 from initsyn.signatures import ArgSpec, TVar
@@ -367,6 +368,97 @@ class TestPrintTerm:
             assert str(term) == canonical(term)
             if sig.name == "ULC":
                 assert print_term(sig, (), term, style="paper") == paper(term)
+
+    def test_str_agrees_with_the_explicit_stack_at_every_headroom(self):
+        """``str`` recurses within a budget and hands each subtree below it
+        to the explicit-stack passes.  At every budget from none to just
+        above a term's depth, the text is the explicit stack's alone: on
+        terms with a node shared above and below the budget, on builtin
+        translations' outputs, and on templates with ``?j`` and ``<M>``
+        leaves, whose text is the one their ``.xlat`` file gives.  At every
+        budget, the first pass finds the same shared nodes, and the second
+        keeps the text of each."""
+
+        def depth(t):
+            return 1 + max(map(depth, t.args), default=0) if type(t) is Con else 0
+
+        def app(f, a):
+            return Con("app", None, (), (f, a))
+
+        def lam(body):
+            return Con("abs", None, (), (body,))
+
+        inner = app(Var(0), lam(Var(1)))
+        outer = app(inner, inner)
+        cases = [lam(app(outer, lam(app(inner, outer))))]
+        for name in list_builtins()[1]:
+            x = get_translation(name)
+            text = _read(name, ".xlat", "translation")
+            for arity, tpl in x.term_map.items():
+                assert f"  {arity} -> {tpl}\n" in text
+                cases.append(tpl)
+            rng = random.Random(32)
+            for _ in range(20):
+                ctx, term = _case_term(x.source, GenConfig(seed=32, cases=1), rng)
+                cases.append(translate_term(x, ctx, term))
+        assert any("?1" in str(t) for t in cases) and any("<Theta>" in str(t) for t in cases)
+        for term in cases:
+            if type(term) is not Con:
+                continue
+            expected = terms._text(term, 0)
+            assert str(term) == expected
+            d = depth(term)
+            found = {}
+            terms._find_shared_on_stack(term, set(), found)
+            for room in sorted({*range(1, min(d, 12)), d - 1, d, d + 1}):
+                assert terms._text(term, room) == expected, (room, d)
+                shared, out = {}, []
+                terms._find_shared(term, room, set(), shared)
+                assert shared == found, (room, d)
+                terms._render(term, room, out, shared, {}, "(")
+                assert None not in shared.values(), (room, d)  # each text built once
+
+    def test_deep_term_prints_near_the_recursion_limit(self):
+        """A 10 000-deep term with one node shared at every third level prints
+        under recursion limit 1 000 when ``str`` is called 50 frames, or
+        fewer, below the limit: what headroom there is goes to recursion,
+        and the rest of the term to the explicit stack.  Called where calls
+        in C have used the headroom the frames show, it prints too."""
+        leaf = Con("app", None, (), (Var(0), Var(1)))
+        term = leaf
+        for k in range(10_000):
+            term = Con("abs", None, (), (term,)) if k % 3 else Con("app", None, (), (term, leaf))
+        expected = terms._text(term, 0)
+        assert expected.count("(app #0 #1)") == 3_335
+
+        def frames():
+            count, f = 0, sys._getframe(1)
+            while f is not None:
+                count, f = count + 1, f.f_back
+            return count
+
+        def called_at(free, fn):  # ``fn()`` from ``free`` frames below the limit
+            def down(n):
+                return fn() if n == 0 else down(n - 1)
+
+            return down(sys.getrecursionlimit() - free - frames())
+
+        class Shown:  # ``str`` called under 900 levels of ``repr`` in C, which have no frame
+            def __repr__(self):
+                return str(term)
+
+        nested = Shown()
+        for _ in range(900):
+            nested = [nested]
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            for free in (50, 45, 30, 20):
+                below, text = called_at(free, lambda: (1000 - frames(), str(term)))
+                assert text == expected and free - 2 <= below <= free, (free, below)
+            assert repr(nested) == "[" * 900 + expected + "]" * 900
+        finally:
+            sys.setrecursionlimit(saved)
 
     def test_canonical_round_trip_samples(self):
         for name in list_builtins()[0]:
